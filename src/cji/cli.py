@@ -6,7 +6,7 @@
     cji selftest                 quick numerical self-checks
 
 Exit codes: 0 on success, 1 on configuration errors, 2 if any sweep run
-diverged.
+diverged or its transform exponents would overflow.
 """
 
 from __future__ import annotations

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import CoefficientOverflowError, ConfigError
 from .quadrature import adaptive_simpson
-from .schedules import DiffusionSchedule, FlowSchedule, GuidanceConfig
+from .schedules import DiffusionSchedule, FlowSchedule, GuidanceConfig, process_kind
 
 # exp() overflows double precision just above exp(709).
 EXP_GUARD = 700.0
@@ -41,9 +41,6 @@ class ScalarPair:
     id_coeff: float
     proj_coeff: float
 
-    def apply(self, x, px):
-        return self.id_coeff * x + self.proj_coeff * px
-
 
 @dataclass(frozen=True)
 class PhiValues:
@@ -54,17 +51,9 @@ class PhiValues:
     phi_j: ScalarPair
 
 
-def _kind_of(sched) -> str:
-    if isinstance(sched, DiffusionSchedule):
-        return "diffusion"
-    if isinstance(sched, FlowSchedule):
-        return "flow"
-    raise ConfigError(f"expected a schedule, got {type(sched).__name__}")
-
-
 def kappa1(t, lam: float, sched) -> float:
     """int_0^t (lam + beta_s/2) ds for diffusion; lam*t for flows."""
-    if _kind_of(sched) == "diffusion":
+    if process_kind(sched) == "diffusion":
         return lam * np.asarray(t, dtype=float) + 0.5 * sched.beta_int(t)
     return lam * np.asarray(t, dtype=float)
 
@@ -72,7 +61,7 @@ def kappa1(t, lam: float, sched) -> float:
 def kappa2_origin(cfg: GuidanceConfig, sched) -> float:
     """Lower integration limit of kappa2: 0 when the integrand is regular
     there, cfg.t_floor when it is singular."""
-    kind = _kind_of(sched)
+    kind = process_kind(sched)
     if cfg.schedule_kind == "adaptive_paper":
         return 0.0
     if kind == "diffusion" and cfg.schedule_kind == "constant_r2":
@@ -88,7 +77,7 @@ def kappa2_integrand(s, cfg: GuidanceConfig, sched):
     """
     s = np.asarray(s, dtype=float)
     w = cfg.w
-    if _kind_of(sched) == "diffusion":
+    if process_kind(sched) == "diffusion":
         beta = sched.beta(s)
         if cfg.schedule_kind == "adaptive_paper":
             return -0.5 * w * beta
@@ -118,7 +107,7 @@ def kappa2(t, cfg: GuidanceConfig, sched):
     if w == 0.0:
         out = np.zeros_like(t)
         return float(out) if scalar else out
-    if _kind_of(sched) == "diffusion":
+    if process_kind(sched) == "diffusion":
         if cfg.schedule_kind == "adaptive_paper":
             out = -0.5 * w * sched.beta_int(t)
         elif cfg.schedule_kind == "constant_r2":
@@ -145,15 +134,10 @@ def kappa2(t, cfg: GuidanceConfig, sched):
     return float(out) if scalar else out
 
 
-def kappa3(t, cfg: GuidanceConfig, sched, *, tol: float = 1e-9,
-           expm1_factor: bool = False) -> float:
+def kappa3(t, cfg: GuidanceConfig, sched, *, tol: float = 1e-9) -> float:
     """First-order noise correction coefficient on H^+ (H^+)^T.
 
     kappa3 = -sigma_y^2 * (int_floor^t kappa2'(s)/r_s^2 ds) * exp(kappa1 + kappa2).
-
-    With ``expm1_factor`` the trailing factor becomes exp(kappa1+kappa2) - 1;
-    that variant does not achieve the fourth-order error in sigma_y and is
-    kept only for comparison.
     """
     if cfg.sigma_y < 0:
         raise ConfigError("sigma_y must be >= 0")
@@ -170,8 +154,7 @@ def kappa3(t, cfg: GuidanceConfig, sched, *, tol: float = 1e-9,
     base = adaptive_simpson(integrand, lo, t, atol=tol, rtol=tol)
     k12 = float(kappa1(t, cfg.lam, sched)) + kappa2(t, cfg, sched)
     _exp_guard(k12, "kappa1 + kappa2")
-    factor = math.exp(k12) - 1.0 if expm1_factor else math.exp(k12)
-    return -(cfg.sigma_y ** 2) * base * factor
+    return -(cfg.sigma_y ** 2) * base * math.exp(k12)
 
 
 def _exp_guard(value: float, what: str):
@@ -181,66 +164,72 @@ def _exp_guard(value: float, what: str):
         )
 
 
-def _a_scalars(t, cfg, sched, inverse: bool):
-    k1 = float(kappa1(t, cfg.lam, sched))
-    k2 = kappa2(t, cfg, sched)
+def apply_transform(x, op, k1: float, k2: float, k3: float = 0.0, *,
+                    inverse: bool = False):
+    """A_t x, or A_t^{-1} x with ``inverse``, from the exponents at t.
+
+    A_t x = e^{k1} (I - P) x + e^{k1+k2} P x + k3 H^+ (H^+)^T x; the inverse
+    negates k1 and k2 and, to the same first order in sigma_y^2, subtracts
+    k3 A^{-1} H^+ (H^+)^T A^{-1} x = k3 e^{-2(k1+k2)} H^+ (H^+)^T x.  The
+    orthogonal-split form avoids the cancellation of the equivalent
+    e^{k1} [x + (e^{k2} - 1) P x] when k2 is strongly negative.  Every
+    exponent is checked before exp() is taken.
+    """
+    k12 = k1 + k2
     if inverse:
-        k1, k2 = -k1, -k2
-    _exp_guard(k1, "kappa1" if not inverse else "-kappa1")
-    _exp_guard(k1 + k2, "kappa1 + kappa2" if not inverse else "-(kappa1 + kappa2)")
-    return math.exp(k1), math.exp(k1 + k2)
+        _exp_guard(-k1, "-kappa1")
+        _exp_guard(-k12, "-(kappa1 + kappa2)")
+        e1, e12 = math.exp(-k1), math.exp(-k12)
+    else:
+        _exp_guard(k1, "kappa1")
+        _exp_guard(k12, "kappa1 + kappa2")
+        e1, e12 = math.exp(k1), math.exp(k12)
+    px = op.proj_apply(x)
+    out = e1 * (x - px) + e12 * px
+    if k3 != 0.0:
+        outer = op.pinv_outer_apply(x)
+        if inverse:
+            _exp_guard(-2.0 * k12, "-2 (kappa1 + kappa2)")
+            out = out - k3 * math.exp(-2.0 * k12) * outer
+        else:
+            out = out + k3 * outer
+    return out
+
+
+def _exponents(t, cfg: GuidanceConfig, sched):
+    return float(kappa1(t, cfg.lam, sched)), kappa2(t, cfg, sched)
 
 
 def a_apply(t, x, op, cfg: GuidanceConfig, sched):
-    """A_t x = e^{k1} (I - P) x + e^{k1+k2} P x.
-
-    The orthogonal-split form avoids the cancellation of the equivalent
-    e^{k1} [x + (e^{k2} - 1) P x] when k2 is strongly negative.
-    """
-    e1, e12 = _a_scalars(t, cfg, sched, inverse=False)
-    px = op.proj_apply(x)
-    return e1 * (x - px) + e12 * px
+    """A_t x = e^{k1} (I - P) x + e^{k1+k2} P x."""
+    return apply_transform(x, op, *_exponents(t, cfg, sched))
 
 
 def a_inv_apply(t, x, op, cfg: GuidanceConfig, sched):
     """A_t^{-1} x = e^{-k1} (I - P) x + e^{-(k1+k2)} P x."""
-    e1, e12 = _a_scalars(t, cfg, sched, inverse=True)
-    px = op.proj_apply(x)
-    return e1 * (x - px) + e12 * px
+    return apply_transform(x, op, *_exponents(t, cfg, sched), inverse=True)
 
 
-def a_noisy_apply(t, x, op, cfg: GuidanceConfig, sched, *,
-                  expm1_factor: bool = False):
+def a_noisy_apply(t, x, op, cfg: GuidanceConfig, sched):
     """First-order-in-sigma_y^2 noisy transform: A_t x + kappa3 H^+ (H^+)^T x.
 
     The expansion assumes sigma_y^2 small against r_t^2 times the smallest
     kept eigenvalue of H H^T; ill-conditioned Gram spectra need either a
     larger spectral threshold or the explicit sampler.
     """
-    out = a_apply(t, x, op, cfg, sched)
-    k3 = kappa3(t, cfg, sched, expm1_factor=expm1_factor)
-    if k3 != 0.0:
-        out = out + k3 * op.pinv_outer_apply(x)
-    return out
+    return apply_transform(x, op, *_exponents(t, cfg, sched), kappa3(t, cfg, sched))
 
 
-def a_noisy_inv_apply(t, x, op, cfg: GuidanceConfig, sched, *,
-                      expm1_factor: bool = False):
+def a_noisy_inv_apply(t, x, op, cfg: GuidanceConfig, sched):
     """Inverse of the noisy transform to the same order:
     A^{-1} x - kappa3 A^{-1} H^+ (H^+)^T A^{-1} x."""
-    out = a_inv_apply(t, x, op, cfg, sched)
-    k3 = kappa3(t, cfg, sched, expm1_factor=expm1_factor)
-    if k3 != 0.0:
-        k1 = float(kappa1(t, cfg.lam, sched))
-        k2 = kappa2(t, cfg, sched)
-        _exp_guard(-2.0 * (k1 + k2), "-2 (kappa1 + kappa2)")
-        out = out - k3 * math.exp(-2.0 * (k1 + k2)) * op.pinv_outer_apply(x)
-    return out
+    return apply_transform(x, op, *_exponents(t, cfg, sched), kappa3(t, cfg, sched),
+                           inverse=True)
 
 
 def phi_origin(cfg: GuidanceConfig, sched) -> float:
     """Lower integration limit of the Phi coefficients."""
-    if _kind_of(sched) == "diffusion":
+    if process_kind(sched) == "diffusion":
         return cfg.t_floor  # beta/sigma integrand is singular at 0
     return 0.0 if cfg.schedule_kind == "adaptive_paper" else cfg.t_floor
 
@@ -254,7 +243,7 @@ def _diffusion_guide(s, cfg, sched):
     return cfg.w / sched.r_sq(s)
 
 
-def _phi_integrands_diffusion(cfg, sched, squared_transform):
+def _phi_integrands_diffusion(cfg, sched):
     lam = cfg.lam
 
     def parts(s):
@@ -280,11 +269,8 @@ def _phi_integrands_diffusion(cfg, sched, squared_transform):
 
     def phi_main_p(s):
         beta, mu, sigma, guide, e1, ek2, e12 = parts(s)
-        # Literal form keeps the transform inside the bracket, squaring the
-        # projected factor; the simplified closed form carries it once.
-        factor = e12 * e12 if squared_transform else e12
         return (beta / (2.0 * sigma) * e1 * (ek2 - 1.0)
-                - guide * sigma * beta / (2.0 * mu * mu) * factor)
+                - guide * sigma * beta / (2.0 * mu * mu) * e12)
 
     def phi_j_id(s):
         beta, mu, sigma, guide, e1, _, _ = parts(s)
@@ -297,24 +283,14 @@ def _phi_integrands_diffusion(cfg, sched, squared_transform):
     return phi_y, phi_main_id, phi_main_p, phi_j_id, phi_j_p
 
 
-def _flow_guide_over_alpha(s, cfg, sched):
-    """(w_t / r_t^2) * gamma / alpha, simplified per schedule kind."""
-    alpha = sched.alpha(s)
-    gamma = sched.gamma(s)
-    if cfg.schedule_kind == "adaptive_paper":
-        return cfg.w * alpha * gamma
-    if cfg.schedule_kind == "constant_r2":
-        return cfg.w * gamma / alpha
-    return cfg.w * (alpha * alpha + gamma * gamma) / (alpha * gamma)
-
-
 def _phi_integrands_flow(cfg, sched):
     lam = cfg.lam
 
     def parts(s):
         s = np.asarray(s, dtype=float)
         gamma = sched.gamma(s)
-        guide = _flow_guide_over_alpha(s, cfg, sched)
+        # (w_t / r_t^2) * gamma / alpha is the flow P-exponent rate.
+        guide = kappa2_integrand(s, cfg, sched)
         e1 = np.exp(lam * s)
         ek2 = np.exp(kappa2(s, cfg, sched))
         return gamma, guide, e1, ek2, e1 * ek2
@@ -348,11 +324,9 @@ def _integrate(f, lo, t, tol):
     return adaptive_simpson(f, lo, t, atol=tol, rtol=tol)
 
 
-def phi_diffusion(t, cfg: GuidanceConfig, sched: DiffusionSchedule, *,
-                  tol: float = DEFAULT_TOL, squared_transform: bool = False) -> PhiValues:
-    """Drift coefficients at time t for the projected diffusion dynamics."""
+def _phi(t, cfg: GuidanceConfig, sched, integrands, tol: float) -> PhiValues:
     lo = phi_origin(cfg, sched)
-    fy, fmi, fmp, fji, fjp = _phi_integrands_diffusion(cfg, sched, squared_transform)
+    fy, fmi, fmp, fji, fjp = integrands
     guided = cfg.w != 0.0
     return PhiValues(
         phi_y=_integrate(fy, lo, t, tol) if guided else 0.0,
@@ -367,24 +341,17 @@ def phi_diffusion(t, cfg: GuidanceConfig, sched: DiffusionSchedule, *,
     )
 
 
+def phi_diffusion(t, cfg: GuidanceConfig, sched: DiffusionSchedule, *,
+                  tol: float = DEFAULT_TOL) -> PhiValues:
+    """Drift coefficients at time t for the projected diffusion dynamics."""
+    return _phi(t, cfg, sched, _phi_integrands_diffusion(cfg, sched), tol)
+
+
 def phi_flow(t, cfg: GuidanceConfig, sched: FlowSchedule | None = None, *,
              tol: float = DEFAULT_TOL) -> PhiValues:
     """Drift coefficients at time t for the projected flow dynamics."""
     sched = sched or FlowSchedule()
-    lo = phi_origin(cfg, sched)
-    fy, fbi, fbp, fji, fjp = _phi_integrands_flow(cfg, sched)
-    guided = cfg.w != 0.0
-    return PhiValues(
-        phi_y=_integrate(fy, lo, t, tol) if guided else 0.0,
-        phi_main=ScalarPair(
-            _integrate(fbi, lo, t, tol),
-            _integrate(fbp, lo, t, tol) if guided else 0.0,
-        ),
-        phi_j=ScalarPair(
-            _integrate(fji, lo, t, tol) if guided else 0.0,
-            _integrate(fjp, lo, t, tol) if guided else 0.0,
-        ),
-    )
+    return _phi(t, cfg, sched, _phi_integrands_flow(cfg, sched), tol)
 
 
 @dataclass(frozen=True)
@@ -405,23 +372,16 @@ class CoefficientTable:
     def __len__(self):
         return self.times.size
 
-    def phi_at(self, i: int) -> PhiValues:
-        return PhiValues(
-            phi_y=float(self.phi_y[i]),
-            phi_main=ScalarPair(float(self.phi_main_id[i]), float(self.phi_main_p[i])),
-            phi_j=ScalarPair(float(self.phi_j_id[i]), float(self.phi_j_p[i])),
-        )
 
-
-def precompute_table(grid, cfg: GuidanceConfig, sched, *, tol: float = DEFAULT_TOL,
-                     squared_transform: bool = False) -> CoefficientTable:
+def precompute_table(grid, cfg: GuidanceConfig, sched, *,
+                     tol: float = DEFAULT_TOL) -> CoefficientTable:
     """Evaluate every coefficient on the sampling grid.
 
     Each entry is computed with the same calls as the scalar phi_* functions,
     so shared times agree bitwise with direct evaluation.  The table is
     immutable and shared read-only across chains.
     """
-    kind = _kind_of(sched)
+    kind = process_kind(sched)
     times = np.asarray(grid, dtype=float)
     n = times.size
     cols = {name: np.zeros(n) for name in (
@@ -433,7 +393,7 @@ def precompute_table(grid, cfg: GuidanceConfig, sched, *, tol: float = DEFAULT_T
         if cfg.sigma_y > 0:
             cols["kappa3"][i] = kappa3(t, cfg, sched)
         if kind == "diffusion":
-            phi = phi_diffusion(t, cfg, sched, tol=tol, squared_transform=squared_transform)
+            phi = phi_diffusion(t, cfg, sched, tol=tol)
         else:
             phi = phi_flow(t, cfg, sched, tol=tol)
         cols["phi_y"][i] = phi.phi_y

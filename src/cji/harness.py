@@ -16,13 +16,13 @@ import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import stats as _stats
 
 from .conjugate import precompute_table, table_to_csv
-from .errors import ConfigError, DivergenceError
+from .errors import CoefficientOverflowError, ConfigError, DivergenceError
 from .operators import BlockAverage, CirculantBlur, DenseOperator, Mask
 from .oracles import (
     GaussianDiffusionOracle,
@@ -201,6 +201,18 @@ def degrade(x0, op, sigma_y: float, seed: int) -> np.ndarray:
     return y
 
 
+def build_schedule(config: dict):
+    """Diffusion schedule from the config's schedule block, or the flow
+    interpolant, whichever the sampler method needs."""
+    if not config["sampler"]["method"].endswith("diffusion"):
+        return FlowSchedule()
+    desc = config.get("schedule", {})
+    return DiffusionSchedule(
+        beta_min=float(desc.get("beta_min", 0.1)),
+        beta_max=float(desc.get("beta_max", 20.0)),
+    )
+
+
 def build_oracle(model_desc: dict, problem: dict, sched):
     kind = model_desc.get("kind", "auto")
     if kind == "external":
@@ -258,8 +270,8 @@ def run(config: dict, *, threads: int = 1, output_dir=None,
         write_outputs: bool = True) -> RunReport:
     """Execute the sweep described by the config; returns the full report.
 
-    Divergent runs are recorded with empty metrics rather than aborting the
-    sweep.
+    Divergent runs, and runs whose transform exponents would overflow, are
+    recorded with empty metrics rather than aborting the sweep.
     """
     problem = config.get("problem")
     if problem is None:
@@ -270,15 +282,7 @@ def run(config: dict, *, threads: int = 1, output_dir=None,
         raise ConfigError(
             f"sweep size {len(points) * len(seeds)} exceeds the guard {SWEEP_GUARD}")
 
-    sched_desc = config.get("schedule", {})
-    method = config["sampler"]["method"]
-    if method.endswith("diffusion"):
-        sched = DiffusionSchedule(
-            beta_min=float(sched_desc.get("beta_min", 0.1)),
-            beta_max=float(sched_desc.get("beta_max", 20.0)),
-        )
-    else:
-        sched = FlowSchedule()
+    sched = build_schedule(config)
     op = build_operator(problem["operator"])
     sigma_y = float(problem.get("sigma_y", 0.0))
     oracle = build_oracle(config.get("model", {}), problem, sched)
@@ -299,7 +303,7 @@ def run(config: dict, *, threads: int = 1, output_dir=None,
         started = time.perf_counter()
         try:
             result = sample(spec, y, op, oracle, sched, z)
-        except DivergenceError:
+        except (DivergenceError, CoefficientOverflowError):
             elapsed = (time.perf_counter() - started) * 1e3
             rec = RunRecord(
                 method=desc["method"], w=float(desc["w"]), lam=float(desc["lambda"]),
@@ -395,20 +399,11 @@ def report_from_csv(text: str) -> RunReport:
 
 def coeff_dump(config: dict) -> str:
     """Coefficient table CSV for the configured sampler grid."""
-    method = config["sampler"]["method"]
-    sched_desc = config.get("schedule", {})
-    if method.endswith("diffusion"):
-        sched = DiffusionSchedule(
-            beta_min=float(sched_desc.get("beta_min", 0.1)),
-            beta_max=float(sched_desc.get("beta_max", 20.0)),
-        )
-    else:
-        sched = FlowSchedule()
     sigma_y = float(config.get("problem", {}).get("sigma_y", 0.0))
     cfg = guidance_from_sampler(config["sampler"], sigma_y)
-    spec = SamplerSpec(method=method, guidance=cfg)
-    table_cfg = cfg if method.startswith("conjugate") else replace(cfg, w=0.0)
-    table = precompute_table(spec.resolved_grid(), table_cfg, sched)
+    spec = SamplerSpec(method=config["sampler"]["method"], guidance=cfg)
+    table = precompute_table(spec.resolved_grid(), spec.table_guidance,
+                             build_schedule(config))
     return table_to_csv(table)
 
 

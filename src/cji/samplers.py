@@ -24,15 +24,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .conjugate import CoefficientTable, precompute_table
+from .conjugate import CoefficientTable, apply_transform, precompute_table
 from .errors import ConfigError, DivergenceError
 from .oracles import tweedie_diffusion, tweedie_flow
-from .schedules import (
-    DiffusionSchedule,
-    GuidanceConfig,
-    guidance_weight,
-    sampling_grid,
-)
+from .schedules import GuidanceConfig, guidance_weight, process_kind, sampling_grid
 
 METHODS = (
     "conjugate_diffusion",
@@ -48,9 +43,6 @@ class SamplerSpec:
     guidance: GuidanceConfig
     grid: np.ndarray | None = None
     record_trajectory: bool = False
-    # Integrate the lambda drift with its exact exponential factor instead of
-    # the literal h*lambda Euler increment.
-    exact_lambda_step: bool = False
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -59,6 +51,16 @@ class SamplerSpec:
     @property
     def kind(self) -> str:
         return "diffusion" if self.method.endswith("diffusion") else "flow"
+
+    @property
+    def conjugate(self) -> bool:
+        return self.method.startswith("conjugate")
+
+    @property
+    def table_guidance(self) -> GuidanceConfig:
+        """Config the coefficient table is built from: the explicit family
+        keeps guidance out of the transform and Phi integrals (w = 0)."""
+        return self.guidance if self.conjugate else replace(self.guidance, w=0.0)
 
     def resolved_grid(self) -> np.ndarray:
         if self.grid is not None:
@@ -91,10 +93,6 @@ def _check_grid(grid: np.ndarray, kind: str, cfg: GuidanceConfig):
             raise ConfigError("flow grid must stay within [0, 1]")
 
 
-def _sched_kind(sched) -> str:
-    return "diffusion" if isinstance(sched, DiffusionSchedule) else "flow"
-
-
 def init_state(y, op, cfg: GuidanceConfig, sched, z, table: CoefficientTable,
                kind: str) -> np.ndarray:
     """Draw the start state from the noised pseudoinverse and project it."""
@@ -111,23 +109,9 @@ def init_state(y, op, cfg: GuidanceConfig, sched, z, table: CoefficientTable,
 
 
 def _transform(x, op, table: CoefficientTable, i: int, inverse: bool):
-    """Apply A_{t_i} (or its inverse) from tabulated exponents, including the
-    first-order noise correction when kappa3 is nonzero."""
-    k1 = float(table.kappa1[i])
-    k12 = k1 + float(table.kappa2[i])
-    k3 = float(table.kappa3[i])
-    if inverse:
-        e1, e12 = math.exp(-k1), math.exp(-k12)
-    else:
-        e1, e12 = math.exp(k1), math.exp(k12)
-    px = op.proj_apply(x)
-    out = e1 * (x - px) + e12 * px
-    if k3 != 0.0:
-        if inverse:
-            out = out - k3 * math.exp(-2.0 * k12) * op.pinv_outer_apply(x)
-        else:
-            out = out + k3 * op.pinv_outer_apply(x)
-    return out
+    """A_{t_i} (or its inverse) from the exponents in table row i."""
+    return apply_transform(x, op, float(table.kappa1[i]), float(table.kappa2[i]),
+                           float(table.kappa3[i]), inverse=inverse)
 
 
 def _guidance_reg(cfg: GuidanceConfig, sched, t: float) -> float:
@@ -146,12 +130,6 @@ def _finish(spec, xbar, op, table, sup, traj):
     )
 
 
-def _lambda_drift(spec, cfg, xbar, h):
-    if spec.exact_lambda_step:
-        return (math.exp(cfg.lam * h) - 1.0) * xbar
-    return h * cfg.lam * xbar
-
-
 def _step_checked(xbar, n, table):
     if not np.all(np.isfinite(xbar)):
         raise DivergenceError(n, float(table.times[n]),
@@ -163,13 +141,13 @@ def sample(spec: SamplerSpec, y, op, oracle, sched, z, *,
            table: CoefficientTable | None = None) -> SampleResult:
     """Run one batch of chains; z supplies the initial standard normals."""
     kind = spec.kind
-    if _sched_kind(sched) != kind:
+    if process_kind(sched) != kind:
         raise ConfigError(f"method {spec.method} needs a {kind} schedule")
     cfg = spec.guidance
     grid = spec.resolved_grid()
     _check_grid(grid, kind, cfg)
-    conjugate = spec.method.startswith("conjugate")
-    table_cfg = cfg if conjugate else replace(cfg, w=0.0)
+    conjugate = spec.conjugate
+    table_cfg = spec.table_guidance
     if table is None:
         table = precompute_table(grid, table_cfg, sched)
     elif len(table) != grid.size or not np.array_equal(table.times, grid):
@@ -200,7 +178,7 @@ def sample(spec: SamplerSpec, y, op, oracle, sched, z, *,
         else:
             jv = oracle.velocity_jvp(x, t, u)
 
-        v = _lambda_drift(spec, cfg, xbar, h)
+        v = h * cfg.lam * xbar
         dphi_main_id = float(table.phi_main_id[n + 1] - table.phi_main_id[n])
         v = v + dphi_main_id * field_val
         if conjugate:

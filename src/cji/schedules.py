@@ -103,6 +103,15 @@ class FlowSchedule:
         return g2 / (t * t + g2)
 
 
+def process_kind(sched) -> str:
+    """Name the process a schedule object describes: "diffusion" or "flow"."""
+    if isinstance(sched, DiffusionSchedule):
+        return "diffusion"
+    if isinstance(sched, FlowSchedule):
+        return "flow"
+    raise ConfigError(f"expected a schedule, got {type(sched).__name__}")
+
+
 def diffusion_eval(sched: DiffusionSchedule, t):
     """Evaluate beta, mu, sigma, r_sq at time t (vectorized)."""
     return {

@@ -31,6 +31,20 @@ def base_config(**sampler_overrides):
     }
 
 
+def diverging_configs():
+    """One sweep point that diverges (non-finite state) and one whose
+    transform exponent would overflow exp() (constant weight, w = 30)."""
+    configs = [
+        base_config(method="explicit_diffusion", w=1e10, nfe=80,
+                    schedule_kind="constant_r2"),
+        base_config(method="conjugate_diffusion", w=30.0, tau=0.7,
+                    schedule_kind="constant"),
+    ]
+    for cfg in configs:
+        cfg["seeds"] = [0]
+    return configs
+
+
 class TestTensorIO:
     def test_round_trip_exact(self, tmp_path):
         path = tmp_path / "t.cji"
@@ -184,15 +198,13 @@ class TestRun:
         assert agg["mse_mean"] == pytest.approx(np.mean(mses))
 
     def test_divergence_recorded_not_fatal(self):
-        cfg = base_config(method="explicit_diffusion", w=1e10, nfe=80,
-                          schedule_kind="constant_r2")
-        cfg["seeds"] = [0]
-        with np.errstate(over="ignore", invalid="ignore"):
-            report = harness.run(cfg, write_outputs=False)
-        assert report.diverged_count == 1
-        assert report.records[0].mse is None
-        text = harness.report_to_csv(report)
-        assert harness.report_from_csv(text).records == report.records
+        for cfg in diverging_configs():
+            with np.errstate(over="ignore", invalid="ignore"):
+                report = harness.run(cfg, write_outputs=False)
+            assert report.diverged_count == 1
+            assert report.records[0].mse is None
+            text = harness.report_to_csv(report)
+            assert harness.report_from_csv(text).records == report.records
 
     def test_external_model_config(self):
         import sys
@@ -281,12 +293,10 @@ class TestCLI:
         assert cli.main(["run", path]) == 1
 
     def test_divergence_exit_two(self, tmp_path):
-        cfg = base_config(method="explicit_diffusion", w=1e10, nfe=80,
-                          schedule_kind="constant_r2")
-        cfg["seeds"] = [0]
-        path = self.write_config(tmp_path, cfg)
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert cli.main(["run", path, "--output-dir", str(tmp_path / "o")]) == 2
+        for i, cfg in enumerate(diverging_configs()):
+            path = self.write_config(tmp_path, cfg)
+            with np.errstate(over="ignore", invalid="ignore"):
+                assert cli.main(["run", path, "--output-dir", str(tmp_path / f"o{i}")]) == 2
 
     def test_override_and_seeds_flags(self, tmp_path):
         path = self.write_config(tmp_path, base_config())

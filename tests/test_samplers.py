@@ -3,7 +3,7 @@ import pytest
 
 from dense_reference import dense_conjugate_sample
 from cji.conjugate import kappa2_origin, phi_origin, precompute_table
-from cji.errors import ConfigError, DivergenceError
+from cji.errors import CoefficientOverflowError, ConfigError, DivergenceError
 from cji.operators import CirculantBlur, Mask
 from cji.oracles import (
     GaussianDiffusionOracle,
@@ -252,19 +252,6 @@ class TestConvergence:
         res = sample(spec, Y, OP, oracle, DIFF, z)
         assert np.max(np.abs(res.x - OP.pinv_apply(Y))) < 0.06
 
-    def test_exact_lambda_step_converges_to_literal(self):
-        oracle = GaussianDiffusionOracle(GAUSS, DIFF)
-        z = RNG.standard_normal(D)
-        gaps = []
-        for n in (50, 200):
-            cfg = GuidanceConfig(w=2.0, lam=0.5, tau=0.6, nfe=n)
-            lit = sample(SamplerSpec(method="conjugate_diffusion", guidance=cfg),
-                         Y, OP, oracle, DIFF, z)
-            ex = sample(SamplerSpec(method="conjugate_diffusion", guidance=cfg,
-                                    exact_lambda_step=True), Y, OP, oracle, DIFF, z)
-            gaps.append(np.linalg.norm(lit.x - ex.x))
-        assert gaps[0] > gaps[1] > 0
-
 
 class TestNoisySampling:
     def test_noisy_run_differs_and_stays_finite(self):
@@ -318,6 +305,15 @@ class TestErrors:
                 sample(SamplerSpec(method="explicit_diffusion", guidance=cfg),
                        Y, OP, oracle, DIFF, RNG.standard_normal(D))
         assert err.value.step_index >= 0
+
+    def test_transform_overflow_is_typed(self):
+        # constant weight: kappa2 reaches about -2.3e3 at t = 0.7, so the
+        # inverse transform at the first step would overflow exp()
+        cfg = GuidanceConfig(w=30.0, tau=0.7, nfe=5, schedule_kind="constant")
+        with pytest.raises(CoefficientOverflowError, match=r"-\(kappa1 \+ kappa2\)"):
+            sample(SamplerSpec(method="conjugate_diffusion", guidance=cfg),
+                   Y, OP, GaussianDiffusionOracle(GAUSS, DIFF), DIFF,
+                   RNG.standard_normal(D))
 
     def test_method_schedule_mismatch(self):
         cfg = GuidanceConfig(w=1.0, tau=0.5, nfe=5)
