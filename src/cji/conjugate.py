@@ -189,8 +189,14 @@ def apply_transform(x, op, k1: float, k2: float, k3: float = 0.0, *,
     if k3 != 0.0:
         outer = op.pinv_outer_apply(x)
         if inverse:
-            _exp_guard(-2.0 * k12, "-2 (kappa1 + kappa2)")
-            out = out - k3 * math.exp(-2.0 * k12) * outer
+            # kappa3 carries a factor e^{k1+k2}, so k3 e^{-2(k1+k2)} grows
+            # only like e^{-(k1+k2)}: apply the guarded e12 twice.
+            coeff = (k3 * e12) * e12
+            if not math.isfinite(coeff):
+                raise CoefficientOverflowError(
+                    f"kappa3 exp(-2 (kappa1 + kappa2)) = {coeff} overflows; "
+                    "reduce w or lambda")
+            out = out - coeff * outer
         else:
             out = out + k3 * outer
     return out
@@ -243,115 +249,74 @@ def _diffusion_guide(s, cfg, sched):
     return cfg.w / sched.r_sq(s)
 
 
-def _phi_integrands_diffusion(cfg, sched):
-    lam = cfg.lam
-
-    def parts(s):
-        s = np.asarray(s, dtype=float)
-        beta = sched.beta(s)
-        mu = sched.mu(s)
-        sigma = sched.sigma(s)
-        guide = _diffusion_guide(s, cfg, sched)
-        k1 = lam * s + 0.5 * sched.beta_int(s)
-        k2 = kappa2(s, cfg, sched)
-        e1 = np.exp(k1)
-        ek2 = np.exp(k2)
-        e12 = e1 * ek2
-        return beta, mu, sigma, guide, e1, ek2, e12
-
-    def phi_y(s):
-        beta, mu, _, guide, _, _, e12 = parts(s)
-        return -guide * beta / (2.0 * mu) * e12
-
-    def phi_main_id(s):
-        beta, _, sigma, _, e1, _, _ = parts(s)
-        return beta / (2.0 * sigma) * e1
-
-    def phi_main_p(s):
-        beta, mu, sigma, guide, e1, ek2, e12 = parts(s)
-        return (beta / (2.0 * sigma) * e1 * (ek2 - 1.0)
-                - guide * sigma * beta / (2.0 * mu * mu) * e12)
-
-    def phi_j_id(s):
-        beta, mu, sigma, guide, e1, _, _ = parts(s)
-        return guide * sigma * beta / (2.0 * mu) * e1
-
-    def phi_j_p(s):
-        beta, mu, sigma, guide, e1, ek2, _ = parts(s)
-        return guide * sigma * beta / (2.0 * mu) * e1 * (ek2 - 1.0)
-
-    return phi_y, phi_main_id, phi_main_p, phi_j_id, phi_j_p
+def _diffusion_integrands(s, cfg, sched):
+    """The five Phi integrands of the projected diffusion dynamics, stacked
+    in PhiValues order; only phi_main_id (a 1-D array) when w = 0, because
+    the other four vanish identically."""
+    beta = sched.beta(s)
+    sigma = sched.sigma(s)
+    e1 = np.exp(cfg.lam * s + 0.5 * sched.beta_int(s))
+    main_id = beta / (2.0 * sigma) * e1
+    if cfg.w == 0.0:
+        return main_id
+    mu = sched.mu(s)
+    guide = _diffusion_guide(s, cfg, sched)
+    ek2 = np.exp(kappa2(s, cfg, sched))
+    e12 = e1 * ek2
+    j_id = guide * sigma * beta / (2.0 * mu) * e1
+    return np.stack([
+        -guide * beta / (2.0 * mu) * e12,
+        main_id,
+        main_id * (ek2 - 1.0) - guide * sigma * beta / (2.0 * mu * mu) * e12,
+        j_id,
+        j_id * (ek2 - 1.0),
+    ])
 
 
-def _phi_integrands_flow(cfg, sched):
-    lam = cfg.lam
-
-    def parts(s):
-        s = np.asarray(s, dtype=float)
-        gamma = sched.gamma(s)
-        # (w_t / r_t^2) * gamma / alpha is the flow P-exponent rate.
-        guide = kappa2_integrand(s, cfg, sched)
-        e1 = np.exp(lam * s)
-        ek2 = np.exp(kappa2(s, cfg, sched))
-        return gamma, guide, e1, ek2, e1 * ek2
-
-    def phi_y(s):
-        _, guide, _, _, e12 = parts(s)
-        return guide * e12
-
-    def phi_b_id(s):
-        _, _, e1, _, _ = parts(s)
+def _flow_integrands(s, cfg, sched):
+    """The five Phi integrands of the projected flow dynamics, stacked as in
+    _diffusion_integrands (only phi_main_id when w = 0)."""
+    e1 = np.exp(cfg.lam * s)
+    if cfg.w == 0.0:
         return e1
-
-    def phi_b_p(s):
-        gamma, guide, e1, ek2, e12 = parts(s)
-        return e1 * (ek2 - 1.0) - guide * gamma * e12
-
-    def phi_j_id(s):
-        gamma, guide, e1, _, _ = parts(s)
-        return guide * gamma * e1
-
-    def phi_j_p(s):
-        gamma, guide, e1, ek2, _ = parts(s)
-        return guide * gamma * e1 * (ek2 - 1.0)
-
-    return phi_y, phi_b_id, phi_b_p, phi_j_id, phi_j_p
-
-
-def _integrate(f, lo, t, tol):
-    if t == lo:
-        return 0.0
-    return adaptive_simpson(f, lo, t, atol=tol, rtol=tol)
+    gamma = sched.gamma(s)
+    # (w_t / r_t^2) * gamma / alpha is the flow P-exponent rate.
+    guide = kappa2_integrand(s, cfg, sched)
+    ek2 = np.exp(kappa2(s, cfg, sched))
+    e12 = e1 * ek2
+    j_id = guide * gamma * e1
+    return np.stack([
+        guide * e12,
+        e1,
+        e1 * (ek2 - 1.0) - guide * gamma * e12,
+        j_id,
+        j_id * (ek2 - 1.0),
+    ])
 
 
 def _phi(t, cfg: GuidanceConfig, sched, integrands, tol: float) -> PhiValues:
+    """All five coefficients from one quadrature of the stacked integrands."""
     lo = phi_origin(cfg, sched)
-    fy, fmi, fmp, fji, fjp = integrands
-    guided = cfg.w != 0.0
-    return PhiValues(
-        phi_y=_integrate(fy, lo, t, tol) if guided else 0.0,
-        phi_main=ScalarPair(
-            _integrate(fmi, lo, t, tol),
-            _integrate(fmp, lo, t, tol) if guided else 0.0,
-        ),
-        phi_j=ScalarPair(
-            _integrate(fji, lo, t, tol) if guided else 0.0,
-            _integrate(fjp, lo, t, tol) if guided else 0.0,
-        ),
-    )
+    vals = np.zeros(5)
+    if t != lo:
+        rows = slice(None) if cfg.w != 0.0 else 1  # w = 0: phi_main_id alone
+        vals[rows] = adaptive_simpson(lambda s: integrands(s, cfg, sched), lo, t,
+                                      atol=tol, rtol=tol)
+    phi_y, main_id, main_p, j_id, j_p = (float(v) for v in vals)
+    return PhiValues(phi_y, ScalarPair(main_id, main_p), ScalarPair(j_id, j_p))
 
 
 def phi_diffusion(t, cfg: GuidanceConfig, sched: DiffusionSchedule, *,
                   tol: float = DEFAULT_TOL) -> PhiValues:
     """Drift coefficients at time t for the projected diffusion dynamics."""
-    return _phi(t, cfg, sched, _phi_integrands_diffusion(cfg, sched), tol)
+    return _phi(t, cfg, sched, _diffusion_integrands, tol)
 
 
 def phi_flow(t, cfg: GuidanceConfig, sched: FlowSchedule | None = None, *,
              tol: float = DEFAULT_TOL) -> PhiValues:
     """Drift coefficients at time t for the projected flow dynamics."""
     sched = sched or FlowSchedule()
-    return _phi(t, cfg, sched, _phi_integrands_flow(cfg, sched), tol)
+    return _phi(t, cfg, sched, _flow_integrands, tol)
 
 
 @dataclass(frozen=True)

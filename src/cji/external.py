@@ -42,6 +42,7 @@ class ExternalOracle:
         self.timeout = timeout
         self.jvp_mode = jvp_mode
         self._next_id = 0
+        self._lock = threading.Lock()
         self._proc = subprocess.Popen(
             argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True, bufsize=1
         )
@@ -77,23 +78,26 @@ class ExternalOracle:
         x = np.asarray(x, dtype=float)
         if x.ndim != 1 or x.size != self.dim:
             raise ValueError(f"x must be a length-{self.dim} vector")
-        self._next_id += 1
-        req = {"id": self._next_id, "op": op, "t": float(t), "x": x.tolist()}
+        req = {"op": op, "t": float(t), "x": x.tolist()}
         if v is not None:
             v = np.asarray(v, dtype=float)
             if v.shape != x.shape:
                 raise ValueError("v must match x in shape")
             req["v"] = v.tolist()
-        self._proc.stdin.write(json.dumps(req) + "\n")
-        self._proc.stdin.flush()
-        line = self._read_line()
+        # One request in flight: threads sharing this client take turns.
+        with self._lock:
+            self._next_id += 1
+            rid = self._next_id
+            self._proc.stdin.write(json.dumps({"id": rid, **req}) + "\n")
+            self._proc.stdin.flush()
+            line = self._read_line()
         try:
             resp = json.loads(line)
         except json.JSONDecodeError as exc:
             raise OracleProtocolError(f"malformed response: {line!r}") from exc
-        if resp.get("id") != self._next_id:
+        if resp.get("id") != rid:
             raise OracleProtocolError(
-                f"response id {resp.get('id')} does not match request {self._next_id}"
+                f"response id {resp.get('id')} does not match request {rid}"
             )
         if "error" in resp:
             raise OracleRemoteError(str(resp["error"]))

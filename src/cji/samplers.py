@@ -93,13 +93,12 @@ def _check_grid(grid: np.ndarray, kind: str, cfg: GuidanceConfig):
             raise ConfigError("flow grid must stay within [0, 1]")
 
 
-def init_state(y, op, cfg: GuidanceConfig, sched, z, table: CoefficientTable,
+def init_state(pinv_y, op, sched, z, table: CoefficientTable,
                kind: str) -> np.ndarray:
-    """Draw the start state from the noised pseudoinverse and project it."""
+    """Draw the start state from the noised pseudoinverse H^+ y and project it."""
     z = np.asarray(z, dtype=float)
     if z.shape[-1] != op.in_dim:
         raise ValueError(f"z must have last axis {op.in_dim}")
-    pinv_y = op.pinv_apply(y)
     tau = float(table.times[0])
     if kind == "diffusion":
         x = float(sched.mu(tau)) * pinv_y + float(sched.sigma(tau)) * z
@@ -155,7 +154,7 @@ def sample(spec: SamplerSpec, y, op, oracle, sched, z, *,
 
     y = np.asarray(y, dtype=float)
     pinv_y = op.pinv_apply(y)
-    xbar = init_state(y, op, table_cfg, sched, z, table, kind)
+    xbar = init_state(pinv_y, op, sched, z, table, kind)
     sup, traj = [], ([] if spec.record_trajectory else None)
 
     n_steps = grid.size - 1
@@ -189,8 +188,7 @@ def sample(spec: SamplerSpec, y, op, oracle, sched, z, *,
             if dphi_y:
                 v = v + dphi_y * pinv_y
             if dphi_main_p or dphi_j_p:
-                v = v + dphi_main_p * op.proj_apply(field_val) \
-                      + dphi_j_p * op.proj_apply(jv)
+                v = v + op.proj_apply(dphi_main_p * field_val + dphi_j_p * jv)
             v = v + dphi_j_id * jv
         else:
             w_t = float(guidance_weight(cfg, t, sched))

@@ -228,6 +228,21 @@ class TestNoisyTransform:
         ratio = errs[0] / errs[1]
         assert 8.0 <= ratio <= 32.0
 
+    def test_inverse_accepts_large_finite_correction(self):
+        # -2 (kappa1 + kappa2) = 775 here, but kappa3 carries e^{kappa1 +
+        # kappa2}, so the correction k3 e^{-2 (kappa1 + kappa2)} is ~1e171.
+        op = BlockAverage(2, 4, 4)
+        cfg = GuidanceConfig(w=5.0, sigma_y=0.05, schedule_kind="constant")
+        t = 0.7
+        x = RNG.standard_normal(16)
+        got = a_noisy_inv_apply(t, x, op, cfg, DIFF)
+        k12 = float(kappa1(t, cfg.lam, DIFF)) + kappa2(t, cfg, DIFF)
+        k3 = kappa3(t, cfg, DIFF)
+        coeff = math.copysign(math.exp(math.log(abs(k3)) - 2.0 * k12), k3)
+        expected = a_inv_apply(t, x, op, cfg, DIFF) - coeff * op.pinv_outer_apply(x)
+        assert np.all(np.isfinite(got))
+        np.testing.assert_allclose(got, expected, rtol=1e-12)
+
 
 class TestPhiDiffusion:
     def test_zero_at_floor(self):
@@ -245,10 +260,15 @@ class TestPhiDiffusion:
         assert phi.phi_main.proj_coeff == 0.0
         assert phi.phi_main.id_coeff > 0.0
 
-    def test_tolerance_refinement(self):
-        cfg = GuidanceConfig(w=2.0, lam=-0.3)
-        coarse = phi_diffusion(0.8, cfg, DIFF, tol=1e-5)
-        fine = phi_diffusion(0.8, cfg, DIFF, tol=1e-9)
+    @pytest.mark.parametrize("lam,t", [(-0.3, 0.8), (0.25, 0.5)])
+    @pytest.mark.parametrize("schedule_kind", ["adaptive_paper", "constant", "constant_r2"])
+    @pytest.mark.parametrize("phi,sched", [(phi_diffusion, DIFF), (phi_flow, FLOW)],
+                             ids=["diffusion", "flow"])
+    def test_tolerance_refinement(self, phi, sched, schedule_kind, lam, t):
+        # each coefficient lands within the tolerance of a much finer quadrature
+        cfg = GuidanceConfig(w=2.0, lam=lam, schedule_kind=schedule_kind)
+        coarse = phi(t, cfg, sched, tol=1e-5)
+        fine = phi(t, cfg, sched, tol=1e-9)
         for a, b in [(coarse.phi_y, fine.phi_y),
                      (coarse.phi_main.id_coeff, fine.phi_main.id_coeff),
                      (coarse.phi_main.proj_coeff, fine.phi_main.proj_coeff),

@@ -148,9 +148,19 @@ class TestRun:
         b = harness.run(cfg, write_outputs=False)
         assert [r.mse for r in a.records] == [r.mse for r in b.records]
 
-    def test_thread_count_does_not_change_results(self):
+    @pytest.mark.parametrize("model", ["auto", "external"])
+    def test_thread_count_does_not_change_results(self, model):
+        import sys
+
         cfg = base_config()
         cfg["sweep"] = {"nfe": [5, 10]}
+        if model == "external":
+            # worker threads share one child process
+            cfg["model"] = {
+                "kind": "external",
+                "argv": [sys.executable, "-m", "cji.oracle_server",
+                         "--kind", "gaussian-diffusion", "--dim", "8"],
+            }
         a = harness.run(cfg, threads=1, write_outputs=False)
         b = harness.run(cfg, threads=4, write_outputs=False)
         for ra, rb in zip(a.records, b.records):

@@ -17,6 +17,13 @@ def test_smooth_exponential():
     assert val == pytest.approx(math.e - 1.0, abs=1e-11)
 
 
+def test_stacked_rows_integrate_independently():
+    val = adaptive_simpson(lambda s: np.stack([3 * s * s, np.exp(s)]), 0.0, 1.0,
+                           atol=1e-11, rtol=1e-11)
+    assert val.shape == (2,)
+    np.testing.assert_allclose(val, [1.0, math.e - 1.0], rtol=0, atol=1e-11)
+
+
 def test_reversed_limits_flip_sign():
     fwd = adaptive_simpson(np.sin, 0.0, 1.0, atol=1e-10, rtol=1e-10)
     rev = adaptive_simpson(np.sin, 1.0, 0.0, atol=1e-10, rtol=1e-10)
@@ -34,11 +41,12 @@ def test_boundary_layer_integrand():
     assert val == pytest.approx(2.0 * (1.0 - math.sqrt(1e-4)), rel=1e-8)
 
 
-def test_nonconvergence_raises():
+@pytest.mark.parametrize("rows", [(), (2,)], ids=["scalar", "stacked"])
+def test_nonconvergence_raises(rows):
     rng = np.random.default_rng(0)
 
     def noisy(s):
-        return rng.standard_normal(np.shape(s))  # non-integrable noise
+        return rng.standard_normal(rows + np.shape(s))  # non-integrable noise
 
     with pytest.raises(QuadratureError) as err:
         adaptive_simpson(noisy, 0.0, 1.0, atol=1e-14, rtol=1e-14)
