@@ -14,6 +14,11 @@ forming a d x d matrix:
 All vector arguments are flat arrays whose *last* axis has the operator
 dimension; leading axes are batch axes (sampling chains).  Image geometry
 lives in operator metadata only.
+
+``CirculantBlur`` works on the real half spectrum: every action, the
+composite ``pinv_apply``, ``proj_apply``, ``reg_pinv_apply`` and
+``pinv_outer_apply`` included, is one forward/inverse real FFT pair around
+one multiply by a precomputed diagonal factor.
 """
 
 from __future__ import annotations
@@ -175,16 +180,25 @@ class CirculantBlur(LinearDegradation):
 
     The kernel taps are centered (tap index len//2 sits on lag zero) and are
     expected to sum to 1.  Spectral magnitudes below ``threshold`` times the
-    maximum are treated as zero in the pseudoinverse, which makes P an exact
-    orthogonal projector onto the numerical row space.  A 1-d tap array acts
-    on the flat signal; a 2-d tap array acts on signals viewed as
-    (height, width) images.
+    maximum (``0 < threshold <= 1``) are treated as zero in the
+    pseudoinverse, which makes P an exact orthogonal projector onto the
+    numerical row space.  A 1-d tap array acts on the flat signal; a 2-d tap
+    array acts on signals viewed as (height, width) images.
+
+    ``spectrum``, ``keep`` and ``inv_power`` are full-grid arrays of shape
+    ``shape``.  The actions work on the real half spectrum (last axis
+    ``n // 2 + 1``): each one, ``pinv_outer_apply`` and ``reg_pinv_apply``
+    included, is one ``rfftn``, one multiply by a diagonal factor and one
+    ``irfftn``.  The factors are precomputed here, except the regularised
+    ones, which are formed per call from the stored ``|S|^2``.
     """
 
     def __init__(self, kernel, in_dim=None, shape=None, threshold=1e-8):
         kernel = np.asarray(kernel, dtype=float)
         if not np.isclose(kernel.sum(), 1.0, atol=1e-12):
             raise ValueError("kernel taps must sum to 1")
+        if not 0.0 < threshold <= 1.0:
+            raise ValueError(f"threshold must be in (0, 1], got {threshold}")
         if kernel.ndim == 1:
             if in_dim is None:
                 raise ValueError("1-d kernel needs in_dim")
@@ -220,34 +234,61 @@ class CirculantBlur(LinearDegradation):
         # Inverse power on kept modes, zero elsewhere (clamped pseudoinverse).
         self.inv_power = np.where(self.keep, 1.0 / np.where(self.keep, power, 1.0), 0.0)
 
-    def _fft(self, x):
-        x = self._check_in(x)
-        grid = x.reshape(x.shape[:-1] + self.shape)
-        axes = tuple(range(-len(self.shape), 0))
-        return np.fft.fftn(grid, axes=axes), x.shape[:-1], axes
-
-    def _ifft(self, spec, lead, axes):
-        out = np.fft.ifftn(spec, axes=axes).real
-        return out.reshape(lead + (self.in_dim,))
+        # Half-spectrum factors: the kernel is real, so every factor is
+        # Hermitian and its first n // 2 + 1 modes on the last axis suffice.
+        self._half_shape = self.shape[:-1] + (self.shape[-1] // 2 + 1,)
+        self._axes = tuple(range(-len(self.shape), 0))
+        half = (Ellipsis, slice(0, self._half_shape[-1]))
+        self._s = np.ascontiguousarray(self.spectrum[half])
+        self._s_conj = np.conj(self._s)
+        self._power = np.ascontiguousarray(power[half])
+        self._keep = self.keep[half].astype(float)
+        self._inv_power = np.ascontiguousarray(self.inv_power[half])
+        self._pinv = self._s_conj * self._inv_power
 
     def _spectral(self, x, factor):
-        spec, lead, axes = self._fft(x)
-        return self._ifft(spec * factor, lead, axes)
+        """rfftn, multiply by a half-spectrum factor, irfftn.
+
+        The complex passes run in place in one buffer (``irfftn`` would
+        allocate a second one for its inner inverse passes); the result is
+        bitwise the same as ``irfftn(spec * factor, s=self.shape)``.
+        """
+        x = self._check_in(x)
+        lead = x.shape[:-1]
+        spec = np.empty(lead + self._half_shape, dtype=complex)
+        np.fft.rfftn(x.reshape(lead + self.shape), axes=self._axes, out=spec)
+        spec *= factor
+        for axis in self._axes[:-1]:
+            np.fft.ifft(spec, axis=axis, out=spec)
+        out = np.fft.irfft(spec, n=self.shape[-1], axis=-1)
+        return out.reshape(lead + (self.in_dim,))
 
     def apply(self, x):
-        return self._spectral(x, self.spectrum)
+        return self._spectral(x, self._s)
 
     def adjoint(self, y):
-        return self._spectral(y, np.conj(self.spectrum))
+        return self._spectral(y, self._s_conj)
 
     def gram_solve(self, y):
-        return self._spectral(y, self.inv_power)
+        return self._spectral(y, self._inv_power)
 
     def _gram_reg_solve(self, y, c):
-        return self._spectral(y, 1.0 / (np.abs(self.spectrum) ** 2 + c))
+        return self._spectral(y, 1.0 / (self._power + c))
+
+    def pinv_apply(self, y):
+        return self._spectral(y, self._pinv)
+
+    def reg_pinv_apply(self, y, c):
+        if c == 0:
+            return self.pinv_apply(y)
+        return self._spectral(y, self._s_conj / (self._power + c))
 
     def proj_apply(self, x):
-        return self._spectral(x, self.keep.astype(float))
+        return self._spectral(x, self._keep)
+
+    def pinv_outer_apply(self, x):
+        # H^T (H H^T)^{-2} H = |S|^2 inv_power^2 = inv_power on kept modes.
+        return self._spectral(x, self._inv_power)
 
 
 class DenseOperator(LinearDegradation):

@@ -6,6 +6,7 @@ from cji.operators import (
     BlockAverage,
     CirculantBlur,
     DenseOperator,
+    LinearDegradation,
     Mask,
     dense_materialize,
 )
@@ -21,6 +22,8 @@ def operator_zoo():
         CirculantBlur([0.25, 0.5, 0.25], in_dim=16),
         CirculantBlur(np.outer([0.25, 0.5, 0.25], [0.25, 0.5, 0.25]),
                       shape=(4, 4)),
+        CirculantBlur(np.outer([0.25, 0.5, 0.25], [0.25, 0.5, 0.25]),
+                      shape=(5, 7)),
         DenseOperator(RNG.standard_normal((3, 7))),
     ]
 
@@ -184,6 +187,79 @@ class TestProjector:
                                        err_msg=type(op).__name__)
 
 
+T3 = [0.25, 0.5, 0.25]
+T2 = [0.5, 0.5]  # exactly zero at Nyquist on even lengths; complex spectrum
+
+
+BLURS = {
+    "1d-9": CirculantBlur(T3, in_dim=9),
+    "1d-8-nyquist": CirculantBlur(T2, in_dim=8),
+    "2d-5x7": CirculantBlur(np.outer(T3, T3), shape=(5, 7)),
+    "2d-4x6-nyquist": CirculantBlur(np.outer(T2, T3), shape=(4, 6)),
+}
+
+
+def _full_grid(op, x, factor):
+    """Reference: complex FFT over the full grid with a full-grid factor."""
+    grid = x.reshape(x.shape[:-1] + op.shape)
+    axes = tuple(range(-len(op.shape), 0))
+    out = np.fft.ifftn(np.fft.fftn(grid, axes=axes) * factor, axes=axes).real
+    return out.reshape(x.shape)
+
+
+# action -> (call on the blur, independent reference)
+HALF_SPECTRUM_ACTIONS = {
+    "apply": (lambda op, x: op.apply(x),
+              lambda op, x: _full_grid(op, x, op.spectrum)),
+    "adjoint": (lambda op, x: op.adjoint(x),
+                lambda op, x: _full_grid(op, x, np.conj(op.spectrum))),
+    "gram_solve": (lambda op, x: op.gram_solve(x),
+                   lambda op, x: _full_grid(op, x, op.inv_power)),
+    "gram_reg_solve": (lambda op, x: op.gram_reg_solve(x, 0.37),
+                       lambda op, x: _full_grid(
+                           op, x, 1.0 / (np.abs(op.spectrum) ** 2 + 0.37))),
+    "pinv_apply": (lambda op, x: op.pinv_apply(x),
+                   lambda op, x: LinearDegradation.pinv_apply(op, x)),
+    "reg_pinv_apply-0": (lambda op, x: op.reg_pinv_apply(x, 0.0),
+                         lambda op, x: LinearDegradation.reg_pinv_apply(op, x, 0.0)),
+    "reg_pinv_apply-0.37": (lambda op, x: op.reg_pinv_apply(x, 0.37),
+                            lambda op, x: LinearDegradation.reg_pinv_apply(op, x, 0.37)),
+    "proj_apply": (lambda op, x: op.proj_apply(x),
+                   lambda op, x: LinearDegradation.proj_apply(op, x)),
+    "pinv_outer_apply": (lambda op, x: op.pinv_outer_apply(x),
+                         lambda op, x: LinearDegradation.pinv_outer_apply(op, x)),
+}
+
+
+class TestCirculantHalfSpectrum:
+    """Each blur action is one multiply on the real half spectrum.  It must
+    match the generic composition (or a full-grid complex FFT for the
+    primitives) and act on every batch row independently, on odd last axes
+    and on kernels with an exactly-zero Nyquist mode."""
+
+    @pytest.mark.parametrize("action", list(HALF_SPECTRUM_ACTIONS))
+    @pytest.mark.parametrize("blur", BLURS)
+    def test_matches_reference_and_rows(self, blur, action):
+        op = BLURS[blur]
+        call, reference = HALF_SPECTRUM_ACTIONS[action]
+        x = np.random.default_rng(7).standard_normal((2, 3, op.in_dim))
+        out = call(op, x)
+        assert out.shape == x.shape
+        ref = reference(op, x)
+        # Relative to the output scale: the 5x7 blur's inv_power reaches 4.5e4.
+        np.testing.assert_allclose(out, ref, rtol=0,
+                                   atol=1e-12 * max(1.0, np.max(np.abs(ref))))
+        rows = np.stack([call(op, row) for row in x.reshape(-1, op.in_dim)])
+        np.testing.assert_array_equal(out, rows.reshape(x.shape))
+
+    @pytest.mark.parametrize("blur", BLURS)
+    def test_public_spectra_are_full_grid(self, blur):
+        op = BLURS[blur]
+        for name in ("spectrum", "keep", "inv_power"):
+            assert getattr(op, name).shape == op.shape, name
+        assert np.iscomplexobj(op.spectrum)
+
+
 class TestDenseMaterialize:
     def test_mask_single_row(self):
         np.testing.assert_array_equal(Mask([1], 2).dense(), [[0.0, 1.0]])
@@ -232,6 +308,13 @@ class TestConstruction:
     def test_kernel_must_be_normalized(self):
         with pytest.raises(ValueError):
             CirculantBlur([0.5, 0.6], in_dim=8)
+
+    @pytest.mark.parametrize("threshold", [0.0, -1e-3, 1.5, np.nan])
+    def test_blur_threshold_range(self, threshold):
+        # threshold 0 would keep the exactly-zero Nyquist mode of [0.5, 0.5]
+        # and put inf into inv_power.
+        with pytest.raises(ValueError):
+            CirculantBlur([0.5, 0.5], in_dim=8, threshold=threshold)
 
     def test_dense_shape(self):
         with pytest.raises(ValueError):
