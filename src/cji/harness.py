@@ -203,8 +203,8 @@ def degrade(x0, op, sigma_y: float, seed: int) -> np.ndarray:
 
 def build_schedule(config: dict):
     """Diffusion schedule from the config's schedule block, or the flow
-    interpolant, whichever the sampler method needs."""
-    if not config["sampler"]["method"].endswith("diffusion"):
+    interpolant, whichever the (validated) sampler method needs."""
+    if METHODS[config["sampler"]["method"]][1] == "flow":
         return FlowSchedule()
     desc = config.get("schedule", {})
     return DiffusionSchedule(
@@ -252,7 +252,7 @@ def sweep_points(config: dict):
         raise ConfigError("config needs a sampler block")
     method = sampler.get("method")
     if method not in METHODS:
-        raise ConfigError(f"sampler.method must be one of {METHODS}")
+        raise ConfigError(f"sampler.method must be one of {tuple(METHODS)}")
     sweep = config.get("sweep", {}) or {}
     unknown = set(sweep) - {"w", "lambda", "tau", "nfe"}
     if unknown:
@@ -302,25 +302,21 @@ def run(config: dict, *, threads: int = 1, output_dir=None,
         z = rng.standard_normal(op.in_dim)
         started = time.perf_counter()
         try:
-            result = sample(spec, y, op, oracle, sched, z)
+            x = sample(spec, y, op, oracle, sched, z).x
         except (DivergenceError, CoefficientOverflowError):
-            elapsed = (time.perf_counter() - started) * 1e3
-            rec = RunRecord(
-                method=desc["method"], w=float(desc["w"]), lam=float(desc["lambda"]),
-                tau=float(desc["tau"]), nfe=int(desc["nfe"]), seed=int(seed),
-                mse=None, psnr=None, observed_residual=None, wall_time_ms=elapsed,
-            )
-            return rec, None
+            x = None
         elapsed = (time.perf_counter() - started) * 1e3
-        mse = float(np.mean((result.x - x0) ** 2))
-        resid = float(np.max(np.abs(op.apply(result.x) - y)))
+        mse = psnr = resid = None
+        if x is not None:
+            mse = float(np.mean((x - x0) ** 2))
+            psnr = psnr_from_mse(mse, peak)
+            resid = float(np.max(np.abs(op.apply(x) - y)))
         rec = RunRecord(
             method=desc["method"], w=float(desc["w"]), lam=float(desc["lambda"]),
             tau=float(desc["tau"]), nfe=int(desc["nfe"]), seed=int(seed),
-            mse=mse, psnr=psnr_from_mse(mse, peak), observed_residual=resid,
-            wall_time_ms=elapsed,
+            mse=mse, psnr=psnr, observed_residual=resid, wall_time_ms=elapsed,
         )
-        return rec, result.x
+        return rec, x
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

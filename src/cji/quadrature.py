@@ -17,6 +17,17 @@ from .errors import QuadratureError
 MAX_EVALS = 2_000_000
 
 
+def _finite(values, x):
+    """values as a (k, n) stack; refining around a non-finite value could
+    never converge, so the first one raises, naming its abscissa."""
+    values = np.atleast_2d(values)
+    bad = ~np.all(np.isfinite(values), axis=0)
+    if np.any(bad):
+        raise QuadratureError(
+            f"integrand is not finite at s = {float(x[np.argmax(bad)])!r}")
+    return values
+
+
 def adaptive_simpson(f, a: float, b: float, *, atol: float = 1e-5,
                      rtol: float = 1e-5, initial_panels: int = 8):
     """Integrate f over [a, b] to the requested absolute/relative tolerance.
@@ -27,7 +38,8 @@ def adaptive_simpson(f, a: float, b: float, *, atol: float = 1e-5,
     only when every row passes.  Richardson extrapolation of the accepted
     Simpson pairs gives one extra order.  Raises QuadratureError (with the
     worst row's achieved error estimate) if the interval budget runs out
-    before the tolerance is met.
+    before the tolerance is met, and at once, naming the abscissa, if the
+    integrand returns a non-finite value.
     """
     if a == b:
         return 0.0
@@ -42,7 +54,7 @@ def adaptive_simpson(f, a: float, b: float, *, atol: float = 1e-5,
     mid = 0.5 * (left + right)
     fl = f(left)
     stacked = np.ndim(fl) == 2
-    fl, fm, fr = np.atleast_2d(fl), np.atleast_2d(f(mid)), np.atleast_2d(f(right))
+    fl, fm, fr = _finite(fl, left), _finite(f(mid), mid), _finite(f(right), right)
     simpson = (right - left) / 6.0 * (fl + 4.0 * fm + fr)
 
     total = np.sum(simpson, axis=-1)
@@ -52,7 +64,7 @@ def adaptive_simpson(f, a: float, b: float, *, atol: float = 1e-5,
     while left.size:
         lm = 0.5 * (left + mid)
         rm = 0.5 * (mid + right)
-        flm, frm = np.atleast_2d(f(lm)), np.atleast_2d(f(rm))
+        flm, frm = _finite(f(lm), lm), _finite(f(rm), rm)
         n_evals += 2 * left.size
         s_left = (mid - left) / 6.0 * (fl + 4.0 * flm + fm)
         s_right = (right - mid) / 6.0 * (fm + 4.0 * frm + fr)

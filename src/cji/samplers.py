@@ -1,16 +1,19 @@
 """Guided sampling loops for linear inverse problems.
 
-Four methods share one skeleton (pseudoinverse initialization, precomputed
-coefficient tables, Euler stepping in the transformed space, projection back
-at the end):
+Four methods, named as (family, process) pairs in METHODS, run one step
+body: pseudoinverse initialization, a precomputed coefficient table, Euler
+stepping in the transformed space, projection back at the end.  The process
+("diffusion" or "flow") picks the oracle field, its JVP and the endpoint
+estimate once, before the loop.  The family decides what the table holds:
 
-- "conjugate_diffusion" / "conjugate_flow": the measurement-consistency drift
-  is absorbed into the transform and the Phi coefficient integrals, so each
-  step applies exact integrals of the linear dynamics.
-- "explicit_diffusion" / "explicit_flow": the same machinery with the
-  guidance terms forced out of the transform (w = 0 inside A and Phi) and
-  applied instead as an explicit Euler drift each step.  Differences between
-  the two families are then attributable solely to the transformation.
+- "conjugate": the measurement-consistency drift is absorbed into the
+  transform and the Phi coefficient integrals, so each step applies exact
+  integrals of the linear dynamics.
+- "explicit": the table keeps guidance out of the transform and Phi
+  integrals (w = 0, so its guidance terms vanish), and each step instead
+  adds the Euler drift h e^{kappa1} kappa2'(t) times the guidance gradient,
+  kappa2' being the rate of the conjugate P-exponent.  Differences between
+  the two families are then attributable solely to the transform.
 
 Every step costs exactly one oracle eps/velocity evaluation plus one
 Jacobian-vector product.  States carry chains on leading axes; a fixed
@@ -19,22 +22,22 @@ Jacobian-vector product.  States carry chains on leading axes; a fixed
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .conjugate import CoefficientTable, apply_transform, precompute_table
+from .conjugate import CoefficientTable, apply_transform, kappa2_integrand, precompute_table
 from .errors import ConfigError, DivergenceError
 from .oracles import tweedie_diffusion, tweedie_flow
-from .schedules import GuidanceConfig, guidance_weight, process_kind, sampling_grid
+from .schedules import GuidanceConfig, process_kind, sampling_grid
 
-METHODS = (
-    "conjugate_diffusion",
-    "conjugate_flow",
-    "explicit_diffusion",
-    "explicit_flow",
-)
+# Method name -> (family, process).
+METHODS = {
+    "conjugate_diffusion": ("conjugate", "diffusion"),
+    "conjugate_flow": ("conjugate", "flow"),
+    "explicit_diffusion": ("explicit", "diffusion"),
+    "explicit_flow": ("explicit", "flow"),
+}
 
 
 @dataclass(frozen=True)
@@ -46,15 +49,15 @@ class SamplerSpec:
 
     def __post_init__(self):
         if self.method not in METHODS:
-            raise ConfigError(f"method {self.method!r} not in {METHODS}")
+            raise ConfigError(f"method {self.method!r} not in {tuple(METHODS)}")
 
     @property
     def kind(self) -> str:
-        return "diffusion" if self.method.endswith("diffusion") else "flow"
+        return METHODS[self.method][1]
 
     @property
     def conjugate(self) -> bool:
-        return self.method.startswith("conjugate")
+        return METHODS[self.method][0] == "conjugate"
 
     @property
     def table_guidance(self) -> GuidanceConfig:
@@ -113,27 +116,15 @@ def _transform(x, op, table: CoefficientTable, i: int, inverse: bool):
                            float(table.kappa3[i]), inverse=inverse)
 
 
-def _guidance_reg(cfg: GuidanceConfig, sched, t: float) -> float:
-    """Gram regularizer sigma_y^2 / r_t^2 used inside noisy guidance."""
-    if cfg.sigma_y == 0.0:
-        return 0.0
-    return cfg.sigma_y ** 2 / float(sched.r_sq(t))
-
-
-def _finish(spec, xbar, op, table, sup, traj):
-    x = _transform(xbar, op, table, len(table) - 1, inverse=True)
-    n = len(table) - 1
-    return SampleResult(
-        x=x, nfe=n, jvp_evals=n,
-        step_sup=np.asarray(sup), trajectory=traj,
-    )
-
-
-def _step_checked(xbar, n, table):
-    if not np.all(np.isfinite(xbar)):
-        raise DivergenceError(n, float(table.times[n]),
-                              float(table.kappa1[n]), float(table.kappa2[n]))
-    return xbar
+def _process_pieces(kind: str, oracle, sched):
+    """Field, JVP, endpoint estimate and explicit guidance gradient of one
+    process; kappa2'(t) times the gradient is the guidance drift that the
+    conjugate transform absorbs."""
+    if kind == "diffusion":
+        return (oracle.eps, oracle.eps_jvp, tweedie_diffusion,
+                lambda t, u, jv: float(sched.mu(t)) * (u - float(sched.sigma(t)) * jv))
+    return (oracle.velocity, oracle.velocity_jvp, tweedie_flow,
+            lambda t, u, jv: u + float(sched.gamma(t)) * jv)
 
 
 def sample(spec: SamplerSpec, y, op, oracle, sched, z, *,
@@ -145,10 +136,8 @@ def sample(spec: SamplerSpec, y, op, oracle, sched, z, *,
     cfg = spec.guidance
     grid = spec.resolved_grid()
     _check_grid(grid, kind, cfg)
-    conjugate = spec.conjugate
-    table_cfg = spec.table_guidance
     if table is None:
-        table = precompute_table(grid, table_cfg, sched)
+        table = precompute_table(grid, spec.table_guidance, sched)
     elif len(table) != grid.size or not np.array_equal(table.times, grid):
         raise ConfigError("supplied table does not match the sampling grid")
 
@@ -157,57 +146,48 @@ def sample(spec: SamplerSpec, y, op, oracle, sched, z, *,
     xbar = init_state(pinv_y, op, sched, z, table, kind)
     sup, traj = [], ([] if spec.record_trajectory else None)
 
+    field, jvp, endpoint, grad = _process_pieces(kind, oracle, sched)
     n_steps = grid.size - 1
+    dphi = np.diff([table.phi_y, table.phi_main_id, table.phi_main_p,
+                    table.phi_j_id, table.phi_j_p], axis=1)
+    # Explicit family: the guidance drift the conjugate transform absorbs,
+    # Euler-stepped at the P-exponent rate, h e^{kappa1} kappa2'(t) times the
+    # gradient.  Its table is built with w = 0, so the dphi guidance terms
+    # below are exactly zero; the conjugate family has no explicit drift.
+    drift = np.zeros(n_steps)
+    if not spec.conjugate:
+        drift = (np.diff(grid) * np.exp(table.kappa1[:-1])
+                 * kappa2_integrand(grid[:-1], cfg, sched))
     for n in range(n_steps):
         t = float(grid[n])
         h = float(grid[n + 1] - grid[n])
         x = _transform(xbar, op, table, n, inverse=True)
-        if kind == "diffusion":
-            eps = oracle.eps(x, t)
-            x_end = tweedie_diffusion(x, t, eps, sched)
-            field_val = eps
-        else:
-            b = oracle.velocity(x, t)
-            x_end = tweedie_flow(x, t, b, sched)
-            field_val = b
-        c = _guidance_reg(cfg, sched, t)
+        f = field(x, t)
+        x_end = endpoint(x, t, f, sched)
+        # sigma_y^2 / r_t^2 regularises the Gram solve of noisy guidance.
+        c = cfg.sigma_y ** 2 / float(sched.r_sq(t)) if cfg.sigma_y else 0.0
         u = op.reg_pinv_apply(y - op.apply(x_end), c)
-        if kind == "diffusion":
-            jv = oracle.eps_jvp(x, t, u)
-        else:
-            jv = oracle.velocity_jvp(x, t, u)
+        jv = jvp(x, t, u)
 
-        v = h * cfg.lam * xbar
-        dphi_main_id = float(table.phi_main_id[n + 1] - table.phi_main_id[n])
-        v = v + dphi_main_id * field_val
-        if conjugate:
-            dphi_y = float(table.phi_y[n + 1] - table.phi_y[n])
-            dphi_main_p = float(table.phi_main_p[n + 1] - table.phi_main_p[n])
-            dphi_j_id = float(table.phi_j_id[n + 1] - table.phi_j_id[n])
-            dphi_j_p = float(table.phi_j_p[n + 1] - table.phi_j_p[n])
-            if dphi_y:
-                v = v + dphi_y * pinv_y
-            if dphi_main_p or dphi_j_p:
-                v = v + op.proj_apply(dphi_main_p * field_val + dphi_j_p * jv)
-            v = v + dphi_j_id * jv
-        else:
-            w_t = float(guidance_weight(cfg, t, sched))
-            r2 = float(sched.r_sq(t))
-            a1 = math.exp(float(table.kappa1[n]))
-            if kind == "diffusion":
-                mu = float(sched.mu(t))
-                sigma = float(sched.sigma(t))
-                grad = (u - sigma * jv) / mu
-                g = -(w_t / (2.0 * r2)) * float(sched.beta(t)) * grad
-            else:
-                one_minus = float(sched.gamma(t))
-                grad = u + one_minus * jv
-                g = (w_t / r2) * (one_minus / t) * grad
-            v = v + (h * a1) * g
+        d_y, d_main_id, d_main_p, d_j_id, d_j_p = (float(d) for d in dphi[:, n])
+        v = h * cfg.lam * xbar + d_main_id * f
+        if d_y:
+            v = v + d_y * pinv_y
+        if d_main_p or d_j_p:
+            v = v + op.proj_apply(d_main_p * f + d_j_p * jv)
+        if d_j_id:
+            v = v + d_j_id * jv
+        if drift[n]:
+            v = v + drift[n] * grad(t, u, jv)
 
-        xbar = _step_checked(xbar + v, n, table)
+        xbar = xbar + v
+        if not np.all(np.isfinite(xbar)):
+            raise DivergenceError(n, t, float(table.kappa1[n]), float(table.kappa2[n]))
         sup.append(float(np.max(np.abs(xbar))))
         if traj is not None:
             traj.append(_transform(xbar, op, table, n + 1, inverse=True))
 
-    return _finish(spec, xbar, op, table, sup, traj)
+    return SampleResult(
+        x=_transform(xbar, op, table, n_steps, inverse=True), nfe=n_steps,
+        jvp_evals=n_steps, step_sup=np.asarray(sup), trajectory=traj,
+    )

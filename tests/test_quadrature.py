@@ -51,3 +51,20 @@ def test_nonconvergence_raises(rows):
     with pytest.raises(QuadratureError) as err:
         adaptive_simpson(noisy, 0.0, 1.0, atol=1e-14, rtol=1e-14)
     assert err.value.achieved is not None
+
+
+@pytest.mark.parametrize("stacked", [False, True], ids=["scalar", "stacked"])
+def test_nonfinite_integrand_fails_fast(stacked):
+    # exp(1100 s) overflows above s = 0.645, like a Phi integrand at large lam;
+    # refining there cannot converge, so the first non-finite sweep raises.
+    evals = []
+
+    def overflowing(s):
+        evals.append(s.size)
+        with np.errstate(over="ignore"):
+            row = np.exp(1100.0 * s)
+        return np.stack([np.ones_like(s), row]) if stacked else row
+
+    with pytest.raises(QuadratureError, match=r"not finite at s = 0\.75"):
+        adaptive_simpson(overflowing, 0.0, 1.0)
+    assert sum(evals) < 100
