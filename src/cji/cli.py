@@ -6,7 +6,8 @@
     cji selftest                 quick numerical self-checks
 
 Exit codes: 0 on success, 1 on configuration errors, 2 if any sweep run
-diverged or its transform exponents would overflow.
+diverged (non-finite state or squared error, overflowing transform
+exponents, or a coefficient table whose quadrature fails).
 """
 
 from __future__ import annotations

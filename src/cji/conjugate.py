@@ -8,7 +8,8 @@ where P is the orthogonal projector of the degradation operator, so A_t and
 its inverse act through one projector application and two scalars.  All drift
 coefficients (the Phi integrals) decompose the same way: a scalar on I, a
 scalar on P, and a scalar through H^+.  Nothing here ever forms a d x d
-matrix; tables store five scalars per timestep.
+matrix; tables store five scalars per step, each integrated over that step's
+own interval, so building a table is O(n) in the grid size.
 
 Integrals whose integrands blow up at t=0 (anything carrying 1/sigma or
 1/r^2) start at the configurable floor cfg.t_floor instead of 0; sampling
@@ -18,15 +19,18 @@ grids never step below the floor either.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import math
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import CoefficientOverflowError, ConfigError
 from .quadrature import adaptive_simpson
-from .schedules import DiffusionSchedule, FlowSchedule, GuidanceConfig, process_kind
+from .schedules import (DiffusionSchedule, FlowSchedule, GuidanceConfig, process_kind,
+                        validated)
 
 # exp() overflows double precision just above exp(709).
 EXP_GUARD = 700.0
@@ -148,8 +152,10 @@ def kappa3(t, cfg: GuidanceConfig, sched, *, tol: float = 1e-9) -> float:
     if t <= lo:
         return 0.0
 
+    fast = validated(sched, lo, t)
+
     def integrand(s):
-        return kappa2_integrand(s, cfg, sched) / sched.r_sq(s)
+        return kappa2_integrand(s, cfg, fast) / fast.r_sq(s)
 
     base = adaptive_simpson(integrand, lo, t, atol=tol, rtol=tol)
     k12 = float(kappa1(t, cfg.lam, sched)) + kappa2(t, cfg, sched)
@@ -294,14 +300,23 @@ def _flow_integrands(s, cfg, sched):
     ])
 
 
-def _phi(t, cfg: GuidanceConfig, sched, integrands, tol: float) -> PhiValues:
-    """All five coefficients from one quadrature of the stacked integrands."""
-    lo = phi_origin(cfg, sched)
+def _phi_integral(a: float, b: float, cfg: GuidanceConfig, sched, integrands,
+                  tol: float) -> np.ndarray:
+    """The five Phi integrals over [a, b] from one quadrature of the stacked
+    integrands (phi_main_id alone when w = 0).  sched must already be
+    validated for [a, b]."""
     vals = np.zeros(5)
-    if t != lo:
+    if a != b:
         rows = slice(None) if cfg.w != 0.0 else 1  # w = 0: phi_main_id alone
-        vals[rows] = adaptive_simpson(lambda s: integrands(s, cfg, sched), lo, t,
+        vals[rows] = adaptive_simpson(lambda s: integrands(s, cfg, sched), a, b,
                                       atol=tol, rtol=tol)
+    return vals
+
+
+def _phi(t, cfg: GuidanceConfig, sched, integrands, tol: float) -> PhiValues:
+    """Phi at t: the integrals from phi_origin to t."""
+    lo = phi_origin(cfg, sched)
+    vals = _phi_integral(lo, t, cfg, validated(sched, lo, t), integrands, tol)
     phi_y, main_id, main_p, j_id, j_p = (float(v) for v in vals)
     return PhiValues(phi_y, ScalarPair(main_id, main_p), ScalarPair(j_id, j_p))
 
@@ -319,20 +334,52 @@ def phi_flow(t, cfg: GuidanceConfig, sched: FlowSchedule | None = None, *,
     return _phi(t, cfg, sched, _flow_integrands, tol)
 
 
+def _origin_columns(times, cfg: GuidanceConfig, sched, tol: float) -> np.ndarray:
+    """Origin-anchored Phi at every time, (5, n) in PhiValues order, each
+    entry from the same call as a direct phi_diffusion/phi_flow."""
+    phi = phi_diffusion if process_kind(sched) == "diffusion" else phi_flow
+    cols = np.zeros((5, len(times)))
+    for i, t in enumerate(times):
+        v = phi(float(t), cfg, sched, tol=tol)
+        cols[:, i] = (v.phi_y, v.phi_main.id_coeff, v.phi_main.proj_coeff,
+                      v.phi_j.id_coeff, v.phi_j.proj_coeff)
+    return cols
+
+
+def _phi_row(k: int, name: str):
+    return property(lambda self: self.phi[k],
+                    doc=f"Origin-anchored {name} at every grid time (row {k} of phi).")
+
+
 @dataclass(frozen=True)
 class CoefficientTable:
-    """Per-timestep scalars, independent of any sample or observation."""
+    """Per-timestep scalars, independent of any sample or observation.
+
+    dphi[:, n] holds the five Phi integrals (PhiValues order) over the step
+    [times[n], times[n+1]]; the sampler reads only these and the kappa
+    columns.  The origin-anchored Phi columns (phi, phi_y, ...) are for
+    inspection and CSV export: they are evaluated by origin_phi on first
+    access, which for a computed table costs one quadrature per grid time.
+    """
 
     kind: str  # "diffusion" | "flow"
     times: np.ndarray
     kappa1: np.ndarray
     kappa2: np.ndarray
     kappa3: np.ndarray
-    phi_y: np.ndarray
-    phi_main_id: np.ndarray
-    phi_main_p: np.ndarray
-    phi_j_id: np.ndarray
-    phi_j_p: np.ndarray
+    dphi: np.ndarray
+    origin_phi: Callable[[], np.ndarray] = field(repr=False, compare=False)
+
+    @functools.cached_property
+    def phi(self) -> np.ndarray:
+        """(5, n) origin-anchored Phi at every grid time, PhiValues order."""
+        return self.origin_phi()
+
+    phi_y = _phi_row(0, "phi_y")
+    phi_main_id = _phi_row(1, "phi_main_id")
+    phi_main_p = _phi_row(2, "phi_main_p")
+    phi_j_id = _phi_row(3, "phi_j_id")
+    phi_j_p = _phi_row(4, "phi_j_p")
 
     def __len__(self):
         return self.times.size
@@ -340,36 +387,36 @@ class CoefficientTable:
 
 def precompute_table(grid, cfg: GuidanceConfig, sched, *,
                      tol: float = DEFAULT_TOL) -> CoefficientTable:
-    """Evaluate every coefficient on the sampling grid.
+    """Evaluate every step coefficient on the sampling grid.
 
-    Each entry is computed with the same calls as the scalar phi_* functions,
-    so shared times agree bitwise with direct evaluation.  The table is
-    immutable and shared read-only across chains.
+    The Phi increments take one stacked quadrature per grid interval; the
+    kappa columns come from the same calls as the scalar kappa functions, so
+    they agree bitwise with direct evaluation, as do the origin-anchored Phi
+    columns when first read.  The table is immutable and shared read-only
+    across chains.
     """
     kind = process_kind(sched)
     times = np.asarray(grid, dtype=float)
     n = times.size
-    cols = {name: np.zeros(n) for name in (
-        "kappa1", "kappa2", "kappa3", "phi_y",
-        "phi_main_id", "phi_main_p", "phi_j_id", "phi_j_p")}
+    kappas = np.zeros((3, n))
     for i, t in enumerate(times):
-        cols["kappa1"][i] = float(kappa1(t, cfg.lam, sched))
-        cols["kappa2"][i] = kappa2(t, cfg, sched)
+        kappas[0, i] = float(kappa1(t, cfg.lam, sched))
+        kappas[1, i] = kappa2(t, cfg, sched)
         if cfg.sigma_y > 0:
-            cols["kappa3"][i] = kappa3(t, cfg, sched)
-        if kind == "diffusion":
-            phi = phi_diffusion(t, cfg, sched, tol=tol)
-        else:
-            phi = phi_flow(t, cfg, sched, tol=tol)
-        cols["phi_y"][i] = phi.phi_y
-        cols["phi_main_id"][i] = phi.phi_main.id_coeff
-        cols["phi_main_p"][i] = phi.phi_main.proj_coeff
-        cols["phi_j_id"][i] = phi.phi_j.id_coeff
-        cols["phi_j_p"][i] = phi.phi_j.proj_coeff
-    for name, col in cols.items():
+            kappas[2, i] = kappa3(t, cfg, sched)
+    dphi = np.zeros((5, max(n - 1, 0)))
+    if n > 1:
+        fast = validated(sched, times.min(), times.max())
+        integrands = _diffusion_integrands if kind == "diffusion" else _flow_integrands
+        for i in range(n - 1):
+            dphi[:, i] = _phi_integral(times[i], times[i + 1], cfg, fast, integrands, tol)
+    for name, col in (("kappa1", kappas[0]), ("kappa2", kappas[1]),
+                      ("kappa3", kappas[2]), ("dphi", dphi)):
         if not np.all(np.isfinite(col)):
-            raise ConfigError(f"non-finite coefficient in column {name}")
-    return CoefficientTable(kind=kind, times=times, **cols)
+            raise ConfigError(f"non-finite coefficient in {name}")
+    return CoefficientTable(
+        kind=kind, times=times, kappa1=kappas[0], kappa2=kappas[1], kappa3=kappas[2],
+        dphi=dphi, origin_phi=functools.partial(_origin_columns, times, cfg, sched, tol))
 
 
 CSV_COLUMNS = ("t", "kappa1", "kappa2", "kappa3", "phi_y",
@@ -398,8 +445,8 @@ def table_from_csv(text: str, kind: str = "diffusion") -> CoefficientTable:
         raise ConfigError(f"unexpected coefficient CSV header {header}")
     rows = [[float(v) for v in row] for row in reader if row]
     arr = np.asarray(rows, dtype=float)
+    phi = np.ascontiguousarray(arr[:, 4:9].T)
     return CoefficientTable(
         kind=kind, times=arr[:, 0], kappa1=arr[:, 1], kappa2=arr[:, 2],
-        kappa3=arr[:, 3], phi_y=arr[:, 4], phi_main_id=arr[:, 5],
-        phi_main_p=arr[:, 6], phi_j_id=arr[:, 7], phi_j_p=arr[:, 8],
+        kappa3=arr[:, 3], dphi=np.diff(phi, axis=1), origin_phi=lambda: phi,
     )

@@ -22,7 +22,7 @@ import numpy as np
 from scipy import stats as _stats
 
 from .conjugate import precompute_table, table_to_csv
-from .errors import CoefficientOverflowError, ConfigError, DivergenceError
+from .errors import CoefficientOverflowError, ConfigError, DivergenceError, QuadratureError
 from .operators import BlockAverage, CirculantBlur, DenseOperator, Mask
 from .oracles import (
     GaussianDiffusionOracle,
@@ -270,8 +270,9 @@ def run(config: dict, *, threads: int = 1, output_dir=None,
         write_outputs: bool = True) -> RunReport:
     """Execute the sweep described by the config; returns the full report.
 
-    Divergent runs, and runs whose transform exponents would overflow, are
-    recorded with empty metrics rather than aborting the sweep.
+    Divergent runs, runs whose transform exponents would overflow or whose
+    coefficient table fails to integrate, and runs whose squared error
+    overflows are recorded with empty metrics rather than aborting the sweep.
     """
     problem = config.get("problem")
     if problem is None:
@@ -303,14 +304,18 @@ def run(config: dict, *, threads: int = 1, output_dir=None,
         started = time.perf_counter()
         try:
             x = sample(spec, y, op, oracle, sched, z).x
-        except (DivergenceError, CoefficientOverflowError):
+        except (DivergenceError, CoefficientOverflowError, QuadratureError):
             x = None
         elapsed = (time.perf_counter() - started) * 1e3
         mse = psnr = resid = None
         if x is not None:
-            mse = float(np.mean((x - x0) ** 2))
-            psnr = psnr_from_mse(mse, peak)
-            resid = float(np.max(np.abs(op.apply(x) - y)))
+            with np.errstate(over="ignore"):
+                mse = float(np.mean((x - x0) ** 2))
+            if math.isfinite(mse):
+                psnr = psnr_from_mse(mse, peak)
+                resid = float(np.max(np.abs(op.apply(x) - y)))
+            else:  # a finite state so large that its squared error overflows
+                mse = x = None
         rec = RunRecord(
             method=desc["method"], w=float(desc["w"]), lam=float(desc["lambda"]),
             tau=float(desc["tau"]), nfe=int(desc["nfe"]), seed=int(seed),

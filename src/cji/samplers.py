@@ -148,8 +148,7 @@ def sample(spec: SamplerSpec, y, op, oracle, sched, z, *,
 
     field, jvp, endpoint, grad = _process_pieces(kind, oracle, sched)
     n_steps = grid.size - 1
-    dphi = np.diff([table.phi_y, table.phi_main_id, table.phi_main_p,
-                    table.phi_j_id, table.phi_j_p], axis=1)
+    dphi = table.dphi
     # Explicit family: the guidance drift the conjugate transform absorbs,
     # Euler-stepped at the P-exponent rate, h e^{kappa1} kappa2'(t) times the
     # gradient.  Its table is built with w = 0, so the dphi guidance terms

@@ -7,6 +7,7 @@ interpolant x_t = t*x1 + (1-t)*z, which is parameter free.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,6 +111,24 @@ def process_kind(sched) -> str:
     if isinstance(sched, FlowSchedule):
         return "flow"
     raise ConfigError(f"expected a schedule, got {type(sched).__name__}")
+
+
+def _as_float(t):
+    return np.asarray(t, dtype=float)
+
+
+def validated(sched, lo: float, hi: float):
+    """Check [lo, hi] against the schedule's domain once and return a copy
+    of sched that skips the per-call check.
+
+    For quadrature integrands, which evaluate the schedule thousands of times
+    inside a range the caller has already checked.  Raises
+    ScheduleDomainError as the public methods do.
+    """
+    sched._check(np.array([lo, hi], dtype=float))
+    fast = copy.copy(sched)
+    object.__setattr__(fast, "_check", _as_float)
+    return fast
 
 
 def diffusion_eval(sched: DiffusionSchedule, t):

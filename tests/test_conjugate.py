@@ -27,7 +27,8 @@ from cji.conjugate import (
 from cji.errors import CoefficientOverflowError, ConfigError
 from cji.operators import BlockAverage, Mask
 from cji.quadrature import adaptive_simpson
-from cji.schedules import DiffusionSchedule, FlowSchedule, GuidanceConfig
+from cji.schedules import (SCHEDULE_KINDS, DiffusionSchedule, FlowSchedule, GuidanceConfig,
+                           ScheduleDomainError)
 
 DIFF = DiffusionSchedule()
 FLOW = FlowSchedule()
@@ -365,6 +366,41 @@ class TestCoefficientTable:
             assert table.phi_main_id[i] == direct.phi_main.id_coeff
             assert table.phi_main_p[i] == direct.phi_main.proj_coeff
             assert table.kappa2[i] == kappa2(float(t), cfg, DIFF)
+
+    @pytest.mark.parametrize("kind", SCHEDULE_KINDS)
+    @pytest.mark.parametrize("sched,grid", [
+        (DIFF, np.linspace(0.6, 1e-4, 9)),
+        (FLOW, np.linspace(0.1, 1.0 - 1e-4, 9)),
+    ], ids=["diffusion", "flow"])
+    def test_increments_match_direct_differences(self, sched, grid, kind):
+        # Each Phi integral is held to max(tol, tol |value|): two origin-
+        # anchored values and one interval integral give 3 tol per row scale.
+        tol = 1e-5
+        cfg = GuidanceConfig(w=2.0, lam=0.1, schedule_kind=kind)
+        table = precompute_table(grid, cfg, sched, tol=tol)
+        phi = phi_diffusion if sched is DIFF else phi_flow
+        direct = np.array([
+            [v.phi_y, v.phi_main.id_coeff, v.phi_main.proj_coeff,
+             v.phi_j.id_coeff, v.phi_j.proj_coeff]
+            for v in (phi(float(t), cfg, sched, tol=tol) for t in grid)]).T
+        scale = np.maximum(1.0, np.abs(direct).max(axis=1, keepdims=True))
+        assert table.dphi.shape == (5, grid.size - 1)
+        assert np.all(np.abs(table.dphi - np.diff(direct, axis=1)) <= 3 * tol * scale)
+
+    def test_unguided_increments_have_one_row(self):
+        table = precompute_table(self.grid(), GuidanceConfig(w=0.0, lam=0.1), DIFF)
+        assert np.all(table.dphi[[0, 2, 3, 4]] == 0.0)
+        assert np.all(table.dphi[1] < 0.0)  # phi_main_id over a decreasing grid
+
+    def test_grid_outside_domain_raises(self):
+        with pytest.raises(ScheduleDomainError):
+            precompute_table(np.linspace(0.5, 1.2, 4), GuidanceConfig(w=2.0), FLOW)
+
+    def test_csv_increments_are_column_differences(self):
+        table = precompute_table(self.grid(), GuidanceConfig(w=2.0, lam=0.1), DIFF)
+        back = table_from_csv(table_to_csv(table), kind="diffusion")
+        np.testing.assert_array_equal(back.phi, table.phi)
+        np.testing.assert_array_equal(back.dphi, np.diff(table.phi, axis=1))
 
     @pytest.mark.parametrize("sched,grid", [
         (DIFF, np.linspace(0.6, 1e-4, 9)),

@@ -308,6 +308,40 @@ class TestCLI:
             with np.errstate(over="ignore", invalid="ignore"):
                 assert cli.main(["run", path, "--output-dir", str(tmp_path / f"o{i}")]) == 2
 
+    def run_shipped_mask(self, tmp_path, *overrides):
+        """cji run on configs/gaussian_mask.json; returns the exit code and
+        the report read back from report.csv."""
+        config = os.path.join(os.path.dirname(__file__), "..", "configs",
+                              "gaussian_mask.json")
+        argv = ["run", config, "--output-dir", str(tmp_path / "out")]
+        for item in overrides:
+            argv += ["--override", item]
+        with np.errstate(over="ignore", invalid="ignore"):
+            rc = cli.main(argv)
+            text = (tmp_path / "out" / "report.csv").read_text()
+            assert text.splitlines()[0] == ",".join(harness.CSV_HEADER)
+            return rc, harness.report_from_csv(text)
+
+    def test_quadrature_failure_recorded(self, tmp_path):
+        # exp(lambda t) overflows inside the first table interval
+        rc, report = self.run_shipped_mask(
+            tmp_path, "sampler.method=conjugate_flow", "sampler.lambda=1100",
+            "sampler.tau=0.7", "sweep.nfe=[5]")
+        assert rc == 2
+        assert len(report.records) == 3 and report.diverged_count == 3
+
+    def test_overflowing_mse_recorded(self, tmp_path):
+        # finite but huge states: MSEs of about 1e91 and 1e175 at NFE 5 and
+        # 10, and a squared error that overflows at NFE 20
+        rc, report = self.run_shipped_mask(
+            tmp_path, "sampler.method=explicit_diffusion", "sampler.w=1e10",
+            "sampler.schedule_kind=constant_r2")
+        assert rc == 2
+        by_nfe = {n: [r for r in report.records if r.nfe == n] for n in (5, 10, 20)}
+        assert all(r.mse is not None and math.isfinite(r.psnr)
+                   for n in (5, 10) for r in by_nfe[n])
+        assert all(r.mse is None and r.psnr is None for r in by_nfe[20])
+
     def test_override_and_seeds_flags(self, tmp_path):
         path = self.write_config(tmp_path, base_config())
         rc = cli.main(["run", path, "--output-dir", str(tmp_path / "o2"),

@@ -156,7 +156,7 @@ def explicit_reference(grid, y, op, oracle, sched, z, cfg):
             u = hd.T @ np.linalg.solve(gram, y - hd @ (x + gamma * field))
             jv = oracle.velocity_jvp(x, t, u)
             g = (w_t / r2) * (gamma / t) * (u + gamma * jv)
-        dphi = table.phi_main_id[n + 1] - table.phi_main_id[n]
+        dphi = table.dphi[1, n]  # phi_main_id over [t_n, t_{n+1}]
         xbar = xbar + h * cfg.lam * xbar + dphi * field + h * e1 * g
     return xbar / np.exp(table.kappa1[-1])
 
@@ -355,6 +355,51 @@ class TestNoisySampling:
         cfg = GuidanceConfig(w=1.0, tau=0.1, nfe=15, sigma_y=0.05)
         res = sample(SamplerSpec(method="explicit_flow", guidance=cfg),
                      Y, OP, oracle, FLOW, RNG.standard_normal(D))
+        assert np.all(np.isfinite(res.x))
+
+
+class TestConstantWeights:
+    """Conjugate diffusion under the constant-type weights, whose transform
+    exponent reaches e^{50} and more: the per-step coefficients must stay
+    accurate enough that the sampler converges to the explicit one."""
+
+    @pytest.mark.parametrize("kind", ["constant", "constant_r2"])
+    def test_conjugate_converges_to_explicit(self, kind):
+        d = 16
+        op = Mask(np.arange(0, d, 2), d)
+        prior = GaussianModel(mean=np.zeros(d), var=np.ones(d))
+        oracle = GaussianDiffusionOracle(prior, DIFF)
+        rng = np.random.default_rng(0)
+        y = op.apply(rng.standard_normal(d))
+        z = rng.standard_normal((8, d))
+        gaps = []
+        for nfe in (12, 50, 200):
+            cfg = GuidanceConfig(w=2.0, lam=0.0, tau=0.6, nfe=nfe, schedule_kind=kind)
+            conj = sample(SamplerSpec("conjugate_diffusion", cfg), y, op, oracle, DIFF, z).x
+            expl = sample(SamplerSpec("explicit_diffusion", cfg), y, op, oracle, DIFF, z).x
+            assert np.max(np.abs(conj)) < 10.0, (kind, nfe)
+            gaps.append(float(np.max(np.abs(conj - expl))))
+        assert gaps[0] > gaps[1] > gaps[2], gaps
+
+
+class TestTableUse:
+    @pytest.mark.parametrize("method", sorted(
+        ["conjugate_diffusion", "conjugate_flow", "explicit_diffusion", "explicit_flow"]))
+    def test_sample_never_evaluates_origin_phi(self, method, monkeypatch):
+        import cji.conjugate
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("sample evaluated an origin-anchored Phi")
+
+        monkeypatch.setattr(cji.conjugate, "phi_diffusion", refuse)
+        monkeypatch.setattr(cji.conjugate, "phi_flow", refuse)
+        flow = method.endswith("flow")
+        sched = FLOW if flow else DIFF
+        oracle = (GaussianFlowOracle if flow else GaussianDiffusionOracle)(GAUSS, sched)
+        cfg = GuidanceConfig(w=2.0, lam=0.1, tau=0.3 if flow else 0.6, nfe=6,
+                             sigma_y=0.05)
+        res = sample(SamplerSpec(method, cfg), Y, OP, oracle, sched,
+                     RNG.standard_normal((2, D)))
         assert np.all(np.isfinite(res.x))
 
 
