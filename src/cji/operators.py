@@ -24,7 +24,6 @@ one multiply by a precomputed diagonal factor.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 DENSE_GUARD = 4096
 
@@ -292,9 +291,15 @@ class CirculantBlur(LinearDegradation):
 
 
 class DenseOperator(LinearDegradation):
-    """Explicit (m, d) matrix with a cached Cholesky factor of H H^T."""
+    """Explicit (m, d) matrix with a cached Cholesky factor of H H^T.
+
+    The only operator that needs scipy; it imports ``scipy.linalg`` on use,
+    so ``import cji`` (and an oracle child process) loads no scipy.
+    """
 
     def __init__(self, matrix):
+        from scipy.linalg import cho_factor
+
         matrix = np.asarray(matrix, dtype=float)
         if matrix.ndim != 2:
             raise ValueError("matrix must be 2-d")
@@ -314,6 +319,8 @@ class DenseOperator(LinearDegradation):
         return self._check_out(y) @ self.matrix
 
     def gram_solve(self, y):
+        from scipy.linalg import cho_solve
+
         y = self._check_out(y)
         flat = y.reshape(-1, self.out_dim)
         return cho_solve(self._chol, flat.T).T.reshape(y.shape)

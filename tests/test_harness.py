@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -9,9 +11,11 @@ from cji import cli, harness
 from cji.errors import ConfigError
 from cji.operators import BlockAverage, Mask
 from cji.oracles import GaussianModel, exact_posterior
+from cji.samplers import SamplerSpec, sample
 from cji.tensorio import read_tensor, write_tensor
 
 RNG = np.random.default_rng(23)
+CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
 
 
 def base_config(**sampler_overrides):
@@ -230,6 +234,74 @@ class TestRun:
         assert report.records[0].mse is not None
 
 
+def direct_reconstruction(config, point, seed):
+    """One harness.run record recomputed by a sample() call without table=."""
+    problem = config["problem"]
+    sched = harness.build_schedule(config)
+    op = harness.build_operator(problem["operator"])
+    sigma_y = float(problem.get("sigma_y", 0.0))
+    oracle = harness.build_oracle(config.get("model", {}), problem, sched)
+    x0 = harness._draw_x0(problem, seed)
+    y = harness.degrade(x0, op, sigma_y, seed)
+    spec = SamplerSpec(method=point["method"],
+                       guidance=harness.guidance_from_sampler(point, sigma_y))
+    z = np.random.default_rng([seed, harness._CHAIN_SALT]).standard_normal(op.in_dim)
+    return sample(spec, y, op, oracle, sched, z).x
+
+
+class TestTableCache:
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        calls = []
+        original = harness.precompute_table
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "precompute_table", counting)
+        return calls
+
+    def check_reconstructions(self, config, out_dir):
+        points = harness.sweep_points(config)
+        for pi, point in enumerate(points):
+            for seed in config["seeds"]:
+                x = read_tensor(os.path.join(out_dir, f"recon_{pi:04d}_{seed}.cji"))
+                np.testing.assert_array_equal(x, direct_reconstruction(config, point, seed))
+
+    def test_one_build_per_point(self, builds, tmp_path):
+        cfg = harness.load_config(os.path.join(CONFIGS, "gaussian_mask.json"))
+        report = harness.run(cfg, output_dir=str(tmp_path / "a"))
+        assert len(report.records) == 9 and len(builds) == 3
+        self.check_reconstructions(cfg, str(tmp_path / "a"))
+        # more threads than cores and frequent switches: a check-then-act
+        # race on the table dict would show as extra builds
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = harness.run(cfg, threads=4, output_dir=str(tmp_path / "b"))
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(builds) == 6
+        assert [r.mse for r in threaded.records] == [r.mse for r in report.records]
+
+    def test_explicit_points_share_w_free_tables(self, builds, tmp_path):
+        cfg = base_config(method="explicit_diffusion")
+        cfg["sweep"] = {"w": [1.0, 2.0, 3.0], "nfe": [5, 10]}
+        report = harness.run(cfg, output_dir=str(tmp_path))
+        assert len(report.records) == 18 and report.diverged_count == 0
+        assert len(builds) == 2 and all(g.w == 0.0 for g in builds)
+        self.check_reconstructions(cfg, str(tmp_path))
+
+    def test_failed_build_is_not_cached(self, builds):
+        cfg = harness.load_config(os.path.join(CONFIGS, "gaussian_mask.json"))
+        harness.apply_overrides(cfg, ["sampler.method=conjugate_flow", "sampler.lambda=1100",
+                                      "sampler.tau=0.7", "sweep.nfe=[5]"])
+        with np.errstate(over="ignore", invalid="ignore"):
+            report = harness.run(cfg, write_outputs=False)
+        assert report.diverged_count == 3 and len(builds) == 3
+
+
 class TestDegrade:
     def test_noiseless_exact(self):
         op = Mask([0, 2], 4)
@@ -308,14 +380,18 @@ class TestCLI:
             with np.errstate(over="ignore", invalid="ignore"):
                 assert cli.main(["run", path, "--output-dir", str(tmp_path / f"o{i}")]) == 2
 
+    @staticmethod
+    def shipped_mask_argv(out_dir, *overrides):
+        """cji run arguments for configs/gaussian_mask.json."""
+        argv = ["run", os.path.join(CONFIGS, "gaussian_mask.json"), "--output-dir", str(out_dir)]
+        for item in overrides:
+            argv += ["--override", item]
+        return argv
+
     def run_shipped_mask(self, tmp_path, *overrides):
         """cji run on configs/gaussian_mask.json; returns the exit code and
         the report read back from report.csv."""
-        config = os.path.join(os.path.dirname(__file__), "..", "configs",
-                              "gaussian_mask.json")
-        argv = ["run", config, "--output-dir", str(tmp_path / "out")]
-        for item in overrides:
-            argv += ["--override", item]
+        argv = self.shipped_mask_argv(tmp_path / "out", *overrides)
         with np.errstate(over="ignore", invalid="ignore"):
             rc = cli.main(argv)
             text = (tmp_path / "out" / "report.csv").read_text()
@@ -341,6 +417,25 @@ class TestCLI:
         assert all(r.mse is not None and math.isfinite(r.psnr)
                    for n in (5, 10) for r in by_nfe[n])
         assert all(r.mse is None and r.psnr is None for r in by_nfe[20])
+
+    def test_huge_mse_summary_is_strict_json(self, tmp_path):
+        # MSEs near 1e175 at NFE 10 used to overflow np.std, warn and write
+        # "mse_stderr": Infinity into summary.json
+        def reject(name):
+            raise ValueError(f"summary.json holds {name}")
+
+        out = tmp_path / "out"
+        argv = self.shipped_mask_argv(out, "sampler.method=explicit_diffusion", "sampler.w=1e10",
+                                      "sampler.schedule_kind=constant_r2")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main(argv) == 2
+            back = harness.report_from_csv((out / "report.csv").read_text())
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        summary = json.loads((out / "summary.json").read_text(), parse_constant=reject)
+        assert summary == back.aggregates
+        huge = summary["explicit_diffusion w=1e+10 lambda=0 tau=0.6 nfe=10"]
+        assert huge["mse_mean"] > 1e174 and 0 < huge["mse_stderr"] < huge["mse_mean"]
 
     def test_override_and_seeds_flags(self, tmp_path):
         path = self.write_config(tmp_path, base_config())
