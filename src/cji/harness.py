@@ -35,7 +35,7 @@ from .oracles import (
     exact_posterior,
 )
 from .samplers import METHODS, SamplerSpec, sample
-from .schedules import DiffusionSchedule, FlowSchedule, GuidanceConfig
+from .schedules import DEFAULT_T_FLOOR, DiffusionSchedule, FlowSchedule, GuidanceConfig
 from .tensorio import read_tensor, write_tensor
 
 SWEEP_GUARD = 10_000
@@ -242,7 +242,7 @@ def guidance_from_sampler(desc: dict, sigma_y: float) -> GuidanceConfig:
         nfe=int(desc.get("nfe", 20)),
         sigma_y=sigma_y,
         schedule_kind=desc.get("schedule_kind", "adaptive_paper"),
-        t_floor=float(desc.get("t_floor", 1e-4)),
+        t_floor=float(desc.get("t_floor", DEFAULT_T_FLOOR)),
     )
 
 

@@ -83,70 +83,93 @@ def as_mixture(model) -> MixtureModel:
     return MixtureModel(weights=np.array([1.0]), components=(model,))
 
 
-def _marginal_coeffs(model: MixtureModel, scale: float, noise_sq: float):
-    """Per-component marginal means/variances when x_t = scale*x + noise."""
-    means = np.stack([scale * c.mean for c in model.components])
-    variances = np.stack([scale * scale * c.var + noise_sq for c in model.components])
-    return means, variances
+def _mixture_parts(x, log_w, means, variances):
+    """Centred difference, precisions, responsibilities and log density of a
+    diagonal mixture.
 
-
-def _mixture_score_parts(x, log_w, means, variances):
-    """Responsibilities and per-component scores of a diagonal mixture.
-
-    x: (..., d); means/variances: (K, d).  Returns (resp (..., K),
-    comp_scores (..., K, d)).
+    x: (..., d); means/variances: (K, d).  The centred difference x - means,
+    laid out component-major as (K, ..., d), is the only array of that size
+    built: the quadratic form sum_d diff^2 / var is a contraction against the
+    (K, d) precisions, and sum_d log(2 pi var) is one (K,) vector.  Returns
+    (diff, prec (K, d), resp (K, ...), log density (...)).
     """
-    diff = x[..., None, :] - means  # (..., K, d)
-    log_comp = -0.5 * np.sum(diff * diff / variances + np.log(2.0 * np.pi * variances), axis=-1)
-    logits = log_w + log_comp
-    logits = logits - logits.max(axis=-1, keepdims=True)
-    resp = np.exp(logits)
-    resp /= resp.sum(axis=-1, keepdims=True)
-    comp_scores = -diff / variances
-    return resp, comp_scores
+    lead = tuple(range(1, x.ndim))  # chain axes, after the component axis
+    diff = x - np.expand_dims(means, lead)
+    prec = 1.0 / variances
+    log_norm = log_w - 0.5 * np.log(2.0 * np.pi * variances).sum(axis=-1)
+    logits = (np.expand_dims(log_norm, lead)
+              - 0.5 * np.einsum("k...d,kd,k...d->k...", diff, prec, diff))
+    peak = logits.max(axis=0)
+    resp = np.exp(logits - peak)
+    total = resp.sum(axis=0)
+    resp /= total
+    return diff, prec, resp, peak + np.log(total)
 
 
 def _mixture_score(x, log_w, means, variances):
-    resp, comp_scores = _mixture_score_parts(x, log_w, means, variances)
-    return np.sum(resp[..., None] * comp_scores, axis=-2)
+    """Score -sum_k r_k diff_k / var_k."""
+    diff, prec, resp, _ = _mixture_parts(x, log_w, means, variances)
+    return np.einsum("k...,kd,k...d->...d", resp, -prec, diff)
 
 
 def _mixture_hessian_vec(x, v, log_w, means, variances):
-    """(Hessian of log density) @ v for the diagonal mixture."""
-    resp, comp_scores = _mixture_score_parts(x, log_w, means, variances)
-    score = np.sum(resp[..., None] * comp_scores, axis=-2)
-    gv = np.sum(comp_scores * v[..., None, :], axis=-1)  # (..., K)
-    term = np.sum(resp[..., None] * (comp_scores * gv[..., None] - v[..., None, :] / variances), axis=-2)
-    return term - score * np.sum(score * v, axis=-1, keepdims=True)
+    """(Hessian of log density) @ v for the diagonal mixture.
+
+    With component scores s_k = -diff_k / var_k and the score s = sum_k r_k
+    s_k, H v = sum_k r_k s_k (s_k.v - s.v) - v sum_k r_k / var_k.
+    """
+    diff, prec, resp, _ = _mixture_parts(x, log_w, means, variances)
+    gv = np.einsum("k...d,kd,...d->k...", diff, -prec, v)  # s_k . v
+    gv -= np.einsum("k...,k...->...", resp, gv)  # minus s . v
+    hv = np.einsum("k...,kd,k...d->...d", resp * gv, -prec, diff)
+    # Free the (K, ..., d) array before the last (..., d) one is allocated,
+    # so at most one array of each size is alive: the smaller peak heap is
+    # less often handed back to the OS between calls and faulted in again.
+    del diff
+    hv -= np.einsum("k...,kd,...d->...d", resp, prec, v)
+    return hv
 
 
-def _mixture_logpdf(x, log_w, means, variances):
-    diff = x[..., None, :] - means
-    log_comp = -0.5 * np.sum(diff * diff / variances + np.log(2.0 * np.pi * variances), axis=-1)
-    logits = log_w + log_comp
-    peak = logits.max(axis=-1)
-    return peak + np.log(np.sum(np.exp(logits - peak[..., None]), axis=-1))
+class _MixtureOracle:
+    """Shared part of the mixture oracles: log-weights and the component means
+    and variances, stacked once as (K, d) arrays.  Subclasses supply
+    _scale_noise(t), the (scale, noise) of x_t = scale * x + noise * z, and
+    define every public method themselves, so that perfbench/tracing.py
+    names each span after its own oracle class."""
 
-
-class MixtureDiffusionOracle:
-    """Noise-prediction oracle for mixture data under the diffusion kernel."""
-
-    def __init__(self, model, sched: DiffusionSchedule):
+    def __init__(self, model, sched):
         self.model = as_mixture(model)
         self.sched = sched
         self._log_w = np.log(self.model.weights)
+        self._means = np.stack([c.mean for c in self.model.components])
+        self._vars = np.stack([c.var for c in self.model.components])
 
     @property
     def dim(self):
         return self.model.dim
 
     def _coeffs(self, t):
-        t = float(t)
+        """scale, noise and the per-component marginal means/variances at t."""
+        scale, noise = self._scale_noise(float(t))
+        return scale, noise, scale * self._means, scale * scale * self._vars + noise * noise
+
+    def _endpoint_mean(self, x, t):
+        """sum_k r_k (noise^2 m_k + scale v_k x) / V_k: the responsibility-
+        weighted per-component Gaussian conditional means of the data."""
+        x = np.asarray(x, dtype=float)
+        scale, noise, means, variances = self._coeffs(t)
+        _, prec, resp, _ = _mixture_parts(x, self._log_w, means, variances)
+        return (np.einsum("k...,kd->...d", resp, noise * noise * self._means * prec)
+                + scale * x * np.einsum("k...,kd->...d", resp, self._vars * prec))
+
+
+class MixtureDiffusionOracle(_MixtureOracle):
+    """Noise-prediction oracle for mixture data under the diffusion kernel."""
+
+    def _scale_noise(self, t):
         if t < DEFAULT_T_FLOOR:
             raise ValueError(f"eps is undefined below the time floor {DEFAULT_T_FLOOR}")
-        mu = float(self.sched.mu(t))
-        sigma = float(self.sched.sigma(t))
-        return mu, sigma, *_marginal_coeffs(self.model, mu, sigma * sigma)
+        return float(self.sched.mu(t)), float(self.sched.sigma(t))
 
     def score(self, x, t):
         _, _, means, variances = self._coeffs(t)
@@ -154,7 +177,7 @@ class MixtureDiffusionOracle:
 
     def log_density(self, x, t):
         _, _, means, variances = self._coeffs(t)
-        return _mixture_logpdf(np.asarray(x, dtype=float), self._log_w, means, variances)
+        return _mixture_parts(np.asarray(x, dtype=float), self._log_w, means, variances)[3]
 
     def eps(self, x, t):
         _, sigma, means, variances = self._coeffs(t)
@@ -168,13 +191,7 @@ class MixtureDiffusionOracle:
 
     def x0_mean(self, x, t):
         """Exact conditional mean E[x0 | x_t] (responsibility-weighted)."""
-        x = np.asarray(x, dtype=float)
-        mu, sigma, means, variances = self._coeffs(t)
-        resp, _ = _mixture_score_parts(x, self._log_w, means, variances)
-        prior_means = np.stack([c.mean for c in self.model.components])
-        prior_vars = np.stack([c.var for c in self.model.components])
-        comp_post = (sigma ** 2 * prior_means + mu * prior_vars * x[..., None, :]) / variances
-        return np.sum(resp[..., None] * comp_post, axis=-2)
+        return self._endpoint_mean(x, t)
 
 
 class GaussianDiffusionOracle:
@@ -211,26 +228,16 @@ class GaussianDiffusionOracle:
         return num / var
 
 
-class MixtureFlowOracle:
+class MixtureFlowOracle(_MixtureOracle):
     """Velocity oracle for mixture data under the straight-line interpolant."""
 
     def __init__(self, model, sched: FlowSchedule | None = None):
-        self.model = as_mixture(model)
-        self.sched = sched or FlowSchedule()
-        self._log_w = np.log(self.model.weights)
+        super().__init__(model, sched or FlowSchedule())
 
-    @property
-    def dim(self):
-        return self.model.dim
-
-    def _coeffs(self, t):
-        t = float(t)
+    def _scale_noise(self, t):
         if t <= 0:
             raise ValueError("velocity is undefined at t = 0 (alpha_t = 0)")
-        alpha = float(self.sched.alpha(t))
-        gamma = float(self.sched.gamma(t))
-        means, variances = _marginal_coeffs(self.model, alpha, gamma * gamma)
-        return alpha, gamma, means, variances
+        return float(self.sched.alpha(t)), float(self.sched.gamma(t))
 
     def score(self, x, t):
         _, _, means, variances = self._coeffs(t)
@@ -238,7 +245,7 @@ class MixtureFlowOracle:
 
     def log_density(self, x, t):
         _, _, means, variances = self._coeffs(t)
-        return _mixture_logpdf(np.asarray(x, dtype=float), self._log_w, means, variances)
+        return _mixture_parts(np.asarray(x, dtype=float), self._log_w, means, variances)[3]
 
     def velocity(self, x, t):
         x = np.asarray(x, dtype=float)
@@ -255,14 +262,7 @@ class MixtureFlowOracle:
 
     def x1_mean(self, x, t):
         """Exact conditional mean E[x1 | x_t]."""
-        x = np.asarray(x, dtype=float)
-        alpha, _, means, variances = self._coeffs(t)
-        resp, _ = _mixture_score_parts(x, self._log_w, means, variances)
-        prior_means = np.stack([c.mean for c in self.model.components])
-        prior_vars = np.stack([c.var for c in self.model.components])
-        gamma2 = variances - alpha * alpha * prior_vars
-        comp_post = (gamma2 * prior_means + alpha * prior_vars * x[..., None, :]) / variances
-        return np.sum(resp[..., None] * comp_post, axis=-2)
+        return self._endpoint_mean(x, t)
 
 
 class GaussianFlowOracle:

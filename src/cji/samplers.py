@@ -29,7 +29,7 @@ import numpy as np
 from .conjugate import CoefficientTable, apply_transform, kappa2_integrand, precompute_table
 from .errors import ConfigError, DivergenceError
 from .oracles import tweedie_diffusion, tweedie_flow
-from .schedules import GuidanceConfig, process_kind, sampling_grid
+from .schedules import DEFAULT_T_FLOOR, GuidanceConfig, process_kind, sampling_grid
 
 # Method name -> (family, process).
 METHODS = {
@@ -89,6 +89,11 @@ def _check_grid(grid: np.ndarray, kind: str, cfg: GuidanceConfig):
             raise ConfigError("diffusion grid must be non-increasing")
         if grid[-1] < cfg.t_floor - 1e-12:
             raise ConfigError("diffusion grid must stop at or above t_floor")
+        # Every time but the last is an oracle evaluation; the earliest of
+        # them is grid[-2].
+        if grid[-2] < DEFAULT_T_FLOOR:
+            raise ConfigError(
+                f"diffusion grid evaluates the oracle below the time floor {DEFAULT_T_FLOOR}")
     else:
         if np.any(d < 0):
             raise ConfigError("flow grid must be non-decreasing")

@@ -1,6 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+
+import mixture_reference
 
 from cji.errors import ConfigError
 from cji.oracles import (
@@ -352,3 +356,83 @@ class TestMaskMixturePosteriorMean:
         expected_unobs = np.trapezoid(num, u) / np.trapezoid(dens, u)
         assert got[0] == pytest.approx(0.4, abs=1e-14)
         assert got[1] == pytest.approx(expected_unobs, abs=1e-9)
+
+
+def hetero_mixture(k, d, rng):
+    """K components with distinct means and per-coordinate variances."""
+    weights = rng.uniform(0.5, 1.5, k)
+    return MixtureModel(
+        weights=weights / weights.sum(),
+        components=tuple(
+            GaussianModel(mean=rng.uniform(-2, 2, d), var=rng.uniform(0.1, 3.0, d))
+            for _ in range(k)))
+
+
+def assert_rel_close(got, ref, rel=1e-12):
+    """Agreement to rel times the largest reference entry."""
+    got, ref = np.asarray(got), np.asarray(ref)
+    assert got.shape == ref.shape
+    np.testing.assert_allclose(got, ref, rtol=rel, atol=rel * np.max(np.abs(ref)))
+
+
+class TestContractionKernels:
+    """The contraction-form mixture kernels against the per-component
+    reference in tests/mixture_reference.py."""
+
+    @pytest.mark.parametrize("process", ["diffusion", "flow"])
+    @pytest.mark.parametrize("lead", [(), (5,), (2, 3)])
+    @pytest.mark.parametrize("d", [1, 4, 64])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_matches_per_component_reference(self, k, d, lead, process):
+        rng = np.random.default_rng([k, d, len(lead), process == "flow"])
+        model = hetero_mixture(k, d, rng)
+        if process == "diffusion":
+            oracle, sched = MixtureDiffusionOracle(model, DIFF), DIFF
+            reference = mixture_reference.diffusion_methods
+        else:
+            oracle, sched = MixtureFlowOracle(model), FLOW
+            reference = mixture_reference.flow_methods
+        for t in (0.05, 0.4, 0.85):
+            x = 1.5 * rng.standard_normal(lead + (d,))
+            v = rng.standard_normal(lead + (d,))
+            expected = reference(model, sched, x, t, v)
+            for name, want in expected.items():
+                method = getattr(oracle, name)
+                got = method(x, t, v) if name.endswith("_jvp") else method(x, t)
+                assert_rel_close(got, want)
+
+    @pytest.mark.parametrize("process", ["diffusion", "flow"])
+    def test_far_from_every_component(self, process):
+        # |x| = 1e3: the wider component takes all the responsibility, so the
+        # score and the JVP are that component's Gaussian ones.  The JVP must
+        # not subtract two O(|x|^2) terms to get them, and no RuntimeWarning
+        # may be raised on the way.
+        d = 8
+        wide = GaussianModel(mean=np.full(d, 0.5), var=np.full(d, 2.0))
+        narrow = GaussianModel(mean=np.full(d, -0.5), var=np.full(d, 0.5))
+        model = MixtureModel(weights=np.array([0.3, 0.7]), components=(wide, narrow))
+        x = np.full((3, d), 1e3 / np.sqrt(d))
+        x[1] *= -1.0
+        v = RNG.standard_normal((3, d))
+        t = 0.4
+        if process == "diffusion":
+            oracle = MixtureDiffusionOracle(model, DIFF)
+            scale, noise_sq = float(DIFF.mu(t)), float(DIFF.sigma_sq(t))
+            names = ("score", "log_density", "eps", "eps_jvp", "x0_mean")
+        else:
+            oracle = MixtureFlowOracle(model)
+            scale, noise_sq = float(FLOW.alpha(t)), float(FLOW.gamma(t)) ** 2
+            names = ("score", "log_density", "velocity", "velocity_jvp", "x1_mean")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            out = {name: (getattr(oracle, name)(x, t, v) if name.endswith("_jvp")
+                          else getattr(oracle, name)(x, t)) for name in names}
+        for name, value in out.items():
+            assert np.all(np.isfinite(value)), name
+        var = scale * scale * wide.var + noise_sq
+        assert_rel_close(out["score"], -(x - scale * wide.mean) / var)
+        if process == "diffusion":
+            assert_rel_close(out["eps_jvp"], np.sqrt(noise_sq) * v / var)
+        else:
+            gamma = np.sqrt(noise_sq)
+            assert_rel_close(out["velocity_jvp"], v / scale - (gamma / scale) * v / var)

@@ -450,6 +450,33 @@ class TestErrors:
             sample(spec, Y, OP, GaussianDiffusionOracle(GAUSS, DIFF), DIFF,
                    RNG.standard_normal(D), table=table)
 
+    def test_grid_below_oracle_floor_rejected_before_any_work(self, monkeypatch):
+        # t_floor = 2e-5 is a valid config, but tau = 0.01 over 200 steps
+        # puts oracle evaluations (every time but the last) below the
+        # oracles' 1e-4 floor: refused up front, not mid-run.
+        import cji.samplers
+
+        def no_table(*args, **kwargs):
+            raise AssertionError("table built before the grid was checked")
+
+        monkeypatch.setattr(cji.samplers, "precompute_table", no_table)
+        op = Mask(np.arange(0, D, 2), D)
+        cfg = GuidanceConfig(w=1.0, tau=0.01, nfe=200, t_floor=2e-5)
+        with pytest.raises(ConfigError, match="time floor"):
+            sample(SamplerSpec(method="conjugate_diffusion", guidance=cfg),
+                   op.apply(X0), op, MixtureDiffusionOracle(GAUSS, DIFF), DIFF,
+                   RNG.standard_normal((4, D)))
+
+    def test_only_last_time_may_sit_below_oracle_floor(self):
+        # the posterior-recovery setting: t_floor = 2e-5 ends the grid, and
+        # no oracle call is made there
+        cfg = GuidanceConfig(w=1.0, tau=0.55, nfe=200, schedule_kind="constant",
+                             t_floor=2e-5)
+        res = sample(SamplerSpec(method="conjugate_diffusion", guidance=cfg),
+                     Y, OP, GaussianDiffusionOracle(GAUSS, DIFF), DIFF,
+                     RNG.standard_normal((4, D)))
+        assert np.all(np.isfinite(res.x))
+
 
 class TestFlowMixture:
     def test_flow_mixture_sampler_runs(self):
