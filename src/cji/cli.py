@@ -23,12 +23,15 @@ from .errors import ConfigError
 from .tensorio import write_tensor
 
 
-def _add_common(p):
+def _add_config(p, *, seeds: bool = True, threads: bool = False):
+    """The config argument and the flags a config subcommand reads."""
     p.add_argument("config", help="path to the JSON run config")
     p.add_argument("--output-dir", default=None, help="overrides config output_dir")
-    p.add_argument("--seeds", default=None,
-                   help="comma-separated seed list, overrides config seeds")
-    p.add_argument("--threads", type=int, default=1, help="worker pool size")
+    if seeds:
+        p.add_argument("--seeds", default=None,
+                       help="comma-separated seed list, overrides config seeds")
+    if threads:
+        p.add_argument("--threads", type=int, default=1, help="worker pool size")
     p.add_argument("--override", action="append", default=[],
                    metavar="KEY.PATH=VALUE", help="config override (repeatable)")
 
@@ -36,7 +39,7 @@ def _add_common(p):
 def _load(args) -> dict:
     config = harness.load_config(args.config)
     harness.apply_overrides(config, args.override)
-    if args.seeds is not None:
+    if getattr(args, "seeds", None) is not None:
         config["seeds"] = [int(s) for s in args.seeds.split(",") if s]
     if args.output_dir is not None:
         config["output_dir"] = args.output_dir
@@ -129,13 +132,13 @@ def main(argv=None) -> int:
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
     p_run = sub.add_parser("run", help="run a configured sweep")
-    _add_common(p_run)
+    _add_config(p_run, threads=True)
     p_run.set_defaults(fn=cmd_run)
     p_deg = sub.add_parser("degrade", help="write degraded observations")
-    _add_common(p_deg)
+    _add_config(p_deg)
     p_deg.set_defaults(fn=cmd_degrade)
     p_cd = sub.add_parser("coeff-dump", help="write the coefficient table")
-    _add_common(p_cd)
+    _add_config(p_cd, seeds=False)
     p_cd.set_defaults(fn=cmd_coeff_dump)
     p_st = sub.add_parser("selftest", help="quick numerical self-checks")
     p_st.set_defaults(fn=cmd_selftest)

@@ -246,61 +246,50 @@ def phi_origin(cfg: GuidanceConfig, sched) -> float:
     return 0.0 if cfg.schedule_kind == "adaptive_paper" else cfg.t_floor
 
 
-def _diffusion_guide(s, cfg, sched):
-    """w_t / r_t^2, simplified per schedule kind (no 0/0 at the endpoints)."""
-    if cfg.schedule_kind == "adaptive_paper":
-        return cfg.w * sched.mu(s) ** 2
-    if cfg.schedule_kind == "constant_r2":
-        return cfg.w * np.ones_like(s)
-    return cfg.w / sched.r_sq(s)
+def process_scalars(s, lam: float, sched):
+    """(e^{kappa1}, m e^{kappa1}, c, q) of one process at s.
+
+    m is the rate of the field term in the drift, and x_hat = (x - q f) / c
+    the endpoint map from the field f: (c, q) = (mu, sigma) for diffusion,
+    where f is eps, and (1, -gamma) for the straight-line flow, where f is
+    the velocity.
+    """
+    if process_kind(sched) == "diffusion":
+        e1 = np.exp(lam * s + 0.5 * sched.beta_int(s))
+        sigma = sched.sigma(s)
+        return e1, sched.beta(s) / (2.0 * sigma) * e1, sched.mu(s), sigma
+    e1 = np.exp(lam * s)
+    return e1, e1, 1.0, -sched.gamma(s)
 
 
-def _diffusion_integrands(s, cfg, sched):
-    """The five Phi integrands of the projected diffusion dynamics, stacked
-    in PhiValues order; only phi_main_id (a 1-D array) when w = 0, because
-    the other four vanish identically."""
-    beta = sched.beta(s)
-    sigma = sched.sigma(s)
-    e1 = np.exp(cfg.lam * s + 0.5 * sched.beta_int(s))
-    main_id = beta / (2.0 * sigma) * e1
+def _phi_integrands(s, cfg, sched):
+    """The five Phi integrands of either process, stacked in PhiValues order;
+    only phi_main_id (a 1-D array) when w = 0, because the other four vanish
+    identically.
+
+    With g = kappa2'(s) and (e1, m e1, c, q) from process_scalars, the
+    guidance drift g c (H^+ y - P x_hat), x_hat = (x - q f) / c, puts g c on
+    H^+ y and g q on P f (its -g P x part is the transform's own), and its
+    Jacobian term puts -g q c on J; each is weighted by the transform,
+    e^{kappa1} on I and e^{kappa1 + kappa2} on P.
+    """
+    e1, me1, c, q = process_scalars(s, cfg.lam, sched)
     if cfg.w == 0.0:
-        return main_id
-    mu = sched.mu(s)
-    guide = _diffusion_guide(s, cfg, sched)
+        return me1
+    g = kappa2_integrand(s, cfg, sched)
     ek2 = np.exp(kappa2(s, cfg, sched))
     e12 = e1 * ek2
-    j_id = guide * sigma * beta / (2.0 * mu) * e1
+    j_id = -g * q * c * e1
     return np.stack([
-        -guide * beta / (2.0 * mu) * e12,
-        main_id,
-        main_id * (ek2 - 1.0) - guide * sigma * beta / (2.0 * mu * mu) * e12,
+        g * c * e12,
+        me1,
+        me1 * (ek2 - 1.0) + g * q * e12,
         j_id,
         j_id * (ek2 - 1.0),
     ])
 
 
-def _flow_integrands(s, cfg, sched):
-    """The five Phi integrands of the projected flow dynamics, stacked as in
-    _diffusion_integrands (only phi_main_id when w = 0)."""
-    e1 = np.exp(cfg.lam * s)
-    if cfg.w == 0.0:
-        return e1
-    gamma = sched.gamma(s)
-    # (w_t / r_t^2) * gamma / alpha is the flow P-exponent rate.
-    guide = kappa2_integrand(s, cfg, sched)
-    ek2 = np.exp(kappa2(s, cfg, sched))
-    e12 = e1 * ek2
-    j_id = guide * gamma * e1
-    return np.stack([
-        guide * e12,
-        e1,
-        e1 * (ek2 - 1.0) - guide * gamma * e12,
-        j_id,
-        j_id * (ek2 - 1.0),
-    ])
-
-
-def _phi_integral(a: float, b: float, cfg: GuidanceConfig, sched, integrands,
+def _phi_integral(a: float, b: float, cfg: GuidanceConfig, sched,
                   tol: float) -> np.ndarray:
     """The five Phi integrals over [a, b] from one quadrature of the stacked
     integrands (phi_main_id alone when w = 0).  sched must already be
@@ -308,15 +297,15 @@ def _phi_integral(a: float, b: float, cfg: GuidanceConfig, sched, integrands,
     vals = np.zeros(5)
     if a != b:
         rows = slice(None) if cfg.w != 0.0 else 1  # w = 0: phi_main_id alone
-        vals[rows] = adaptive_simpson(lambda s: integrands(s, cfg, sched), a, b,
+        vals[rows] = adaptive_simpson(lambda s: _phi_integrands(s, cfg, sched), a, b,
                                       atol=tol, rtol=tol)
     return vals
 
 
-def _phi(t, cfg: GuidanceConfig, sched, integrands, tol: float) -> PhiValues:
+def _phi(t, cfg: GuidanceConfig, sched, tol: float) -> PhiValues:
     """Phi at t: the integrals from phi_origin to t."""
     lo = phi_origin(cfg, sched)
-    vals = _phi_integral(lo, t, cfg, validated(sched, lo, t), integrands, tol)
+    vals = _phi_integral(lo, t, cfg, validated(sched, lo, t), tol)
     phi_y, main_id, main_p, j_id, j_p = (float(v) for v in vals)
     return PhiValues(phi_y, ScalarPair(main_id, main_p), ScalarPair(j_id, j_p))
 
@@ -324,23 +313,22 @@ def _phi(t, cfg: GuidanceConfig, sched, integrands, tol: float) -> PhiValues:
 def phi_diffusion(t, cfg: GuidanceConfig, sched: DiffusionSchedule, *,
                   tol: float = DEFAULT_TOL) -> PhiValues:
     """Drift coefficients at time t for the projected diffusion dynamics."""
-    return _phi(t, cfg, sched, _diffusion_integrands, tol)
+    return _phi(t, cfg, sched, tol)
 
 
 def phi_flow(t, cfg: GuidanceConfig, sched: FlowSchedule | None = None, *,
              tol: float = DEFAULT_TOL) -> PhiValues:
     """Drift coefficients at time t for the projected flow dynamics."""
     sched = sched or FlowSchedule()
-    return _phi(t, cfg, sched, _flow_integrands, tol)
+    return _phi(t, cfg, sched, tol)
 
 
 def _origin_columns(times, cfg: GuidanceConfig, sched, tol: float) -> np.ndarray:
     """Origin-anchored Phi at every time, (5, n) in PhiValues order, each
     entry from the same call as a direct phi_diffusion/phi_flow."""
-    phi = phi_diffusion if process_kind(sched) == "diffusion" else phi_flow
     cols = np.zeros((5, len(times)))
     for i, t in enumerate(times):
-        v = phi(float(t), cfg, sched, tol=tol)
+        v = _phi(float(t), cfg, sched, tol)
         cols[:, i] = (v.phi_y, v.phi_main.id_coeff, v.phi_main.proj_coeff,
                       v.phi_j.id_coeff, v.phi_j.proj_coeff)
     return cols
@@ -407,9 +395,8 @@ def precompute_table(grid, cfg: GuidanceConfig, sched, *,
     dphi = np.zeros((5, max(n - 1, 0)))
     if n > 1:
         fast = validated(sched, times.min(), times.max())
-        integrands = _diffusion_integrands if kind == "diffusion" else _flow_integrands
         for i in range(n - 1):
-            dphi[:, i] = _phi_integral(times[i], times[i + 1], cfg, fast, integrands, tol)
+            dphi[:, i] = _phi_integral(times[i], times[i + 1], cfg, fast, tol)
     for name, col in (("kappa1", kappas[0]), ("kappa2", kappas[1]),
                       ("kappa3", kappas[2]), ("dphi", dphi)):
         if not np.all(np.isfinite(col)):

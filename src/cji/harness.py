@@ -34,7 +34,7 @@ from .oracles import (
     MixtureModel,
     exact_posterior,
 )
-from .samplers import METHODS, SamplerSpec, sample
+from .samplers import METHODS, SamplerSpec, check_grid, sample
 from .schedules import DEFAULT_T_FLOOR, DiffusionSchedule, FlowSchedule, GuidanceConfig
 from .tensorio import read_tensor, write_tensor
 
@@ -287,6 +287,12 @@ def run(config: dict, *, threads: int = 1, output_dir=None,
     sched = build_schedule(config)
     op = build_operator(problem["operator"])
     sigma_y = float(problem.get("sigma_y", 0.0))
+    specs = [SamplerSpec(method=desc["method"], guidance=guidance_from_sampler(desc, sigma_y))
+             for desc in points]
+    # A grid that sample would refuse aborts the sweep before any job runs
+    # (and before an external oracle is spawned).
+    for spec in specs:
+        check_grid(spec.resolved_grid(), spec.kind, spec.guidance)
     oracle = build_oracle(config.get("model", {}), problem, sched)
     peak = float(config.get("peak", 1.0))
     out_dir = output_dir or config.get("output_dir")
@@ -313,8 +319,7 @@ def run(config: dict, *, threads: int = 1, output_dir=None,
         desc = points[pi]
         x0 = _draw_x0(problem, seed)
         y = degrade(x0, op, sigma_y, seed)
-        cfg = guidance_from_sampler(desc, sigma_y)
-        spec = SamplerSpec(method=desc["method"], guidance=cfg)
+        spec = specs[pi]
         rng = np.random.default_rng([seed, _CHAIN_SALT])
         z = rng.standard_normal(op.in_dim)
         started = time.perf_counter()

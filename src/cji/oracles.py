@@ -130,12 +130,57 @@ def _mixture_hessian_vec(x, v, log_w, means, variances):
     return hv
 
 
+class _DiffusionPath:
+    """x_t = mu_t x + sigma_t z, for the oracles of the diffusion process."""
+
+    def _scale_noise(self, t):
+        if t < DEFAULT_T_FLOOR:
+            raise ValueError(f"eps is undefined below the time floor {DEFAULT_T_FLOOR}")
+        return float(self.sched.mu(t)), float(self.sched.sigma(t))
+
+
+class _FlowPath:
+    """x_t = alpha_t x + gamma_t z, for the oracles of the straight-line flow."""
+
+    def __init__(self, model, sched: FlowSchedule | None = None):
+        super().__init__(model, sched or FlowSchedule())
+
+    def _scale_noise(self, t):
+        if t <= 0:
+            raise ValueError("velocity is undefined at t = 0 (alpha_t = 0)")
+        return float(self.sched.alpha(t)), float(self.sched.gamma(t))
+
+
+class _GaussianOracle:
+    """Shared part of the Gaussian oracles.  A _DiffusionPath or _FlowPath
+    supplies _scale_noise(t), the (scale, noise) of x_t = scale * x + noise
+    * z; each oracle defines its public methods itself, so that
+    perfbench/tracing.py names each span after its own oracle class."""
+
+    def __init__(self, model: GaussianModel, sched):
+        self.model = model
+        self.sched = sched
+
+    @property
+    def dim(self):
+        return self.model.dim
+
+    def _coeffs(self, t):
+        """scale, noise and the marginal variance V = scale^2 var + noise^2 at t."""
+        scale, noise = self._scale_noise(float(t))
+        return scale, noise, scale * scale * self.model.var + noise * noise
+
+    def _endpoint_mean(self, x, t):
+        """(noise^2 mean + scale var x) / V: the conditional mean of the data."""
+        scale, noise, var = self._coeffs(t)
+        num = noise ** 2 * self.model.mean + scale * self.model.var * np.asarray(x, dtype=float)
+        return num / var
+
+
 class _MixtureOracle:
     """Shared part of the mixture oracles: log-weights and the component means
-    and variances, stacked once as (K, d) arrays.  Subclasses supply
-    _scale_noise(t), the (scale, noise) of x_t = scale * x + noise * z, and
-    define every public method themselves, so that perfbench/tracing.py
-    names each span after its own oracle class."""
+    and variances, stacked once as (K, d) arrays.  _scale_noise and the
+    public methods come as for _GaussianOracle."""
 
     def __init__(self, model, sched):
         self.model = as_mixture(model)
@@ -163,13 +208,8 @@ class _MixtureOracle:
                 + scale * x * np.einsum("k...,kd->...d", resp, self._vars * prec))
 
 
-class MixtureDiffusionOracle(_MixtureOracle):
+class MixtureDiffusionOracle(_DiffusionPath, _MixtureOracle):
     """Noise-prediction oracle for mixture data under the diffusion kernel."""
-
-    def _scale_noise(self, t):
-        if t < DEFAULT_T_FLOOR:
-            raise ValueError(f"eps is undefined below the time floor {DEFAULT_T_FLOOR}")
-        return float(self.sched.mu(t)), float(self.sched.sigma(t))
 
     def score(self, x, t):
         _, _, means, variances = self._coeffs(t)
@@ -194,25 +234,8 @@ class MixtureDiffusionOracle(_MixtureOracle):
         return self._endpoint_mean(x, t)
 
 
-class GaussianDiffusionOracle:
+class GaussianDiffusionOracle(_DiffusionPath, _GaussianOracle):
     """Single-Gaussian special case with direct coordinate-wise formulas."""
-
-    def __init__(self, model: GaussianModel, sched: DiffusionSchedule):
-        self.model = model
-        self.sched = sched
-
-    @property
-    def dim(self):
-        return self.model.dim
-
-    def _coeffs(self, t):
-        t = float(t)
-        if t < DEFAULT_T_FLOOR:
-            raise ValueError(f"eps is undefined below the time floor {DEFAULT_T_FLOOR}")
-        mu = float(self.sched.mu(t))
-        sigma = float(self.sched.sigma(t))
-        var = mu * mu * self.model.var + sigma * sigma
-        return mu, sigma, var
 
     def eps(self, x, t):
         mu, sigma, var = self._coeffs(t)
@@ -223,21 +246,11 @@ class GaussianDiffusionOracle:
         return sigma * np.asarray(v, dtype=float) / var
 
     def x0_mean(self, x, t):
-        mu, sigma, var = self._coeffs(t)
-        num = sigma ** 2 * self.model.mean + mu * self.model.var * np.asarray(x, dtype=float)
-        return num / var
+        return self._endpoint_mean(x, t)
 
 
-class MixtureFlowOracle(_MixtureOracle):
+class MixtureFlowOracle(_FlowPath, _MixtureOracle):
     """Velocity oracle for mixture data under the straight-line interpolant."""
-
-    def __init__(self, model, sched: FlowSchedule | None = None):
-        super().__init__(model, sched or FlowSchedule())
-
-    def _scale_noise(self, t):
-        if t <= 0:
-            raise ValueError("velocity is undefined at t = 0 (alpha_t = 0)")
-        return float(self.sched.alpha(t)), float(self.sched.gamma(t))
 
     def score(self, x, t):
         _, _, means, variances = self._coeffs(t)
@@ -265,25 +278,8 @@ class MixtureFlowOracle(_MixtureOracle):
         return self._endpoint_mean(x, t)
 
 
-class GaussianFlowOracle:
+class GaussianFlowOracle(_FlowPath, _GaussianOracle):
     """Single-Gaussian flow oracle."""
-
-    def __init__(self, model: GaussianModel, sched: FlowSchedule | None = None):
-        self.model = model
-        self.sched = sched or FlowSchedule()
-
-    @property
-    def dim(self):
-        return self.model.dim
-
-    def _coeffs(self, t):
-        t = float(t)
-        if t <= 0:
-            raise ValueError("velocity is undefined at t = 0 (alpha_t = 0)")
-        alpha = float(self.sched.alpha(t))
-        gamma = float(self.sched.gamma(t))
-        var = alpha * alpha * self.model.var + gamma * gamma
-        return alpha, gamma, var
 
     def velocity(self, x, t):
         x = np.asarray(x, dtype=float)
@@ -297,20 +293,18 @@ class GaussianFlowOracle:
         return v / alpha - (gamma / alpha) * v / var
 
     def x1_mean(self, x, t):
-        alpha, gamma, var = self._coeffs(t)
-        num = gamma ** 2 * self.model.mean + alpha * self.model.var * np.asarray(x, dtype=float)
-        return num / var
+        return self._endpoint_mean(x, t)
 
 
-def finite_difference_jvp(fn, x, t, v, *, base_step: float = 1e-4):
+def finite_difference_jvp(fn, x, t, v):
     """Central-difference Jacobian-vector product of fn(x, t) along v.
 
-    Step h = base_step * (1 + max|x|) / max(max|v|, 1e-12) balances
-    truncation against round-off in double precision.
+    Step h = 1e-4 * (1 + max|x|) / max(max|v|, 1e-12) balances truncation
+    against round-off in double precision.
     """
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
-    h = base_step * (1.0 + np.abs(x).max()) / max(np.abs(v).max(), 1e-12)
+    h = 1e-4 * (1.0 + np.abs(x).max()) / max(np.abs(v).max(), 1e-12)
     return (fn(x + h * v, t) - fn(x - h * v, t)) / (2.0 * h)
 
 

@@ -29,7 +29,7 @@ def _finite(values, x):
 
 
 def adaptive_simpson(f, a: float, b: float, *, atol: float = 1e-5,
-                     rtol: float = 1e-5, initial_panels: int = 8):
+                     rtol: float = 1e-5):
     """Integrate f over [a, b] to the requested absolute/relative tolerance.
 
     f must map an ndarray of n points to n values (the integral is a float)
@@ -48,7 +48,7 @@ def adaptive_simpson(f, a: float, b: float, *, atol: float = 1e-5,
         a, b = b, a
         sign = -1.0
 
-    edges = np.linspace(a, b, initial_panels + 1)
+    edges = np.linspace(a, b, 9)  # eight uniform panels to start
     left = edges[:-1]
     right = edges[1:]
     mid = 0.5 * (left + right)
@@ -59,7 +59,7 @@ def adaptive_simpson(f, a: float, b: float, *, atol: float = 1e-5,
 
     total = np.sum(simpson, axis=-1)
     result = np.zeros_like(total)
-    n_evals = 3 * initial_panels
+    n_evals = 3 * left.size
 
     while left.size:
         lm = 0.5 * (left + mid)

@@ -26,7 +26,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .conjugate import CoefficientTable, apply_transform, kappa2_integrand, precompute_table
+from .conjugate import (CoefficientTable, apply_transform, kappa2_integrand, precompute_table,
+                        process_scalars)
 from .errors import ConfigError, DivergenceError
 from .oracles import tweedie_diffusion, tweedie_flow
 from .schedules import DEFAULT_T_FLOOR, GuidanceConfig, process_kind, sampling_grid
@@ -80,7 +81,8 @@ class SampleResult:
     trajectory: list | None = None
 
 
-def _check_grid(grid: np.ndarray, kind: str, cfg: GuidanceConfig):
+def check_grid(grid: np.ndarray, kind: str, cfg: GuidanceConfig):
+    """Refuse, with a ConfigError, a grid that sample cannot step on."""
     if grid.ndim != 1 or grid.size < 2:
         raise ConfigError("grid needs at least two times")
     d = np.diff(grid)
@@ -121,15 +123,11 @@ def _transform(x, op, table: CoefficientTable, i: int, inverse: bool):
                            float(table.kappa3[i]), inverse=inverse)
 
 
-def _process_pieces(kind: str, oracle, sched):
-    """Field, JVP, endpoint estimate and explicit guidance gradient of one
-    process; kappa2'(t) times the gradient is the guidance drift that the
-    conjugate transform absorbs."""
+def _process_pieces(kind: str, oracle):
+    """Field, JVP and endpoint estimate of one process."""
     if kind == "diffusion":
-        return (oracle.eps, oracle.eps_jvp, tweedie_diffusion,
-                lambda t, u, jv: float(sched.mu(t)) * (u - float(sched.sigma(t)) * jv))
-    return (oracle.velocity, oracle.velocity_jvp, tweedie_flow,
-            lambda t, u, jv: u + float(sched.gamma(t)) * jv)
+        return oracle.eps, oracle.eps_jvp, tweedie_diffusion
+    return oracle.velocity, oracle.velocity_jvp, tweedie_flow
 
 
 def sample(spec: SamplerSpec, y, op, oracle, sched, z, *,
@@ -140,7 +138,7 @@ def sample(spec: SamplerSpec, y, op, oracle, sched, z, *,
         raise ConfigError(f"method {spec.method} needs a {kind} schedule")
     cfg = spec.guidance
     grid = spec.resolved_grid()
-    _check_grid(grid, kind, cfg)
+    check_grid(grid, kind, cfg)
     if table is None:
         table = precompute_table(grid, spec.table_guidance, sched)
     elif len(table) != grid.size or not np.array_equal(table.times, grid):
@@ -151,7 +149,7 @@ def sample(spec: SamplerSpec, y, op, oracle, sched, z, *,
     xbar = init_state(pinv_y, op, sched, z, table, kind)
     sup, traj = [], ([] if spec.record_trajectory else None)
 
-    field, jvp, endpoint, grad = _process_pieces(kind, oracle, sched)
+    field, jvp, endpoint = _process_pieces(kind, oracle)
     n_steps = grid.size - 1
     dphi = table.dphi
     # Explicit family: the guidance drift the conjugate transform absorbs,
@@ -182,7 +180,9 @@ def sample(spec: SamplerSpec, y, op, oracle, sched, z, *,
         if d_j_id:
             v = v + d_j_id * jv
         if drift[n]:
-            v = v + drift[n] * grad(t, u, jv)
+            # The guidance gradient through x_hat = (x - q f) / c.
+            _, _, c_t, q_t = process_scalars(t, cfg.lam, sched)
+            v = v + drift[n] * (c_t * (u - q_t * jv))
 
         xbar = xbar + v
         if not np.all(np.isfinite(xbar)):

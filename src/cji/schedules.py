@@ -28,6 +28,14 @@ class ScheduleDomainError(ValueError):
     """Time argument outside the schedule's domain."""
 
 
+def _unit_time(t):
+    """t as a float array, refused outside [0, 1], the domain of both processes."""
+    t = np.asarray(t, dtype=float)
+    if np.any(t < 0) or np.any(t > 1):
+        raise ScheduleDomainError(f"t={t} outside [0, 1]")
+    return t
+
+
 @dataclass(frozen=True)
 class DiffusionSchedule:
     """Variance-preserving diffusion with beta(t) = beta_min + t*(beta_max - beta_min).
@@ -38,19 +46,12 @@ class DiffusionSchedule:
 
     beta_min: float = 0.1
     beta_max: float = 20.0
-    t_max: float = 1.0
 
     def __post_init__(self):
         if self.beta_min <= 0 or self.beta_max < self.beta_min:
             raise ConfigError("need 0 < beta_min <= beta_max")
-        if self.t_max <= 0:
-            raise ConfigError("t_max must be positive")
 
-    def _check(self, t):
-        t = np.asarray(t, dtype=float)
-        if np.any(t < 0) or np.any(t > self.t_max):
-            raise ScheduleDomainError(f"t={t} outside [0, {self.t_max}]")
-        return t
+    _check = staticmethod(_unit_time)
 
     def beta(self, t):
         t = self._check(t)
@@ -80,11 +81,7 @@ class DiffusionSchedule:
 class FlowSchedule:
     """Straight-line interpolant: alpha_t = t, gamma_t = 1 - t."""
 
-    def _check(self, t):
-        t = np.asarray(t, dtype=float)
-        if np.any(t < 0) or np.any(t > 1):
-            raise ScheduleDomainError(f"t={t} outside [0, 1]")
-        return t
+    _check = staticmethod(_unit_time)
 
     def alpha(self, t):
         return self._check(t)
@@ -216,16 +213,15 @@ def timestep_grid(tau_start: float, tau_end: float, n: int) -> np.ndarray:
     return np.linspace(tau_start, tau_end, n + 1)
 
 
-def sampling_grid(cfg: GuidanceConfig, kind: str,
-                  t_ceil_margin: float = DEFAULT_T_CEIL_MARGIN) -> np.ndarray:
+def sampling_grid(cfg: GuidanceConfig, kind: str) -> np.ndarray:
     """Default uniform sampling grid: tau down to t_floor (diffusion) or tau
-    up to 1 - t_ceil_margin (flow)."""
+    up to 1 - DEFAULT_T_CEIL_MARGIN (flow)."""
     if kind == "diffusion":
         if cfg.tau <= cfg.t_floor:
             raise ConfigError("tau must exceed t_floor for diffusion sampling")
         return timestep_grid(cfg.tau, cfg.t_floor, cfg.nfe)
     if kind == "flow":
-        if cfg.tau >= 1.0 - t_ceil_margin:
+        if cfg.tau >= 1.0 - DEFAULT_T_CEIL_MARGIN:
             raise ConfigError("tau must lie below the flow end time")
-        return timestep_grid(cfg.tau, 1.0 - t_ceil_margin, cfg.nfe)
+        return timestep_grid(cfg.tau, 1.0 - DEFAULT_T_CEIL_MARGIN, cfg.nfe)
     raise ConfigError(f"unknown process kind {kind!r}")

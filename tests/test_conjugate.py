@@ -5,6 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
+import integrand_reference
+
+import cji.conjugate
 from cji.conjugate import (
     CSV_COLUMNS,
     a_apply,
@@ -28,7 +31,7 @@ from cji.errors import CoefficientOverflowError, ConfigError
 from cji.operators import BlockAverage, Mask
 from cji.quadrature import adaptive_simpson
 from cji.schedules import (SCHEDULE_KINDS, DiffusionSchedule, FlowSchedule, GuidanceConfig,
-                           ScheduleDomainError)
+                           ScheduleDomainError, validated)
 
 DIFF = DiffusionSchedule()
 FLOW = FlowSchedule()
@@ -335,6 +338,31 @@ class TestPhiFlow:
         np.testing.assert_allclose(
             ref_j, got.phi_j.id_coeff * np.eye(d)
             + got.phi_j.proj_coeff * op.dense_proj(), atol=1e-8)
+
+
+class TestPhiIntegrands:
+    """The one integrand of both processes against the per-process forms."""
+
+    @pytest.mark.parametrize("lam", [-0.3, 0.0, 0.25])
+    @pytest.mark.parametrize("w", [0.0, 1.0, 5.0])
+    @pytest.mark.parametrize("kind", SCHEDULE_KINDS)
+    @pytest.mark.parametrize("sched,reference", [
+        (DIFF, integrand_reference._diffusion_integrands),
+        (FLOW, integrand_reference._flow_integrands)],
+        ids=["diffusion", "flow"])
+    def test_matches_per_process_forms(self, sched, reference, kind, w, lam):
+        cfg = GuidanceConfig(w=w, lam=lam, schedule_kind=kind)
+        lo, hi = 1e-4, (1.0 if sched is DIFF else 1.0 - 1e-4)
+        fast = validated(sched, lo, hi)
+        s = np.linspace(lo, hi, 2001)
+        got = cji.conjugate._phi_integrands(s, cfg, fast)
+        ref = reference(s, cfg, fast)
+        if w == 0.0:
+            np.testing.assert_array_equal(got, ref)
+            return
+        assert got.shape == ref.shape == (5, s.size)
+        scale = np.abs(ref).max(axis=1, keepdims=True)
+        assert np.all(np.abs(got - ref) <= 1e-14 * scale)
 
 
 class TestCoefficientTable:

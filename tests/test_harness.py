@@ -447,6 +447,32 @@ class TestCLI:
         assert {r.seed for r in report.records} == {7}
         assert {r.nfe for r in report.records} == {3}
 
+    def test_below_floor_grid_refused_before_any_sample(self, monkeypatch):
+        # the nfe=20 grid evaluates the oracle below the time floor; the nfe 5
+        # and 10 points must not run first
+        calls = []
+        original = harness.sample
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "sample", counting)
+        config = harness.apply_overrides(
+            harness.load_config(os.path.join(CONFIGS, "gaussian_mask.json")),
+            ["sampler.t_floor=2e-5", "sampler.tau=0.001"])
+        with pytest.raises(ConfigError, match="below the time floor"):
+            harness.run(config, write_outputs=False)
+        assert calls == []
+
+    def test_flags_only_where_read(self, tmp_path):
+        path = self.write_config(tmp_path, base_config())
+        for argv in (["degrade", path, "--threads", "2"],
+                     ["coeff-dump", path, "--threads", "2"],
+                     ["coeff-dump", path, "--seeds", "1"]):
+            with pytest.raises(SystemExit):
+                cli.main(argv)
+
     def test_coeff_dump(self, tmp_path, capsys):
         path = self.write_config(tmp_path, base_config())
         assert cli.main(["coeff-dump", path]) == 0
