@@ -14,6 +14,7 @@ import time
 
 import numpy as np
 
+from cji.errors import CoefficientOverflowError, DivergenceError, QuadratureError
 from cji.harness import DEFAULT_LAMBDA_SWEEP, DEFAULT_TAU_SWEEP, DEFAULT_W_SWEEP
 from cji.operators import Mask
 from cji.oracles import (
@@ -64,7 +65,7 @@ def main():
             mse = float(np.mean((res.x.mean(axis=0) - post_mean) ** 2))
             if not np.isfinite(mse):
                 mse = float("inf")
-        except Exception:
+        except (DivergenceError, CoefficientOverflowError, QuadratureError):
             mse = float("inf")
         rows.append((method, kind, w, lam, tau, mse))
         return mse

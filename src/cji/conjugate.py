@@ -37,6 +37,8 @@ EXP_GUARD = 700.0
 
 DEFAULT_TOL = 1e-5
 
+KAPPA3_TOL = 1e-9  # kappa3's inner integral, tighter than the Phi default
+
 
 @dataclass(frozen=True)
 class ScalarPair:
@@ -138,13 +140,11 @@ def kappa2(t, cfg: GuidanceConfig, sched):
     return float(out) if scalar else out
 
 
-def kappa3(t, cfg: GuidanceConfig, sched, *, tol: float = 1e-9) -> float:
+def kappa3(t, cfg: GuidanceConfig, sched) -> float:
     """First-order noise correction coefficient on H^+ (H^+)^T.
 
     kappa3 = -sigma_y^2 * (int_floor^t kappa2'(s)/r_s^2 ds) * exp(kappa1 + kappa2).
     """
-    if cfg.sigma_y < 0:
-        raise ConfigError("sigma_y must be >= 0")
     if cfg.sigma_y == 0.0 or cfg.w == 0.0:
         return 0.0
     t = float(t)
@@ -157,7 +157,7 @@ def kappa3(t, cfg: GuidanceConfig, sched, *, tol: float = 1e-9) -> float:
     def integrand(s):
         return kappa2_integrand(s, cfg, fast) / fast.r_sq(s)
 
-    base = adaptive_simpson(integrand, lo, t, atol=tol, rtol=tol)
+    base = adaptive_simpson(integrand, lo, t, atol=KAPPA3_TOL, rtol=KAPPA3_TOL)
     k12 = float(kappa1(t, cfg.lam, sched)) + kappa2(t, cfg, sched)
     _exp_guard(k12, "kappa1 + kappa2")
     return -(cfg.sigma_y ** 2) * base * math.exp(k12)
@@ -246,36 +246,23 @@ def phi_origin(cfg: GuidanceConfig, sched) -> float:
     return 0.0 if cfg.schedule_kind == "adaptive_paper" else cfg.t_floor
 
 
-def process_scalars(s, lam: float, sched):
-    """(e^{kappa1}, m e^{kappa1}, c, q) of one process at s.
-
-    m is the rate of the field term in the drift, and x_hat = (x - q f) / c
-    the endpoint map from the field f: (c, q) = (mu, sigma) for diffusion,
-    where f is eps, and (1, -gamma) for the straight-line flow, where f is
-    the velocity.
-    """
-    if process_kind(sched) == "diffusion":
-        e1 = np.exp(lam * s + 0.5 * sched.beta_int(s))
-        sigma = sched.sigma(s)
-        return e1, sched.beta(s) / (2.0 * sigma) * e1, sched.mu(s), sigma
-    e1 = np.exp(lam * s)
-    return e1, e1, 1.0, -sched.gamma(s)
-
-
 def _phi_integrands(s, cfg, sched):
     """The five Phi integrands of either process, stacked in PhiValues order;
     only phi_main_id (a 1-D array) when w = 0, because the other four vanish
     identically.
 
-    With g = kappa2'(s) and (e1, m e1, c, q) from process_scalars, the
-    guidance drift g c (H^+ y - P x_hat), x_hat = (x - q f) / c, puts g c on
-    H^+ y and g q on P f (its -g P x part is the transform's own), and its
-    Jacobian term puts -g q c on J; each is weighted by the transform,
-    e^{kappa1} on I and e^{kappa1 + kappa2} on P.
+    With e1 = e^{kappa1}, the field rate m and g = kappa2'(s), the field
+    enters the drift as m e1 f.  The guidance drift g c (H^+ y - P x_hat),
+    through the endpoint map x_hat = (x - q f) / c, puts g c on H^+ y and
+    g q on P f (its -g P x part is the transform's own), and its Jacobian
+    term puts -g q c on J; each is weighted by the transform, e^{kappa1} on
+    I and e^{kappa1 + kappa2} on P.
     """
-    e1, me1, c, q = process_scalars(s, cfg.lam, sched)
+    e1 = np.exp(kappa1(s, cfg.lam, sched))
+    me1 = sched.field_rate(s) * e1
     if cfg.w == 0.0:
         return me1
+    c, q = sched.endpoint_map(s)
     g = kappa2_integrand(s, cfg, sched)
     ek2 = np.exp(kappa2(s, cfg, sched))
     e12 = e1 * ek2

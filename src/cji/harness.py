@@ -215,7 +215,11 @@ def build_schedule(config: dict):
 
 
 def build_oracle(model_desc: dict, problem: dict, sched):
+    """The external oracle, or the analytic one that the schedule (diffusion
+    or flow) and the data model (Gaussian or mixture) pick."""
     kind = model_desc.get("kind", "auto")
+    if kind not in ("auto", "external"):
+        raise ConfigError(f"model.kind {kind!r} must be 'auto' or 'external'")
     if kind == "external":
         from .external import ExternalOracle
 
@@ -224,11 +228,10 @@ def build_oracle(model_desc: dict, problem: dict, sched):
                               jvp_mode=model_desc.get("jvp_mode", "remote"))
     data_desc = model_desc if "dim" in model_desc else problem["data"]
     model = build_data_model(data_desc)
-    if kind in ("auto", "gaussian_diffusion", "mixture_diffusion"):
-        if isinstance(sched, DiffusionSchedule):
-            if isinstance(model, MixtureModel):
-                return MixtureDiffusionOracle(model, sched)
-            return GaussianDiffusionOracle(model, sched)
+    if isinstance(sched, DiffusionSchedule):
+        if isinstance(model, MixtureModel):
+            return MixtureDiffusionOracle(model, sched)
+        return GaussianDiffusionOracle(model, sched)
     if isinstance(model, MixtureModel):
         return MixtureFlowOracle(model, sched)
     return GaussianFlowOracle(model, sched)

@@ -131,16 +131,16 @@ def _mixture_hessian_vec(x, v, log_w, means, variances):
 
 
 class _DiffusionPath:
-    """x_t = mu_t x + sigma_t z, for the oracles of the diffusion process."""
+    """Domain of the diffusion oracles: the time floor and above."""
 
     def _scale_noise(self, t):
         if t < DEFAULT_T_FLOOR:
             raise ValueError(f"eps is undefined below the time floor {DEFAULT_T_FLOOR}")
-        return float(self.sched.mu(t)), float(self.sched.sigma(t))
+        return tuple(map(float, self.sched.scale_noise(t)))
 
 
 class _FlowPath:
-    """x_t = alpha_t x + gamma_t z, for the oracles of the straight-line flow."""
+    """Domain of the straight-line flow oracles: t > 0."""
 
     def __init__(self, model, sched: FlowSchedule | None = None):
         super().__init__(model, sched or FlowSchedule())
@@ -148,14 +148,15 @@ class _FlowPath:
     def _scale_noise(self, t):
         if t <= 0:
             raise ValueError("velocity is undefined at t = 0 (alpha_t = 0)")
-        return float(self.sched.alpha(t)), float(self.sched.gamma(t))
+        return tuple(map(float, self.sched.scale_noise(t)))
 
 
 class _GaussianOracle:
     """Shared part of the Gaussian oracles.  A _DiffusionPath or _FlowPath
-    supplies _scale_noise(t), the (scale, noise) of x_t = scale * x + noise
-    * z; each oracle defines its public methods itself, so that
-    perfbench/tracing.py names each span after its own oracle class."""
+    checks t and supplies _scale_noise(t), the schedule's (scale, noise) of
+    x_t = scale * x + noise * z; each oracle defines its public methods
+    itself, so that perfbench/tracing.py names each span after its own
+    oracle class."""
 
     def __init__(self, model: GaussianModel, sched):
         self.model = model
@@ -333,22 +334,15 @@ class FiniteDifferenceJVP:
 
 def tweedie_diffusion(x, t, eps, sched: DiffusionSchedule):
     """Posterior-mean denoiser: x0_hat = (x - sigma_t * eps) / mu_t."""
-    mu = float(sched.mu(t))
-    sigma = float(sched.sigma(t))
-    return (np.asarray(x, dtype=float) - sigma * np.asarray(eps, dtype=float)) / mu
+    c, q = sched.endpoint_map(t)
+    return (np.asarray(x, dtype=float) - float(q) * np.asarray(eps, dtype=float)) / float(c)
 
 
 def tweedie_flow(x, t, b, sched: FlowSchedule | None = None):
     """Endpoint estimate from the velocity: x1_hat = x + (1 - t) * b for the
-    straight-line path (general form (-gamma_dot x + gamma b) / (gamma
-    alpha_dot - gamma_dot alpha))."""
-    sched = sched or FlowSchedule()
-    gamma = float(sched.gamma(t))
-    gdot = float(sched.gamma_dot(t))
-    adot = float(sched.alpha_dot(t))
-    alpha = float(sched.alpha(t))
-    denom = gamma * adot - gdot * alpha
-    return (-gdot * np.asarray(x, dtype=float) + gamma * np.asarray(b, dtype=float)) / denom
+    straight-line path."""
+    c, q = (sched or FlowSchedule()).endpoint_map(t)
+    return (np.asarray(x, dtype=float) - float(q) * np.asarray(b, dtype=float)) / float(c)
 
 
 @dataclass(frozen=True)

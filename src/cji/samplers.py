@@ -3,8 +3,9 @@
 Four methods, named as (family, process) pairs in METHODS, run one step
 body: pseudoinverse initialization, a precomputed coefficient table, Euler
 stepping in the transformed space, projection back at the end.  The process
-("diffusion" or "flow") picks the oracle field, its JVP and the endpoint
-estimate once, before the loop.  The family decides what the table holds:
+("diffusion" or "flow") picks the oracle field and its JVP once, before the
+loop; the schedule's endpoint map x_hat = (x - q f) / c turns the field into
+the endpoint estimate at each step.  The family decides what the table holds:
 
 - "conjugate": the measurement-consistency drift is absorbed into the
   transform and the Phi coefficient integrals, so each step applies exact
@@ -22,14 +23,13 @@ Jacobian-vector product.  States carry chains on leading axes; a fixed
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .conjugate import (CoefficientTable, apply_transform, kappa2_integrand, precompute_table,
-                        process_scalars)
+from .conjugate import CoefficientTable, apply_transform, kappa2_integrand, precompute_table
 from .errors import ConfigError, DivergenceError
-from .oracles import tweedie_diffusion, tweedie_flow
 from .schedules import DEFAULT_T_FLOOR, GuidanceConfig, process_kind, sampling_grid
 
 # Method name -> (family, process).
@@ -103,17 +103,13 @@ def check_grid(grid: np.ndarray, kind: str, cfg: GuidanceConfig):
             raise ConfigError("flow grid must stay within [0, 1]")
 
 
-def init_state(pinv_y, op, sched, z, table: CoefficientTable,
-               kind: str) -> np.ndarray:
+def init_state(pinv_y, op, sched, z, table: CoefficientTable) -> np.ndarray:
     """Draw the start state from the noised pseudoinverse H^+ y and project it."""
     z = np.asarray(z, dtype=float)
     if z.shape[-1] != op.in_dim:
         raise ValueError(f"z must have last axis {op.in_dim}")
-    tau = float(table.times[0])
-    if kind == "diffusion":
-        x = float(sched.mu(tau)) * pinv_y + float(sched.sigma(tau)) * z
-    else:
-        x = float(sched.alpha(tau)) * pinv_y + float(sched.gamma(tau)) * z
+    scale, noise = sched.scale_noise(float(table.times[0]))
+    x = float(scale) * pinv_y + float(noise) * z
     return _transform(x, op, table, 0, inverse=False)
 
 
@@ -121,13 +117,6 @@ def _transform(x, op, table: CoefficientTable, i: int, inverse: bool):
     """A_{t_i} (or its inverse) from the exponents in table row i."""
     return apply_transform(x, op, float(table.kappa1[i]), float(table.kappa2[i]),
                            float(table.kappa3[i]), inverse=inverse)
-
-
-def _process_pieces(kind: str, oracle):
-    """Field, JVP and endpoint estimate of one process."""
-    if kind == "diffusion":
-        return oracle.eps, oracle.eps_jvp, tweedie_diffusion
-    return oracle.velocity, oracle.velocity_jvp, tweedie_flow
 
 
 def sample(spec: SamplerSpec, y, op, oracle, sched, z, *,
@@ -146,10 +135,11 @@ def sample(spec: SamplerSpec, y, op, oracle, sched, z, *,
 
     y = np.asarray(y, dtype=float)
     pinv_y = op.pinv_apply(y)
-    xbar = init_state(pinv_y, op, sched, z, table, kind)
+    xbar = init_state(pinv_y, op, sched, z, table)
     sup, traj = [], ([] if spec.record_trajectory else None)
 
-    field, jvp, endpoint = _process_pieces(kind, oracle)
+    field, jvp = ((oracle.eps, oracle.eps_jvp) if kind == "diffusion"
+                  else (oracle.velocity, oracle.velocity_jvp))
     n_steps = grid.size - 1
     dphi = table.dphi
     # Explicit family: the guidance drift the conjugate transform absorbs,
@@ -165,10 +155,11 @@ def sample(spec: SamplerSpec, y, op, oracle, sched, z, *,
         h = float(grid[n + 1] - grid[n])
         x = _transform(xbar, op, table, n, inverse=True)
         f = field(x, t)
-        x_end = endpoint(x, t, f, sched)
+        c_t, q_t = map(float, sched.endpoint_map(t))
+        x_end = (x - q_t * f) / c_t
         # sigma_y^2 / r_t^2 regularises the Gram solve of noisy guidance.
-        c = cfg.sigma_y ** 2 / float(sched.r_sq(t)) if cfg.sigma_y else 0.0
-        u = op.reg_pinv_apply(y - op.apply(x_end), c)
+        reg = cfg.sigma_y ** 2 / float(sched.r_sq(t)) if cfg.sigma_y else 0.0
+        u = op.reg_pinv_apply(y - op.apply(x_end), reg)
         jv = jvp(x, t, u)
 
         d_y, d_main_id, d_main_p, d_j_id, d_j_p = (float(d) for d in dphi[:, n])
@@ -181,13 +172,14 @@ def sample(spec: SamplerSpec, y, op, oracle, sched, z, *,
             v = v + d_j_id * jv
         if drift[n]:
             # The guidance gradient through x_hat = (x - q f) / c.
-            _, _, c_t, q_t = process_scalars(t, cfg.lam, sched)
             v = v + drift[n] * (c_t * (u - q_t * jv))
 
         xbar = xbar + v
-        if not np.all(np.isfinite(xbar)):
+        # One pass over the state: a NaN or inf entry makes the sup-norm non-finite.
+        step_sup = float(np.max(np.abs(xbar)))
+        if not math.isfinite(step_sup):
             raise DivergenceError(n, t, float(table.kappa1[n]), float(table.kappa2[n]))
-        sup.append(float(np.max(np.abs(xbar))))
+        sup.append(step_sup)
         if traj is not None:
             traj.append(_transform(xbar, op, table, n + 1, inverse=True))
 

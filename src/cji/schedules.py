@@ -2,7 +2,8 @@
 
 The diffusion side is a variance-preserving SDE with a linear beta(t); all
 time integrals of beta have closed forms.  The flow side is the straight-line
-interpolant x_t = t*x1 + (1-t)*z, which is parameter free.
+interpolant x_t = t*x1 + (1-t)*z, which is parameter free.  Each states its
+Gaussian path once: scale_noise, endpoint_map and field_rate.
 """
 
 from __future__ import annotations
@@ -76,6 +77,18 @@ class DiffusionSchedule:
         s2 = self.sigma_sq(t)
         return s2 / (mu * mu + s2)
 
+    def scale_noise(self, t):
+        """(mu_t, sigma_t) of the path x_t = mu_t x + sigma_t z."""
+        return self.mu(t), self.sigma(t)
+
+    def endpoint_map(self, t):
+        """(c, q) = (mu_t, sigma_t): x0_hat = (x - q eps) / c from the noise estimate."""
+        return self.scale_noise(t)
+
+    def field_rate(self, t):
+        """beta_t / (2 sigma_t), the rate of eps in the probability-flow drift."""
+        return self.beta(t) / (2.0 * self.sigma(t))
+
 
 @dataclass(frozen=True)
 class FlowSchedule:
@@ -99,6 +112,19 @@ class FlowSchedule:
         t = self._check(t)
         g2 = (1.0 - t) ** 2
         return g2 / (t * t + g2)
+
+    def scale_noise(self, t):
+        """(alpha_t, gamma_t) of the path x_t = alpha_t x + gamma_t z."""
+        return self.alpha(t), self.gamma(t)
+
+    def endpoint_map(self, t):
+        """(c, q) = (1, -gamma_t): x1_hat = (x - q b) / c from the velocity b."""
+        return 1.0, -self.gamma(t)
+
+    def field_rate(self, t):
+        """1: the velocity is the drift."""
+        self._check(t)
+        return 1.0
 
 
 def process_kind(sched) -> str:
@@ -191,14 +217,10 @@ class GuidanceConfig:
 
 def guidance_weight(cfg: GuidanceConfig, t, sched):
     """Time-dependent guidance weight w_t for the configured schedule kind."""
-    if isinstance(sched, DiffusionSchedule):
-        r2 = sched.r_sq(t)
-        carrier = sched.mu(t) ** 2
-    else:
-        r2 = sched.r_sq(t)
-        carrier = np.asarray(t, dtype=float) ** 2
+    r2 = sched.r_sq(t)
     if cfg.schedule_kind == "adaptive_paper":
-        return cfg.w * carrier * r2
+        scale, _ = sched.scale_noise(t)
+        return cfg.w * scale ** 2 * r2
     if cfg.schedule_kind == "constant_r2":
         return cfg.w * r2
     return cfg.w * np.ones_like(np.asarray(t, dtype=float))

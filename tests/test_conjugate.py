@@ -415,6 +415,24 @@ class TestCoefficientTable:
         assert table.dphi.shape == (5, grid.size - 1)
         assert np.all(np.abs(table.dphi - np.diff(direct, axis=1)) <= 3 * tol * scale)
 
+    @pytest.mark.parametrize("sched,grid,scale", [
+        (DIFF, np.linspace(0.6, 1e-4, 9), "mu"),
+        (FLOW, np.linspace(0.1, 1.0 - 1e-4, 9), "gamma"),
+    ], ids=["diffusion", "flow"])
+    def test_unguided_build_skips_the_endpoint_map(self, monkeypatch, sched, grid, scale):
+        # w = 0 needs only e^{kappa1} and the field rate: neither mu nor gamma
+        calls = []
+        original = getattr(type(sched), scale)
+
+        def counting(self, t):
+            calls.append(t)
+            return original(self, t)
+
+        monkeypatch.setattr(type(sched), scale, counting)
+        for kind in SCHEDULE_KINDS:
+            precompute_table(grid, GuidanceConfig(w=0.0, lam=0.1, schedule_kind=kind), sched)
+        assert calls == []
+
     def test_unguided_increments_have_one_row(self):
         table = precompute_table(self.grid(), GuidanceConfig(w=0.0, lam=0.1), DIFF)
         assert np.all(table.dphi[[0, 2, 3, 4]] == 0.0)

@@ -465,6 +465,15 @@ class TestCLI:
             harness.run(config, write_outputs=False)
         assert calls == []
 
+    @pytest.mark.parametrize("overrides", [
+        ("model.kind=mixture_flow",),
+        ("model.kind=gaussian_diffusion", "sampler.method=conjugate_flow"),
+    ], ids=["mixture_flow", "gaussian_diffusion"])
+    def test_unknown_model_kind_is_a_config_error(self, tmp_path, capsys, overrides):
+        assert cli.main(self.shipped_mask_argv(tmp_path / "out", *overrides)) == 1
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "'auto' or 'external'" in err
+
     def test_flags_only_where_read(self, tmp_path):
         path = self.write_config(tmp_path, base_config())
         for argv in (["degrade", path, "--threads", "2"],

@@ -27,6 +27,7 @@ from cji.schedules import DiffusionSchedule, FlowSchedule
 RNG = np.random.default_rng(5)
 DIFF = DiffusionSchedule()
 FLOW = FlowSchedule()
+TWEEDIE_TIMES = [float(t) for t in np.linspace(1e-4, 1 - 1e-4, 101)] + [0.1, 0.3, 0.49]
 
 
 def small_mixture(d=4):
@@ -248,6 +249,13 @@ class TestTweedieDiffusion:
             tweedie = tweedie_diffusion(x, t, oracle.eps(x, t), DIFF)
             np.testing.assert_allclose(tweedie, oracle.x0_mean(x, t), atol=1e-12)
 
+    def test_bitwise_endpoint_form(self):
+        x, eps = RNG.standard_normal((2, 5))
+        for t in TWEEDIE_TIMES:
+            mu, sigma = float(DIFF.mu(t)), float(DIFF.sigma(t))
+            np.testing.assert_array_equal(tweedie_diffusion(x, t, eps, DIFF),
+                                          (x - sigma * eps) / mu)
+
     def test_consistency_near_floor(self):
         oracle = MixtureDiffusionOracle(small_mixture(), DIFF)
         x = RNG.standard_normal(4)
@@ -264,6 +272,19 @@ class TestTweedieFlow:
     def test_zero_velocity(self):
         x = RNG.standard_normal(3)
         np.testing.assert_allclose(tweedie_flow(x, 0.3, np.zeros(3)), x, atol=1e-14)
+
+    def test_bitwise_general_form(self):
+        # the general (-gamma_dot x + gamma b) / (gamma alpha_dot - gamma_dot
+        # alpha), whose denominator (1 - t) + t rounds to exactly 1
+        x, b = RNG.standard_normal((2, 5))
+        for t in TWEEDIE_TIMES:
+            gamma = float(FLOW.gamma(t))
+            gdot = float(FLOW.gamma_dot(t))
+            adot = float(FLOW.alpha_dot(t))
+            alpha = float(FLOW.alpha(t))
+            denom = gamma * adot - gdot * alpha
+            np.testing.assert_array_equal(tweedie_flow(x, t, b, FLOW),
+                                          (-gdot * x + gamma * b) / denom)
 
     def test_matches_conditional_mean(self):
         d = 4

@@ -69,7 +69,7 @@ class TestInitState:
         cfg = GuidanceConfig(w=2.0, tau=0.5)
         table = precompute_table(np.array([0.0, 0.5]), cfg, FLOW)
         z = RNG.standard_normal(D)
-        xbar = init_state(OP.pinv_apply(Y), OP, FLOW, z, table, "flow")
+        xbar = init_state(OP.pinv_apply(Y), OP, FLOW, z, table)
         np.testing.assert_allclose(xbar, z, atol=1e-12)  # alpha=0, gamma=1, A=I
 
     def test_diffusion_floor_start_is_pseudoinverse(self):
@@ -77,7 +77,7 @@ class TestInitState:
         t0 = cfg.t_floor
         table = precompute_table(np.array([t0, t0 / 2]), cfg, DIFF)
         z = RNG.standard_normal(D)
-        xbar = init_state(OP.pinv_apply(Y), OP, DIFF, z, table, "diffusion")
+        xbar = init_state(OP.pinv_apply(Y), OP, DIFF, z, table)
         np.testing.assert_allclose(xbar, OP.pinv_apply(Y), atol=2e-2)
 
 

@@ -99,6 +99,30 @@ class TestFlowSchedule:
             flow_eval(1.2)
 
 
+class TestGaussianPath:
+    """scale_noise, endpoint_map and field_rate: one statement of each path."""
+
+    @pytest.mark.parametrize("sched", [DiffusionSchedule(), FlowSchedule()],
+                             ids=["diffusion", "flow"])
+    def test_endpoint_map_inverts_the_path(self, sched):
+        # x_t = scale x + noise z carries field eps = z (diffusion) or the
+        # velocity b = x - z (straight line); x_hat = (x_t - q f) / c gives x back.
+        rng = np.random.default_rng(3)
+        x, z = rng.standard_normal((2, 6))
+        for t in (0.05, 0.3, 0.5, 0.9):
+            scale, noise = sched.scale_noise(t)
+            c, q = sched.endpoint_map(t)
+            f = z if isinstance(sched, DiffusionSchedule) else x - z
+            np.testing.assert_allclose((scale * x + noise * z - q * f) / c, x, atol=1e-13)
+
+    @pytest.mark.parametrize("name", ["scale_noise", "endpoint_map", "field_rate"])
+    @pytest.mark.parametrize("sched", [DiffusionSchedule(), FlowSchedule()],
+                             ids=["diffusion", "flow"])
+    def test_domain_error(self, sched, name):
+        with pytest.raises(ScheduleDomainError):
+            getattr(sched, name)(1.2)
+
+
 class TestGuidanceWeight:
     def test_adaptive_vanishes_at_zero(self):
         s = DiffusionSchedule()
