@@ -67,12 +67,9 @@ def kappa1(t, lam: float, sched) -> float:
 def kappa2_origin(cfg: GuidanceConfig, sched) -> float:
     """Lower integration limit of kappa2: 0 when the integrand is regular
     there, cfg.t_floor when it is singular."""
-    kind = process_kind(sched)
-    if cfg.schedule_kind == "adaptive_paper":
-        return 0.0
-    if kind == "diffusion" and cfg.schedule_kind == "constant_r2":
-        return 0.0
-    return cfg.t_floor
+    regular = cfg.schedule_kind == "adaptive_paper" or (
+        cfg.schedule_kind == "constant_r2" and process_kind(sched) == "diffusion")
+    return 0.0 if regular else cfg.t_floor
 
 
 def kappa2_integrand(s, cfg: GuidanceConfig, sched):
@@ -112,8 +109,7 @@ def kappa2(t, cfg: GuidanceConfig, sched):
     w = cfg.w
     if w == 0.0:
         out = np.zeros_like(t)
-        return float(out) if scalar else out
-    if process_kind(sched) == "diffusion":
+    elif process_kind(sched) == "diffusion":
         if cfg.schedule_kind == "adaptive_paper":
             out = -0.5 * w * sched.beta_int(t)
         elif cfg.schedule_kind == "constant_r2":
@@ -140,27 +136,28 @@ def kappa2(t, cfg: GuidanceConfig, sched):
     return float(out) if scalar else out
 
 
-def kappa3(t, cfg: GuidanceConfig, sched) -> float:
+def kappa3(t, cfg: GuidanceConfig, sched):
     """First-order noise correction coefficient on H^+ (H^+)^T.
 
-    kappa3 = -sigma_y^2 * (int_floor^t kappa2'(s)/r_s^2 ds) * exp(kappa1 + kappa2).
+    kappa3 = -sigma_y^2 * (int_floor^t kappa2'(s)/r_s^2 ds) * exp(kappa1 + kappa2),
+    and 0 at and below the floor.  Accepts scalars or arrays, integrating
+    over every [floor, t] in one quadrature call; returns a float for scalar
+    input.
     """
-    if cfg.sigma_y == 0.0 or cfg.w == 0.0:
-        return 0.0
-    t = float(t)
-    lo = cfg.t_floor
-    if t <= lo:
-        return 0.0
-
-    fast = validated(sched, lo, t)
-
-    def integrand(s):
-        return kappa2_integrand(s, cfg, fast) / fast.r_sq(s)
-
-    base = adaptive_simpson(integrand, lo, t, atol=KAPPA3_TOL, rtol=KAPPA3_TOL)
-    k12 = float(kappa1(t, cfg.lam, sched)) + kappa2(t, cfg, sched)
-    _exp_guard(k12, "kappa1 + kappa2")
-    return -(cfg.sigma_y ** 2) * base * math.exp(k12)
+    scalar = np.ndim(t) == 0
+    t = np.asarray(t, dtype=float)
+    out = np.zeros_like(t)
+    if cfg.sigma_y != 0.0 and cfg.w != 0.0:
+        lo = cfg.t_floor
+        live = t > lo
+        ends = np.where(live, t, lo)  # empty intervals below the floor
+        fast = validated(sched, lo, ends)
+        base = adaptive_simpson(lambda s: kappa2_integrand(s, cfg, fast) / fast.r_sq(s),
+                                lo, ends, atol=KAPPA3_TOL, rtol=KAPPA3_TOL)
+        k12 = kappa1(ends, cfg.lam, sched) + kappa2(ends, cfg, sched)
+        _exp_guard(float(np.max(k12, initial=-np.inf)), "kappa1 + kappa2")
+        out = np.where(live, -(cfg.sigma_y ** 2) * base * np.exp(k12), 0.0)
+    return float(out) if scalar else out
 
 
 def _exp_guard(value: float, what: str):
@@ -276,23 +273,22 @@ def _phi_integrands(s, cfg, sched):
     ])
 
 
-def _phi_integral(a: float, b: float, cfg: GuidanceConfig, sched,
-                  tol: float) -> np.ndarray:
-    """The five Phi integrals over [a, b] from one quadrature of the stacked
+def _phi_integrals(a, b, cfg: GuidanceConfig, sched, tol: float) -> np.ndarray:
+    """The five Phi integrals over every interval [a, b] (ends broadcast
+    together), (5, ...) in PhiValues order, from one quadrature of the stacked
     integrands (phi_main_id alone when w = 0).  sched must already be
-    validated for [a, b]."""
-    vals = np.zeros(5)
-    if a != b:
-        rows = slice(None) if cfg.w != 0.0 else 1  # w = 0: phi_main_id alone
-        vals[rows] = adaptive_simpson(lambda s: _phi_integrands(s, cfg, sched), a, b,
-                                      atol=tol, rtol=tol)
+    validated for the ends."""
+    vals = np.zeros((5,) + np.broadcast_shapes(np.shape(a), np.shape(b)))
+    rows = slice(None) if cfg.w != 0.0 else 1  # w = 0: phi_main_id alone
+    vals[rows] = adaptive_simpson(lambda s: _phi_integrands(s, cfg, sched), a, b,
+                                  atol=tol, rtol=tol)
     return vals
 
 
 def _phi(t, cfg: GuidanceConfig, sched, tol: float) -> PhiValues:
     """Phi at t: the integrals from phi_origin to t."""
     lo = phi_origin(cfg, sched)
-    vals = _phi_integral(lo, t, cfg, validated(sched, lo, t), tol)
+    vals = _phi_integrals(lo, t, cfg, validated(sched, lo, t), tol)
     phi_y, main_id, main_p, j_id, j_p = (float(v) for v in vals)
     return PhiValues(phi_y, ScalarPair(main_id, main_p), ScalarPair(j_id, j_p))
 
@@ -306,19 +302,7 @@ def phi_diffusion(t, cfg: GuidanceConfig, sched: DiffusionSchedule, *,
 def phi_flow(t, cfg: GuidanceConfig, sched: FlowSchedule | None = None, *,
              tol: float = DEFAULT_TOL) -> PhiValues:
     """Drift coefficients at time t for the projected flow dynamics."""
-    sched = sched or FlowSchedule()
-    return _phi(t, cfg, sched, tol)
-
-
-def _origin_columns(times, cfg: GuidanceConfig, sched, tol: float) -> np.ndarray:
-    """Origin-anchored Phi at every time, (5, n) in PhiValues order, each
-    entry from the same call as a direct phi_diffusion/phi_flow."""
-    cols = np.zeros((5, len(times)))
-    for i, t in enumerate(times):
-        v = _phi(float(t), cfg, sched, tol)
-        cols[:, i] = (v.phi_y, v.phi_main.id_coeff, v.phi_main.proj_coeff,
-                      v.phi_j.id_coeff, v.phi_j.proj_coeff)
-    return cols
+    return _phi(t, cfg, sched or FlowSchedule(), tol)
 
 
 def _phi_row(k: int, name: str):
@@ -334,7 +318,8 @@ class CoefficientTable:
     [times[n], times[n+1]]; the sampler reads only these and the kappa
     columns.  The origin-anchored Phi columns (phi, phi_y, ...) are for
     inspection and CSV export: they are evaluated by origin_phi on first
-    access, which for a computed table costs one quadrature per grid time.
+    access, which for a computed table is one quadrature call over every
+    [phi_origin, times[n]].
     """
 
     kind: str  # "diffusion" | "flow"
@@ -364,33 +349,25 @@ def precompute_table(grid, cfg: GuidanceConfig, sched, *,
                      tol: float = DEFAULT_TOL) -> CoefficientTable:
     """Evaluate every step coefficient on the sampling grid.
 
-    The Phi increments take one stacked quadrature per grid interval; the
-    kappa columns come from the same calls as the scalar kappa functions, so
-    they agree bitwise with direct evaluation, as do the origin-anchored Phi
-    columns when first read.  The table is immutable and shared read-only
-    across chains.
+    Each column is one array call: the kappa functions on every grid time
+    and one stacked quadrature over every step [times[n], times[n+1]].  The
+    quadrature's intervals do not interact, so the kappa columns agree
+    bitwise with direct scalar calls, as do the origin-anchored Phi columns
+    when first read.  The table is immutable and shared read-only across
+    chains.
     """
-    kind = process_kind(sched)
     times = np.asarray(grid, dtype=float)
-    n = times.size
-    kappas = np.zeros((3, n))
-    for i, t in enumerate(times):
-        kappas[0, i] = float(kappa1(t, cfg.lam, sched))
-        kappas[1, i] = kappa2(t, cfg, sched)
-        if cfg.sigma_y > 0:
-            kappas[2, i] = kappa3(t, cfg, sched)
-    dphi = np.zeros((5, max(n - 1, 0)))
-    if n > 1:
-        fast = validated(sched, times.min(), times.max())
-        for i in range(n - 1):
-            dphi[:, i] = _phi_integral(times[i], times[i + 1], cfg, fast, tol)
-    for name, col in (("kappa1", kappas[0]), ("kappa2", kappas[1]),
-                      ("kappa3", kappas[2]), ("dphi", dphi)):
+    lo = phi_origin(cfg, sched)
+    fast = validated(sched, lo, times)
+    cols = {"kappa1": kappa1(times, cfg.lam, sched), "kappa2": kappa2(times, cfg, sched),
+            "kappa3": kappa3(times, cfg, sched),
+            "dphi": _phi_integrals(times[:-1], times[1:], cfg, fast, tol)}
+    for name, col in cols.items():
         if not np.all(np.isfinite(col)):
             raise ConfigError(f"non-finite coefficient in {name}")
     return CoefficientTable(
-        kind=kind, times=times, kappa1=kappas[0], kappa2=kappas[1], kappa3=kappas[2],
-        dphi=dphi, origin_phi=functools.partial(_origin_columns, times, cfg, sched, tol))
+        kind=process_kind(sched), times=times, **cols,
+        origin_phi=functools.partial(_phi_integrals, lo, times, cfg, fast, tol))
 
 
 CSV_COLUMNS = ("t", "kappa1", "kappa2", "kappa3", "phi_y",
@@ -402,13 +379,8 @@ def table_to_csv(table: CoefficientTable) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
-    for i in range(len(table)):
-        writer.writerow([
-            repr(float(v)) for v in (
-                table.times[i], table.kappa1[i], table.kappa2[i],
-                table.kappa3[i], table.phi_y[i], table.phi_main_id[i],
-                table.phi_main_p[i], table.phi_j_id[i], table.phi_j_p[i])
-        ])
+    cols = np.vstack([table.times, table.kappa1, table.kappa2, table.kappa3, table.phi])
+    writer.writerows([repr(float(v)) for v in row] for row in cols.T)
     return buf.getvalue()
 
 

@@ -49,14 +49,19 @@ class ExternalOracle:
         self._lines: queue.Queue = queue.Queue()
         self._reader = threading.Thread(target=self._pump, daemon=True)
         self._reader.start()
-        hello = self._read_line()
         try:
-            head = json.loads(hello)
-        except json.JSONDecodeError as exc:
-            raise OracleProtocolError(f"bad handshake line: {hello!r}") from exc
-        if head.get("protocol") != PROTOCOL or "d" not in head:
-            raise OracleProtocolError(f"unexpected handshake {head!r}")
-        self.dim = int(head["d"])
+            hello = self._read_line()
+            try:
+                head = json.loads(hello)
+            except json.JSONDecodeError as exc:
+                raise OracleProtocolError(f"bad handshake line: {hello!r}") from exc
+            if not isinstance(head, dict) or head.get("protocol") != PROTOCOL or "d" not in head:
+                raise OracleProtocolError(f"unexpected handshake {head!r}")
+            self.dim = int(head["d"])
+        except BaseException:
+            self._proc.kill()
+            self.close()
+            raise
 
     def _pump(self):
         for line in self._proc.stdout:
@@ -128,30 +133,33 @@ class ExternalOracle:
     def velocity(self, x, t):
         return self._batched("vel", x, t)
 
-    def eps_jvp(self, x, t, v):
+    def _jvp(self, field, x, t, v):
         if self.jvp_mode == "finite_difference":
             from .oracles import finite_difference_jvp
 
-            return finite_difference_jvp(self.eps, x, t, v)
+            return finite_difference_jvp(field, x, t, v)
         return self._batched("jvp", x, t, v)
+
+    def eps_jvp(self, x, t, v):
+        return self._jvp(self.eps, x, t, v)
 
     def velocity_jvp(self, x, t, v):
-        if self.jvp_mode == "finite_difference":
-            from .oracles import finite_difference_jvp
-
-            return finite_difference_jvp(self.velocity, x, t, v)
-        return self._batched("jvp", x, t, v)
+        return self._jvp(self.velocity, x, t, v)
 
     def close(self):
-        if self._proc.poll() is None:
-            try:
-                self._proc.stdin.close()
-            except OSError:
-                pass
-            try:
-                self._proc.wait(timeout=2.0)
-            except subprocess.TimeoutExpired:
-                self._proc.kill()
+        """Close stdin so the child exits, kill it if it has not within 2 s,
+        reap it and close its output once the reader has drained it."""
+        try:
+            self._proc.stdin.close()
+        except OSError:
+            pass
+        try:
+            self._proc.wait(timeout=2.0)
+        except subprocess.TimeoutExpired:
+            self._proc.kill()
+            self._proc.wait()
+        self._reader.join()
+        self._proc.stdout.close()
 
     def __enter__(self):
         return self

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
 import os
@@ -121,8 +122,16 @@ def apply_overrides(config: dict, overrides) -> dict:
     return config
 
 
+def _need(desc: dict, key: str, what: str):
+    """desc[key], or a ConfigError naming the missing key."""
+    if key not in desc:
+        raise ConfigError(f"{what} needs {key!r}")
+    return desc[key]
+
+
 def build_operator(desc: dict):
     kind = desc.get("kind")
+    what = f"{kind} operator"
     if kind == "mask":
         if "bitmap_file" in desc:
             bitmap = read_tensor(desc["bitmap_file"])
@@ -134,21 +143,22 @@ def build_operator(desc: dict):
             indices = desc.get("indices")
         if indices is None:
             raise ConfigError("mask operator needs indices, indices_file, or bitmap_file")
-        return Mask(indices, int(desc["in_dim"])) if "in_dim" in desc else Mask(
-            indices, int(desc["dim"]))
+        return Mask(indices, int(desc["in_dim"] if "in_dim" in desc
+                                 else _need(desc, "dim", what)))
     if kind == "block_average":
-        return BlockAverage(int(desc["factor"]), int(desc["height"]), int(desc["width"]))
+        return BlockAverage(*(int(_need(desc, k, what)) for k in ("factor", "height", "width")))
     if kind == "circulant_blur":
         kernel = (read_tensor(desc["kernel_file"]) if "kernel_file" in desc
-                  else np.asarray(desc["kernel"], dtype=float))
+                  else np.asarray(_need(desc, "kernel", what), dtype=float))
         threshold = float(desc.get("threshold", 1e-8))
         if kernel.ndim == 2:
-            return CirculantBlur(kernel, shape=(int(desc["height"]), int(desc["width"])),
-                                 threshold=threshold)
-        return CirculantBlur(kernel, in_dim=int(desc["in_dim"]), threshold=threshold)
+            shape = tuple(int(_need(desc, k, what)) for k in ("height", "width"))
+            return CirculantBlur(kernel, shape=shape, threshold=threshold)
+        return CirculantBlur(kernel, in_dim=int(_need(desc, "in_dim", what)),
+                             threshold=threshold)
     if kind == "dense":
         matrix = (read_tensor(desc["matrix_file"]) if "matrix_file" in desc
-                  else np.asarray(desc["matrix"], dtype=float))
+                  else np.asarray(_need(desc, "matrix", what), dtype=float))
         return DenseOperator(matrix)
     raise ConfigError(f"unknown operator kind {kind!r}")
 
@@ -165,20 +175,21 @@ def _coerce_profile(value, dim: int) -> np.ndarray:
 def build_data_model(desc: dict):
     """Gaussian or mixture data distribution from a config block."""
     source = desc.get("source", "gaussian")
-    dim = int(desc["dim"])
+    if source not in ("gaussian", "mixture"):
+        raise ConfigError(f"unknown data source {source!r}")
+    what = f"{source} data"
+    dim = int(_need(desc, "dim", what))
     if source == "gaussian":
         return GaussianModel(
             mean=_coerce_profile(desc.get("mean", 0.0), dim),
             var=_coerce_profile(desc.get("var", 1.0), dim),
         )
-    if source == "mixture":
-        comps = tuple(
-            GaussianModel(mean=_coerce_profile(m, dim), var=_coerce_profile(v, dim))
-            for m, v in zip(desc["means"], desc["vars"])
-        )
-        return MixtureModel(weights=np.asarray(desc["weights"], dtype=float),
-                            components=comps)
-    raise ConfigError(f"unknown data source {source!r}")
+    comps = tuple(
+        GaussianModel(mean=_coerce_profile(m, dim), var=_coerce_profile(v, dim))
+        for m, v in zip(_need(desc, "means", what), _need(desc, "vars", what))
+    )
+    return MixtureModel(weights=np.asarray(_need(desc, "weights", what), dtype=float),
+                        components=comps)
 
 
 def _draw_x0(problem: dict, seed: int) -> np.ndarray:
@@ -258,16 +269,15 @@ def sweep_points(config: dict):
     if method not in METHODS:
         raise ConfigError(f"sampler.method must be one of {tuple(METHODS)}")
     sweep = config.get("sweep", {}) or {}
-    unknown = set(sweep) - {"w", "lambda", "tau", "nfe"}
+    defaults = {"w": 1.0, "lambda": 0.0, "tau": 0.6, "nfe": 20}
+    unknown = set(sweep) - set(defaults)
     if unknown:
         raise ConfigError(f"sweep keys {sorted(unknown)} not supported")
-    ws = sweep.get("w", [sampler.get("w", 1.0)])
-    lams = sweep.get("lambda", [sampler.get("lambda", 0.0)])
-    taus = sweep.get("tau", [sampler.get("tau", 0.6)])
-    nfes = sweep.get("nfe", [sampler.get("nfe", 20)])
-    points = [dict(sampler, w=w, **{"lambda": lam}, tau=tau, nfe=nfe)
-              for w in ws for lam in lams for tau in taus for nfe in nfes]
-    return points
+    scalars = sorted(k for k, v in sweep.items() if not isinstance(v, (list, tuple)))
+    if scalars:
+        raise ConfigError(f"sweep keys {scalars} must map to lists")
+    axes = [sweep.get(key, [sampler.get(key, d)]) for key, d in defaults.items()]
+    return [dict(sampler, **dict(zip(defaults, p))) for p in itertools.product(*axes)]
 
 
 def run(config: dict, *, threads: int = 1, output_dir=None,
@@ -353,16 +363,13 @@ def run(config: dict, *, threads: int = 1, output_dir=None,
     else:
         outcomes = [one(job) for job in jobs]
 
-    records = []
-    for (pi, seed), (rec, x) in zip(jobs, outcomes):
-        records.append(rec)
-        if write_outputs and out_dir is not None and x is not None:
-            os.makedirs(out_dir, exist_ok=True)
-            write_tensor(os.path.join(out_dir, f"recon_{pi:04d}_{seed}.cji"), x)
-
+    records = [rec for rec, _ in outcomes]
     report = RunReport(records=records, aggregates=_aggregate(records))
     if write_outputs and out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
+        for (pi, seed), (_, x) in zip(jobs, outcomes):
+            if x is not None:
+                write_tensor(os.path.join(out_dir, f"recon_{pi:04d}_{seed}.cji"), x)
         with open(os.path.join(out_dir, "report.csv"), "w", encoding="utf-8") as fh:
             fh.write(report_to_csv(report))
         with open(os.path.join(out_dir, "summary.json"), "w", encoding="utf-8") as fh:
@@ -397,13 +404,9 @@ def report_to_csv(report: RunReport) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_HEADER)
     for r in report.records:
-        writer.writerow([
-            r.method, repr(r.w), repr(r.lam), repr(r.tau), r.nfe, r.seed,
-            "" if r.mse is None else repr(r.mse),
-            "" if r.psnr is None else repr(r.psnr),
-            "" if r.observed_residual is None else repr(r.observed_residual),
-            repr(r.wall_time_ms),
-        ])
+        metrics = ("" if v is None else repr(v) for v in (r.mse, r.psnr, r.observed_residual))
+        writer.writerow([r.method, repr(r.w), repr(r.lam), repr(r.tau), r.nfe, r.seed,
+                         *metrics, repr(r.wall_time_ms)])
     return buf.getvalue()
 
 
@@ -417,13 +420,8 @@ def report_from_csv(text: str) -> RunReport:
         if not row:
             continue
         records.append(RunRecord(
-            method=row[0], w=float(row[1]), lam=float(row[2]), tau=float(row[3]),
-            nfe=int(row[4]), seed=int(row[5]),
-            mse=float(row[6]) if row[6] else None,
-            psnr=float(row[7]) if row[7] else None,
-            observed_residual=float(row[8]) if row[8] else None,
-            wall_time_ms=float(row[9]),
-        ))
+            row[0], float(row[1]), float(row[2]), float(row[3]), int(row[4]), int(row[5]),
+            *(float(v) if v else None for v in row[6:9]), float(row[9])))
     return RunReport(records=records, aggregates=_aggregate(records))
 
 

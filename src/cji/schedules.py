@@ -140,15 +140,15 @@ def _as_float(t):
     return np.asarray(t, dtype=float)
 
 
-def validated(sched, lo: float, hi: float):
-    """Check [lo, hi] against the schedule's domain once and return a copy
-    of sched that skips the per-call check.
+def validated(sched, *ends):
+    """Check interval ends (scalars or arrays) against the schedule's domain
+    once and return a copy of sched that skips the per-call check.
 
     For quadrature integrands, which evaluate the schedule thousands of times
-    inside a range the caller has already checked.  Raises
+    inside intervals the caller has already checked.  Raises
     ScheduleDomainError as the public methods do.
     """
-    sched._check(np.array([lo, hi], dtype=float))
+    sched._check(np.hstack(ends))
     fast = copy.copy(sched)
     object.__setattr__(fast, "_check", _as_float)
     return fast

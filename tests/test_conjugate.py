@@ -385,15 +385,50 @@ class TestCoefficientTable:
                                       GuidanceConfig(w=2.0), FLOW)
         assert flow_table.phi_main_id[0] == 0.0 and flow_table.phi_y[0] == 0.0
 
-    def test_entries_match_direct_calls(self):
-        cfg = GuidanceConfig(w=2.0, lam=0.1)
-        table = precompute_table(self.grid(), cfg, DIFF)
+    @pytest.mark.parametrize("sigma_y", [0.0, 0.05])
+    @pytest.mark.parametrize("kind", SCHEDULE_KINDS)
+    @pytest.mark.parametrize("sched,grid", [
+        (DIFF, np.linspace(0.6, 1e-4, 9)),
+        (FLOW, np.linspace(0.1, 1.0 - 1e-4, 9)),
+    ], ids=["diffusion", "flow"])
+    def test_entries_match_direct_calls(self, sched, grid, kind, sigma_y):
+        cfg = GuidanceConfig(w=2.0, lam=0.1, sigma_y=sigma_y, schedule_kind=kind)
+        table = precompute_table(grid, cfg, sched)
+        phi = phi_diffusion if sched is DIFF else phi_flow
         for i, t in enumerate(table.times):
-            direct = phi_diffusion(float(t), cfg, DIFF)
-            assert table.phi_y[i] == direct.phi_y
-            assert table.phi_main_id[i] == direct.phi_main.id_coeff
-            assert table.phi_main_p[i] == direct.phi_main.proj_coeff
-            assert table.kappa2[i] == kappa2(float(t), cfg, DIFF)
+            direct = phi(float(t), cfg, sched)
+            np.testing.assert_array_equal(table.phi[:, i], [
+                direct.phi_y, direct.phi_main.id_coeff, direct.phi_main.proj_coeff,
+                direct.phi_j.id_coeff, direct.phi_j.proj_coeff])
+            assert table.kappa1[i] == kappa1(float(t), cfg.lam, sched)
+            assert table.kappa2[i] == kappa2(float(t), cfg, sched)
+            assert table.kappa3[i] == kappa3(float(t), cfg, sched)
+
+    def test_one_quadrature_call_per_column(self, monkeypatch):
+        calls = []
+        original = cji.conjugate.adaptive_simpson
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cji.conjugate, "adaptive_simpson", counting)
+        cfg = GuidanceConfig(w=2.0, lam=0.1, sigma_y=0.05)
+        table = precompute_table(self.grid(), cfg, DIFF)
+        assert len(calls) == 2  # dphi and kappa3
+        assert table.phi.shape == (5, 9)
+        assert len(calls) == 3
+
+    @pytest.mark.parametrize("w", [0.0, 2.0])
+    def test_one_point_grid(self, w):
+        table = precompute_table([0.5], GuidanceConfig(w=w, lam=0.1, sigma_y=0.05), DIFF)
+        assert table.dphi.shape == (5, 0) and table.phi.shape == (5, 1)
+
+    def test_reversed_grid_negates_increments(self):
+        cfg = GuidanceConfig(w=2.0, lam=0.1)
+        down = precompute_table(self.grid(), cfg, DIFF)
+        up = precompute_table(self.grid()[::-1], cfg, DIFF)
+        np.testing.assert_array_equal(down.dphi, -up.dphi[:, ::-1])
 
     @pytest.mark.parametrize("kind", SCHEDULE_KINDS)
     @pytest.mark.parametrize("sched,grid", [

@@ -1,10 +1,12 @@
 import json
+import subprocess
 import sys
 import textwrap
 
 import numpy as np
 import pytest
 
+import cji.external
 from cji.errors import (
     OracleProtocolError,
     OracleRemoteError,
@@ -33,6 +35,8 @@ class TestEchoProtocol:
             np.testing.assert_array_equal(oracle.eps(x, 0.3), x)
             v = np.array([0.5, 0.5, -1.0, 2.0])
             np.testing.assert_array_equal(oracle.eps_jvp(x, 0.3, v), v)
+        assert oracle._proc.returncode is not None
+        assert oracle._proc.stdin.closed and oracle._proc.stdout.closed
 
     def test_exact_float_round_trip(self):
         with ExternalOracle(server_argv("--kind", "echo", "--dim", "2")) as oracle:
@@ -122,14 +126,32 @@ class TestProtocolViolations:
             with pytest.raises(OracleProtocolError):
                 oracle.eps(np.zeros(2), 0.1)
 
-    def test_bad_handshake(self, tmp_path):
-        argv = child_script(tmp_path, """
+    @pytest.mark.parametrize("hello,error", [
+        ('{"hello": 1}', OracleProtocolError),
+        ("not json", OracleProtocolError),
+        ("[1, 2]", OracleProtocolError),
+        (None, OracleTimeoutError),
+    ], ids=["wrong-protocol", "bad-json", "not-an-object", "silent"])
+    def test_bad_handshake(self, tmp_path, monkeypatch, hello, error):
+        # The child stays alive reading stdin; a failed handshake must kill
+        # and reap it rather than leave it running.
+        argv = child_script(tmp_path, f"""
             import sys
-            print('{"hello": "world"}', flush=True)
+            if {hello!r} is not None:
+                print({hello!r}, flush=True)
             sys.stdin.read()
         """)
-        with pytest.raises(OracleProtocolError):
-            ExternalOracle(argv)
+        procs, popen = [], subprocess.Popen
+
+        def spy(*args, **kwargs):
+            procs.append(popen(*args, **kwargs))
+            return procs[-1]
+
+        monkeypatch.setattr(cji.external.subprocess, "Popen", spy)
+        with pytest.raises(error):
+            ExternalOracle(argv, timeout=0.5)
+        assert procs[0].returncode is not None
+        assert procs[0].stdout.closed
 
     def test_timeout(self, tmp_path):
         argv = child_script(tmp_path, """
@@ -143,7 +165,8 @@ class TestProtocolViolations:
             with pytest.raises(OracleTimeoutError):
                 oracle.eps(np.zeros(2), 0.1)
         finally:
-            oracle._proc.kill()
+            oracle.close()
+        assert oracle._proc.returncode is not None
 
     def test_closed_stream(self, tmp_path):
         argv = child_script(tmp_path, """

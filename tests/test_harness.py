@@ -474,6 +474,17 @@ class TestCLI:
         err = capsys.readouterr().err
         assert "configuration error" in err and "'auto' or 'external'" in err
 
+    @pytest.mark.parametrize("override,named", [
+        ('problem.operator={"kind":"mask","indices":[0,2]}', "'dim'"),
+        ('problem.operator={"kind":"block_average","factor":2}', "'height'"),
+        ('problem.data={"source":"gaussian"}', "'dim'"),
+        ('sweep={"w":3}', "['w']"),
+    ], ids=["mask-dim", "block-height", "data-dim", "scalar-sweep"])
+    def test_incomplete_config_is_a_config_error(self, tmp_path, capsys, override, named):
+        assert cli.main(self.shipped_mask_argv(tmp_path / "out", override)) == 1
+        err = capsys.readouterr().err
+        assert "configuration error" in err and named in err
+
     def test_flags_only_where_read(self, tmp_path):
         path = self.write_config(tmp_path, base_config())
         for argv in (["degrade", path, "--threads", "2"],

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import cji.quadrature
 from cji.errors import QuadratureError
 from cji.quadrature import adaptive_simpson
 
@@ -68,3 +69,48 @@ def test_nonfinite_integrand_fails_fast(stacked):
     with pytest.raises(QuadratureError, match=r"not finite at s = 0\.75"):
         adaptive_simpson(overflowing, 0.0, 1.0)
     assert sum(evals) < 100
+
+
+def _stacked(s):
+    return np.stack([1.0 / np.sqrt(s), np.sin(30.0 * s), np.exp(-s)])
+
+
+@pytest.mark.parametrize("f", [np.sin, _stacked], ids=["1d", "stacked"])
+def test_batch_equals_per_interval_calls(f):
+    # mixed orientation and empty intervals; each value is bitwise that of a
+    # call on its interval alone
+    a = np.array([[1e-4, 0.5, 0.3], [0.9, 0.2, 0.7]])
+    b = np.array([[1.0, 0.1, 0.3], [0.2, 0.21, 0.7]])
+    batch = adaptive_simpson(f, a, b, atol=1e-10, rtol=1e-10)
+    single = np.stack([adaptive_simpson(f, x, y, atol=1e-10, rtol=1e-10)
+                       for x, y in zip(a.ravel(), b.ravel())], axis=-1)
+    rows = (3,) if f is _stacked else ()
+    assert batch.shape == rows + a.shape
+    np.testing.assert_array_equal(batch, single.reshape(rows + a.shape))
+    assert np.all(batch[..., [0, 1], [2, 2]] == 0.0)
+    np.testing.assert_array_equal(
+        adaptive_simpson(f, b, a, atol=1e-10, rtol=1e-10), -batch)
+
+
+@pytest.mark.parametrize("f", [np.sin, _stacked], ids=["1d", "stacked"])
+def test_no_live_interval(f):
+    rows = (3,) if f is _stacked else ()
+    assert adaptive_simpson(f, np.zeros(0), np.zeros(0)).shape == rows + (0,)
+    np.testing.assert_array_equal(adaptive_simpson(f, 0.4, np.full(2, 0.4)),
+                                  np.zeros(rows + (2,)))
+
+
+def test_max_evals_is_per_interval(monkeypatch):
+    # At this tolerance sin converges on each unit interval after 72 abscissae
+    # plus one last sweep, while [0.5, 3] is unconverged after 136: a cap of
+    # 100 binds each interval, not the 376 of the batch.
+    monkeypatch.setattr(cji.quadrature, "MAX_EVALS", 100)
+    a, b = np.array([0.0, 1.0, 2.0]), np.array([1.0, 2.0, 3.0])
+    batch = adaptive_simpson(np.sin, a, b, atol=1e-10, rtol=1e-10)
+    np.testing.assert_array_equal(
+        batch, [adaptive_simpson(np.sin, x, y, atol=1e-10, rtol=1e-10)
+                for x, y in zip(a, b)])
+    for lo, hi in ((0.5, 3.0), (np.append(a, 0.5), np.append(b, 3.0))):
+        with pytest.raises(QuadratureError) as err:
+            adaptive_simpson(np.sin, lo, hi, atol=1e-10, rtol=1e-10)
+        assert err.value.achieved is not None
