@@ -37,8 +37,6 @@ EXP_GUARD = 700.0
 
 DEFAULT_TOL = 1e-5
 
-KAPPA3_TOL = 1e-9  # kappa3's inner integral, tighter than the Phi default
-
 
 @dataclass(frozen=True)
 class ScalarPair:
@@ -136,14 +134,30 @@ def kappa2(t, cfg: GuidanceConfig, sched):
     return float(out) if scalar else out
 
 
-def kappa3(t, cfg: GuidanceConfig, sched):
-    """First-order noise correction coefficient on H^+ (H^+)^T.
+def _kappa3_primitive(t, cfg: GuidanceConfig, sched):
+    """Closed-form antiderivative K of kappa2'(s) / r_s^2, singular at 0: in
+    alpha, gamma for flows, in E = e^B - 1 for diffusion (dE = beta e^B ds)."""
+    w = cfg.w
+    if process_kind(sched) == "diffusion":
+        e = np.expm1(sched.beta_int(t))
+        log_e = np.log(e)
+        if cfg.schedule_kind == "adaptive_paper":
+            return -0.5 * w * log_e
+        if cfg.schedule_kind == "constant_r2":
+            return -0.5 * w * (e + log_e)
+        return -0.5 * w * (e + 2.0 * log_e - 1.0 / e)
+    a, g = sched.scale_noise(t)
+    if cfg.schedule_kind == "adaptive_paper":
+        return -w * (2.0 * a * a * a / 3.0 + a + np.log(g))
+    if cfg.schedule_kind == "constant_r2":
+        return w * (np.log(a / g) - 2.0 * a)
+    return w * (np.log(a / g ** 5) - 4.0 * a - 3.0 / g + 0.5 / (g * g))
 
-    kappa3 = -sigma_y^2 * (int_floor^t kappa2'(s)/r_s^2 ds) * exp(kappa1 + kappa2),
-    and 0 at and below the floor.  Accepts scalars or arrays, integrating
-    over every [floor, t] in one quadrature call; returns a float for scalar
-    input.
-    """
+
+def kappa3(t, cfg: GuidanceConfig, sched):
+    """First-order noise correction coefficient on H^+ (H^+)^T, 0 at and below
+    the floor and -sigma_y^2 [K(t) - K(floor)] exp(kappa1 + kappa2) above it.
+    Accepts scalars or arrays; returns a float for scalar input."""
     scalar = np.ndim(t) == 0
     t = np.asarray(t, dtype=float)
     out = np.zeros_like(t)
@@ -151,9 +165,7 @@ def kappa3(t, cfg: GuidanceConfig, sched):
         lo = cfg.t_floor
         live = t > lo
         ends = np.where(live, t, lo)  # empty intervals below the floor
-        fast = validated(sched, lo, ends)
-        base = adaptive_simpson(lambda s: kappa2_integrand(s, cfg, fast) / fast.r_sq(s),
-                                lo, ends, atol=KAPPA3_TOL, rtol=KAPPA3_TOL)
+        base = _kappa3_primitive(ends, cfg, sched) - _kappa3_primitive(lo, cfg, sched)
         k12 = kappa1(ends, cfg.lam, sched) + kappa2(ends, cfg, sched)
         _exp_guard(float(np.max(k12, initial=-np.inf)), "kappa1 + kappa2")
         out = np.where(live, -(cfg.sigma_y ** 2) * base * np.exp(k12), 0.0)
@@ -187,6 +199,8 @@ def apply_transform(x, op, k1: float, k2: float, k3: float = 0.0, *,
         _exp_guard(k1, "kappa1")
         _exp_guard(k12, "kappa1 + kappa2")
         e1, e12 = math.exp(k1), math.exp(k12)
+    if k2 == 0.0 and k3 == 0.0:
+        return e1 * x  # A_t and its inverse are scalars: no projector needed
     px = op.proj_apply(x)
     out = e1 * (x - px) + e12 * px
     if k3 != 0.0:

@@ -42,6 +42,7 @@ class ExternalOracle:
         self.timeout = timeout
         self.jvp_mode = jvp_mode
         self._next_id = 0
+        self._stalled = False  # a read timed out: the child is not answering
         self._lock = threading.Lock()
         self._proc = subprocess.Popen(
             argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True, bufsize=1
@@ -72,6 +73,7 @@ class ExternalOracle:
         try:
             line = self._lines.get(timeout=self.timeout)
         except queue.Empty:
+            self._stalled = True
             raise OracleTimeoutError(
                 f"oracle did not answer within {self.timeout} s"
             ) from None
@@ -147,14 +149,15 @@ class ExternalOracle:
         return self._jvp(self.velocity, x, t, v)
 
     def close(self):
-        """Close stdin so the child exits, kill it if it has not within 2 s,
-        reap it and close its output once the reader has drained it."""
+        """Close stdin so the child exits, kill it if it has not within 2 s
+        (at once if it has already timed out), reap it and close its output
+        once the reader has drained it."""
         try:
             self._proc.stdin.close()
         except OSError:
             pass
         try:
-            self._proc.wait(timeout=2.0)
+            self._proc.wait(timeout=0.0 if self._stalled else 2.0)
         except subprocess.TimeoutExpired:
             self._proc.kill()
             self._proc.wait()

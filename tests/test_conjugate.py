@@ -111,6 +111,30 @@ class TestKappa3:
         assert kappa3(0.6, GuidanceConfig(w=2.0, sigma_y=0.2), DIFF) > 0
         assert kappa3(0.6, GuidanceConfig(w=2.0, sigma_y=0.2), FLOW) < 0
 
+    @pytest.mark.parametrize("floor", [1e-4, 2e-5])
+    @pytest.mark.parametrize("kind", SCHEDULE_KINDS)
+    @pytest.mark.parametrize("sched", [DIFF, FLOW], ids=["diffusion", "flow"])
+    def test_primitive_matches_floor_anchored_quadrature(self, sched, kind, floor):
+        # The closed form against the integral it replaces: kappa2'(s)/r_s^2
+        # from the floor, by adaptive Simpson at a tight tolerance.
+        cfg = GuidanceConfig(w=2.0, sigma_y=0.05, schedule_kind=kind, t_floor=floor)
+        times = np.array([1.01 * floor, 2.0 * floor, 0.3, 0.6, 0.9]
+                         + ([1.0 - 1e-4] if sched is FLOW else []))
+        fast = validated(sched, floor, times)
+        ref = adaptive_simpson(lambda s: kappa2_integrand(s, cfg, fast) / fast.r_sq(s),
+                               floor, times, atol=1e-12, rtol=1e-12)
+        primitive = cji.conjugate._kappa3_primitive
+        got = primitive(times, cfg, sched) - primitive(floor, cfg, sched)
+        assert np.all(np.abs(got - ref) <= np.maximum(1e-9, 1e-9 * np.abs(ref)))
+
+    @pytest.mark.parametrize("sched", [DIFF, FLOW], ids=["diffusion", "flow"])
+    def test_outside_unit_interval_raises(self, sched):
+        cfg = GuidanceConfig(w=2.0, sigma_y=0.1, schedule_kind="constant")
+        with pytest.raises(ScheduleDomainError):
+            kappa3(1.2, cfg, sched)
+        with pytest.raises(ScheduleDomainError):
+            kappa3(np.array([0.5, 1.2]), cfg, sched)
+
 
 class TestTransform:
     def test_identity_at_origin(self):
@@ -127,6 +151,20 @@ class TestTransform:
         k1 = float(kappa1(0.5, 0.3, DIFF))
         np.testing.assert_allclose(a_apply(0.5, x, op, cfg, DIFF),
                                    math.exp(k1) * x, atol=1e-12)
+
+    @pytest.mark.parametrize("sched", [DIFF, FLOW], ids=["diffusion", "flow"])
+    def test_zero_weight_skips_the_projector(self, sched, monkeypatch):
+        # With kappa2 = kappa3 = 0 the transform is the scalar e^{+-kappa1}.
+        def refuse(self, x):
+            raise AssertionError("scalar transform applied the projector")
+
+        monkeypatch.setattr(Mask, "proj_apply", refuse)
+        op = Mask([1], 4)
+        cfg = GuidanceConfig(w=0.0, lam=0.3, sigma_y=0.1)
+        x = RNG.standard_normal((2, 4))
+        k1 = float(kappa1(0.5, 0.3, sched))
+        np.testing.assert_array_equal(a_apply(0.5, x, op, cfg, sched), math.exp(k1) * x)
+        np.testing.assert_array_equal(a_inv_apply(0.5, x, op, cfg, sched), math.exp(-k1) * x)
 
     def test_matches_dense_matrix_exponential(self):
         d = 8
@@ -404,7 +442,13 @@ class TestCoefficientTable:
             assert table.kappa2[i] == kappa2(float(t), cfg, sched)
             assert table.kappa3[i] == kappa3(float(t), cfg, sched)
 
-    def test_one_quadrature_call_per_column(self, monkeypatch):
+    @pytest.mark.parametrize("sigma_y", [0.0, 0.05])
+    @pytest.mark.parametrize("kind", SCHEDULE_KINDS)
+    @pytest.mark.parametrize("sched,grid", [
+        (DIFF, np.linspace(0.6, 1e-4, 9)),
+        (FLOW, np.linspace(0.1, 1.0 - 1e-4, 9)),
+    ], ids=["diffusion", "flow"])
+    def test_one_quadrature_call_per_column(self, sched, grid, kind, sigma_y, monkeypatch):
         calls = []
         original = cji.conjugate.adaptive_simpson
 
@@ -413,11 +457,11 @@ class TestCoefficientTable:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(cji.conjugate, "adaptive_simpson", counting)
-        cfg = GuidanceConfig(w=2.0, lam=0.1, sigma_y=0.05)
-        table = precompute_table(self.grid(), cfg, DIFF)
-        assert len(calls) == 2  # dphi and kappa3
+        cfg = GuidanceConfig(w=2.0, lam=0.1, sigma_y=sigma_y, schedule_kind=kind)
+        table = precompute_table(grid, cfg, sched)
+        assert len(calls) == 1  # dphi; the kappa columns are closed forms
         assert table.phi.shape == (5, 9)
-        assert len(calls) == 3
+        assert len(calls) == 2
 
     @pytest.mark.parametrize("w", [0.0, 2.0])
     def test_one_point_grid(self, w):

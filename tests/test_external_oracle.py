@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 import textwrap
+import time
 
 import numpy as np
 import pytest
@@ -165,7 +166,10 @@ class TestProtocolViolations:
             with pytest.raises(OracleTimeoutError):
                 oracle.eps(np.zeros(2), 0.1)
         finally:
+            start = time.perf_counter()
             oracle.close()
+        # A child that timed out is killed at once, not given a grace period.
+        assert time.perf_counter() - start < 1.0
         assert oracle._proc.returncode is not None
 
     def test_closed_stream(self, tmp_path):

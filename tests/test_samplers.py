@@ -237,6 +237,22 @@ class TestAccounting:
         assert counter.jvp_calls == 13
         assert res.nfe == 13 and res.jvp_evals == 13
 
+    @pytest.mark.parametrize("method,sched,oracle_fn,tau", [
+        ("explicit_diffusion", DIFF, lambda: GaussianDiffusionOracle(GAUSS, DIFF), 0.6),
+        ("explicit_flow", FLOW, lambda: GaussianFlowOracle(GAUSS, FLOW), 0.1),
+    ])
+    def test_explicit_family_never_projects(self, method, sched, oracle_fn, tau,
+                                            monkeypatch):
+        # Its w = 0 table makes every transform the scalar e^{+-kappa1}.
+        def refuse(self, x):
+            raise AssertionError("explicit sampler applied the projector")
+
+        monkeypatch.setattr(Mask, "proj_apply", refuse)
+        cfg = GuidanceConfig(w=2.0, lam=0.1, tau=tau, nfe=6, sigma_y=0.05)
+        spec = SamplerSpec(method=method, guidance=cfg, record_trajectory=True)
+        res = sample(spec, Y, OP, oracle_fn(), sched, RNG.standard_normal((2, D)))
+        assert np.all(np.isfinite(res.x))
+
     def test_determinism(self):
         cfg = GuidanceConfig(w=2.0, lam=0.1, tau=0.6, nfe=8)
         oracle = GaussianDiffusionOracle(GAUSS, DIFF)
