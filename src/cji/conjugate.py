@@ -22,6 +22,8 @@ import csv
 import functools
 import io
 import math
+import threading
+from collections import OrderedDict
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -36,6 +38,12 @@ from .schedules import (DiffusionSchedule, FlowSchedule, GuidanceConfig, process
 EXP_GUARD = 700.0
 
 DEFAULT_TOL = 1e-5
+
+# precompute_table keeps the columns of this many tables, least recently used
+# first out, keyed on (grid, config, schedule, tolerance).
+TABLE_MEMO_SIZE = 64
+_table_memo: OrderedDict = OrderedDict()
+_table_memo_lock = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -333,7 +341,9 @@ class CoefficientTable:
     columns.  The origin-anchored Phi columns (phi, phi_y, ...) are for
     inspection and CSV export: they are evaluated by origin_phi on first
     access, which for a computed table is one quadrature call over every
-    [phi_origin, times[n]].
+    [phi_origin, times[n]].  A computed table's times, kappa and dphi
+    columns are read-only arrays shared with every other table of the same
+    key (see precompute_table); its origin-anchored columns are its own.
     """
 
     kind: str  # "diffusion" | "flow"
@@ -359,6 +369,30 @@ class CoefficientTable:
         return self.times.size
 
 
+def _check_flow_end(times, cfg: GuidanceConfig, sched):
+    """Refuse a guided flow grid that reaches t = 1, where kappa3 (sigma_y > 0)
+    and the `constant` kind's kappa2 and Phi integrands are infinite."""
+    if (process_kind(sched) == "flow" and cfg.w != 0.0 and np.any(times == 1.0)
+            and (cfg.sigma_y != 0.0 or cfg.schedule_kind == "constant")):
+        raise ConfigError(
+            f"{cfg.schedule_kind} flow table with sigma_y = {cfg.sigma_y:g} is infinite "
+            "at t = 1; end the grid below 1")
+
+
+def _table_columns(times, cfg: GuidanceConfig, sched, fast, tol: float) -> dict:
+    """Every column of a table on the grid times, read-only, owned by the
+    caller (the memo); fast is sched validated for the grid."""
+    cols = {"times": np.array(times),
+            "kappa1": kappa1(times, cfg.lam, sched), "kappa2": kappa2(times, cfg, sched),
+            "kappa3": kappa3(times, cfg, sched),
+            "dphi": _phi_integrals(times[:-1], times[1:], cfg, fast, tol)}
+    for name, col in cols.items():
+        if not np.all(np.isfinite(col)):
+            raise ConfigError(f"non-finite coefficient in {name}")
+        col.setflags(write=False)
+    return cols
+
+
 def precompute_table(grid, cfg: GuidanceConfig, sched, *,
                      tol: float = DEFAULT_TOL) -> CoefficientTable:
     """Evaluate every step coefficient on the sampling grid.
@@ -367,21 +401,30 @@ def precompute_table(grid, cfg: GuidanceConfig, sched, *,
     and one stacked quadrature over every step [times[n], times[n+1]].  The
     quadrature's intervals do not interact, so the kappa columns agree
     bitwise with direct scalar calls, as do the origin-anchored Phi columns
-    when first read.  The table is immutable and shared read-only across
-    chains.
+    when first read.
+
+    The columns are memoised process-wide on (grid, cfg, sched, tol), up to
+    TABLE_MEMO_SIZE tables: a repeated call builds nothing and returns a new
+    table over the same read-only columns, with its own origin-anchored
+    columns.  A build that raises is not kept.
     """
     times = np.asarray(grid, dtype=float)
     lo = phi_origin(cfg, sched)
     fast = validated(sched, lo, times)
-    cols = {"kappa1": kappa1(times, cfg.lam, sched), "kappa2": kappa2(times, cfg, sched),
-            "kappa3": kappa3(times, cfg, sched),
-            "dphi": _phi_integrals(times[:-1], times[1:], cfg, fast, tol)}
-    for name, col in cols.items():
-        if not np.all(np.isfinite(col)):
-            raise ConfigError(f"non-finite coefficient in {name}")
+    _check_flow_end(times, cfg, sched)
+    key = (times.shape, times.tobytes(), cfg, sched, tol)
+    with _table_memo_lock:
+        cols = _table_memo.get(key)
+        if cols is None:
+            cols = _table_columns(times, cfg, sched, fast, tol)
+            _table_memo[key] = cols
+            if len(_table_memo) > TABLE_MEMO_SIZE:
+                _table_memo.popitem(last=False)
+        else:
+            _table_memo.move_to_end(key)
     return CoefficientTable(
-        kind=process_kind(sched), times=times, **cols,
-        origin_phi=functools.partial(_phi_integrals, lo, times, cfg, fast, tol))
+        kind=process_kind(sched), **cols,
+        origin_phi=functools.partial(_phi_integrals, lo, cols["times"], cfg, fast, tol))
 
 
 CSV_COLUMNS = ("t", "kappa1", "kappa2", "kappa3", "phi_y",

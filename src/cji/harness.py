@@ -15,7 +15,6 @@ import itertools
 import json
 import math
 import os
-import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -311,22 +310,6 @@ def run(config: dict, *, threads: int = 1, output_dir=None,
     out_dir = output_dir or config.get("output_dir")
 
     jobs = [(pi, seed) for pi in range(len(points)) for seed in seeds]
-    # One coefficient table per distinct (table config, grid): every seed of a
-    # point shares it, and so do explicit-family points that differ only in w
-    # (their tables are built with w = 0).  The first record that needs a
-    # table builds it inside its own timed window; a build that raises is not
-    # cached, so each record of that point records its own failure.
-    tables: dict = {}
-    tables_lock = threading.Lock()
-
-    def table_for(spec):
-        grid = spec.resolved_grid()
-        key = (spec.table_guidance, grid.tobytes())
-        with tables_lock:
-            if key not in tables:
-                tables[key] = precompute_table(grid, spec.table_guidance, sched)
-            return tables[key]
-
     def one(job):
         pi, seed = job
         desc = points[pi]
@@ -337,7 +320,7 @@ def run(config: dict, *, threads: int = 1, output_dir=None,
         z = rng.standard_normal(op.in_dim)
         started = time.perf_counter()
         try:
-            x = sample(spec, y, op, oracle, sched, z, table=table_for(spec)).x
+            x = sample(spec, y, op, oracle, sched, z).x
         except (DivergenceError, CoefficientOverflowError, QuadratureError):
             x = None
         elapsed = (time.perf_counter() - started) * 1e3

@@ -101,6 +101,10 @@ def check_grid(grid: np.ndarray, kind: str, cfg: GuidanceConfig):
             raise ConfigError("flow grid must be non-decreasing")
         if grid[-1] > 1.0:
             raise ConfigError("flow grid must stay within [0, 1]")
+        # The oracle is evaluated at every time but the last; the earliest
+        # of them is grid[0], and the velocity is undefined at t <= 0.
+        if grid[0] <= 0.0:
+            raise ConfigError("flow grid evaluates the oracle at t <= 0")
 
 
 def init_state(pinv_y, op, sched, z, table: CoefficientTable) -> np.ndarray:

@@ -30,7 +30,14 @@ class ScheduleDomainError(ValueError):
 
 
 def _unit_time(t):
-    """t as a float array, refused outside [0, 1], the domain of both processes."""
+    """t as a float array (np.float64 for a float), refused outside [0, 1], the
+    domain of both processes."""
+    if isinstance(t, float):
+        # np.float64, not float: division by zero stays inf with a warning.
+        t = np.float64(t)
+        if t < 0 or t > 1:
+            raise ScheduleDomainError(f"t={t} outside [0, 1]")
+        return t
     t = np.asarray(t, dtype=float)
     if np.any(t < 0) or np.any(t > 1):
         raise ScheduleDomainError(f"t={t} outside [0, 1]")

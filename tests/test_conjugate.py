@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import integrand_reference
 import cji.conjugate
 from cji.conjugate import (
     CSV_COLUMNS,
+    TABLE_MEMO_SIZE,
     a_apply,
     a_inv_apply,
     a_noisy_apply,
@@ -410,6 +412,7 @@ class TestCoefficientTable:
     def test_deterministic(self):
         cfg = GuidanceConfig(w=2.0, lam=0.1)
         t1 = precompute_table(self.grid(), cfg, DIFF)
+        cji.conjugate._table_memo.clear()  # t2 builds its own columns
         t2 = precompute_table(self.grid(), cfg, DIFF)
         for name in ("kappa1", "kappa2", "kappa3", "phi_y", "phi_main_id",
                      "phi_main_p", "phi_j_id", "phi_j_p"):
@@ -448,7 +451,8 @@ class TestCoefficientTable:
         (DIFF, np.linspace(0.6, 1e-4, 9)),
         (FLOW, np.linspace(0.1, 1.0 - 1e-4, 9)),
     ], ids=["diffusion", "flow"])
-    def test_one_quadrature_call_per_column(self, sched, grid, kind, sigma_y, monkeypatch):
+    def test_one_quadrature_call_per_column(self, sched, grid, kind, sigma_y, monkeypatch,
+                                            cold_table_memo):
         calls = []
         original = cji.conjugate.adaptive_simpson
 
@@ -498,7 +502,8 @@ class TestCoefficientTable:
         (DIFF, np.linspace(0.6, 1e-4, 9), "mu"),
         (FLOW, np.linspace(0.1, 1.0 - 1e-4, 9), "gamma"),
     ], ids=["diffusion", "flow"])
-    def test_unguided_build_skips_the_endpoint_map(self, monkeypatch, sched, grid, scale):
+    def test_unguided_build_skips_the_endpoint_map(self, monkeypatch, sched, grid, scale,
+                                                   cold_table_memo):
         # w = 0 needs only e^{kappa1} and the field rate: neither mu nor gamma
         calls = []
         original = getattr(type(sched), scale)
@@ -520,6 +525,28 @@ class TestCoefficientTable:
     def test_grid_outside_domain_raises(self):
         with pytest.raises(ScheduleDomainError):
             precompute_table(np.linspace(0.5, 1.2, 4), GuidanceConfig(w=2.0), FLOW)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("sigma_y", [0.0, 0.05])
+    @pytest.mark.parametrize("kind", SCHEDULE_KINDS)
+    def test_flow_table_at_one(self, kind, sigma_y, monkeypatch, cold_table_memo):
+        # kappa3 (sigma_y > 0) and the constant kind's kappa2 are infinite at
+        # t = 1: one ConfigError before any column is evaluated.
+        grid = np.linspace(0.5, 1.0, 5)
+        cfg = GuidanceConfig(w=2.0, lam=0.1, sigma_y=sigma_y, schedule_kind=kind)
+        unguided = precompute_table(grid, replace(cfg, w=0.0), FLOW)
+        assert np.all(np.isfinite(unguided.dphi)) and np.all(unguided.kappa3 == 0.0)
+        if sigma_y == 0.0 and kind != "constant":
+            table = precompute_table(grid, cfg, FLOW)
+            assert np.all(np.isfinite(table.dphi)) and np.all(np.isfinite(table.kappa2))
+            return
+
+        def no_build(*args, **kwargs):
+            raise AssertionError("columns evaluated before t = 1 was refused")
+
+        monkeypatch.setattr(cji.conjugate, "_table_columns", no_build)
+        with pytest.raises(ConfigError, match="t = 1"):
+            precompute_table(grid, cfg, FLOW)
 
     def test_csv_increments_are_column_differences(self):
         table = precompute_table(self.grid(), GuidanceConfig(w=2.0, lam=0.1), DIFF)
@@ -567,3 +594,87 @@ class TestCoefficientTable:
         assert CSV_COLUMNS[0] == "t"
         with pytest.raises(ConfigError):
             table_from_csv("a,b\n1,2\n")
+
+
+class TestTableMemo:
+    """precompute_table memoises columns on (grid, cfg, sched, tol)."""
+
+    GRID = np.linspace(0.6, 1e-4, 9)
+    CFG = GuidanceConfig(w=2.0, lam=0.1, sigma_y=0.05)
+    COLUMNS = ("times", "kappa1", "kappa2", "kappa3", "dphi")
+
+    @pytest.fixture
+    def builds(self, monkeypatch, cold_table_memo):
+        calls = []
+        original = cji.conjugate._table_columns
+
+        def counting(times, *args):
+            calls.append(times.copy())
+            return original(times, *args)
+
+        monkeypatch.setattr(cji.conjugate, "_table_columns", counting)
+        return calls
+
+    def test_warm_call_is_a_new_table_over_the_same_columns(self, monkeypatch, builds):
+        cold = precompute_table(self.GRID, self.CFG, DIFF)
+        cold_phi = cold.phi
+        calls = []
+        original = cji.conjugate.adaptive_simpson
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cji.conjugate, "adaptive_simpson", counting)
+        warm = precompute_table(self.GRID, self.CFG, DIFF)
+        assert len(builds) == 1 and calls == [] and warm is not cold
+        for name in self.COLUMNS:
+            col = getattr(warm, name)
+            np.testing.assert_array_equal(col, getattr(cold, name))
+            assert not col.flags.writeable
+        with pytest.raises(ValueError):
+            warm.dphi[0, 0] = 1.0
+        # origin-anchored columns are each table's own, computed on first read
+        np.testing.assert_array_equal(warm.phi, cold_phi)
+        assert len(calls) == 1 and warm.phi is not cold_phi
+
+    def test_key_covers_config_schedule_and_tolerance(self, builds):
+        precompute_table(self.GRID, self.CFG, DIFF)
+        precompute_table(self.GRID, replace(self.CFG, w=3.0), DIFF)
+        precompute_table(self.GRID, self.CFG, DiffusionSchedule(beta_max=10.0))
+        precompute_table(self.GRID, self.CFG, DIFF, tol=1e-6)
+        assert len(builds) == 4
+
+    def test_later_grid_mutation_does_not_reach_the_memo(self, builds):
+        grid = self.GRID.copy()
+        first = precompute_table(grid, self.CFG, DIFF)
+        grid[0] = 0.5
+        np.testing.assert_array_equal(first.times, self.GRID)
+        again = precompute_table(self.GRID, self.CFG, DIFF)
+        np.testing.assert_array_equal(again.kappa1, first.kappa1)
+        moved = precompute_table(grid, self.CFG, DIFF)
+        assert len(builds) == 2 and moved.times[0] == 0.5
+        assert moved.kappa1[0] == kappa1(0.5, self.CFG.lam, DIFF)
+
+    def test_failed_build_raises_again(self, builds):
+        # kappa1 = 1100 t passes exp()'s guard inside kappa3
+        cfg = GuidanceConfig(w=2.0, lam=1100.0, sigma_y=0.05)
+        for _ in range(2):
+            with pytest.raises(CoefficientOverflowError):
+                precompute_table(np.linspace(0.1, 0.9, 5), cfg, FLOW)
+        assert len(builds) == 2 and not cji.conjugate._table_memo
+
+    def test_least_recently_used_goes_first(self, builds):
+        cfg = GuidanceConfig(w=0.0)
+        grids = [np.array([0.6 - 1e-3 * i, 1e-4]) for i in range(TABLE_MEMO_SIZE + 2)]
+        for grid in grids[:TABLE_MEMO_SIZE]:
+            precompute_table(grid, cfg, DIFF)
+        precompute_table(grids[0], cfg, DIFF)  # a hit: grids[1] is now the oldest
+        precompute_table(grids[TABLE_MEMO_SIZE], cfg, DIFF)
+        assert len(cji.conjugate._table_memo) == TABLE_MEMO_SIZE
+        assert len(builds) == TABLE_MEMO_SIZE + 1
+        precompute_table(grids[0], cfg, DIFF)
+        assert len(builds) == TABLE_MEMO_SIZE + 1
+        precompute_table(grids[1], cfg, DIFF)
+        assert len(builds) == TABLE_MEMO_SIZE + 2
+        assert len(cji.conjugate._table_memo) == TABLE_MEMO_SIZE

@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+import cji.conjugate
 from cji import cli, harness
 from cji.errors import ConfigError
 from cji.operators import BlockAverage, Mask
@@ -251,15 +252,15 @@ def direct_reconstruction(config, point, seed):
 
 class TestTableCache:
     @pytest.fixture
-    def builds(self, monkeypatch):
+    def builds(self, monkeypatch, cold_table_memo):
         calls = []
-        original = harness.precompute_table
+        original = cji.conjugate._table_columns
 
         def counting(*args, **kwargs):
             calls.append(args[1])
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(harness, "precompute_table", counting)
+        monkeypatch.setattr(cji.conjugate, "_table_columns", counting)
         return calls
 
     def check_reconstructions(self, config, out_dir):
@@ -277,6 +278,7 @@ class TestTableCache:
         # more threads than cores and frequent switches: a check-then-act
         # race on the table dict would show as extra builds
         interval = sys.getswitchinterval()
+        cji.conjugate._table_memo.clear()
         sys.setswitchinterval(1e-6)
         try:
             threaded = harness.run(cfg, threads=4, output_dir=str(tmp_path / "b"))

@@ -401,7 +401,7 @@ class TestConstantWeights:
 class TestTableUse:
     @pytest.mark.parametrize("method", sorted(
         ["conjugate_diffusion", "conjugate_flow", "explicit_diffusion", "explicit_flow"]))
-    def test_sample_never_evaluates_origin_phi(self, method, monkeypatch):
+    def test_sample_never_evaluates_origin_phi(self, method, monkeypatch, cold_table_memo):
         import cji.conjugate
 
         def refuse(*args, **kwargs):
@@ -481,6 +481,22 @@ class TestErrors:
         with pytest.raises(ConfigError, match="time floor"):
             sample(SamplerSpec(method="conjugate_diffusion", guidance=cfg),
                    op.apply(X0), op, MixtureDiffusionOracle(GAUSS, DIFF), DIFF,
+                   RNG.standard_normal((4, D)))
+
+    @pytest.mark.parametrize("method", ["conjugate_flow", "explicit_flow"])
+    def test_flow_grid_from_zero_rejected_before_any_work(self, monkeypatch, method):
+        # The velocity is undefined at t = 0, and every time but the last is
+        # an oracle evaluation: refused up front, not by the oracle mid-run.
+        import cji.samplers
+
+        def no_table(*args, **kwargs):
+            raise AssertionError("table built before the grid was checked")
+
+        monkeypatch.setattr(cji.samplers, "precompute_table", no_table)
+        spec = SamplerSpec(method=method, guidance=GuidanceConfig(w=1.0),
+                           grid=np.linspace(0.0, 0.9, 5))
+        with pytest.raises(ConfigError, match="t <= 0"):
+            sample(spec, Y, OP, GaussianFlowOracle(GAUSS, FLOW), FLOW,
                    RNG.standard_normal((4, D)))
 
     def test_only_last_time_may_sit_below_oracle_floor(self):

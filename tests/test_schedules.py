@@ -123,6 +123,53 @@ class TestGaussianPath:
             getattr(sched, name)(1.2)
 
 
+class TestScalarPath:
+    """A float t takes a scalar path through the domain check; it must agree
+    with the array path element by element."""
+
+    METHODS = {
+        "diffusion": ("beta", "beta_int", "mu", "sigma_sq", "sigma", "r_sq",
+                      "scale_noise", "endpoint_map", "field_rate"),
+        "flow": ("alpha", "gamma", "alpha_dot", "gamma_dot", "r_sq", "scale_noise",
+                 "endpoint_map", "field_rate"),
+    }
+    SCHEDULES = {"diffusion": DiffusionSchedule(), "flow": FlowSchedule()}
+    TIMES = np.linspace(1e-4, 1.0 - 1e-4, 37)
+
+    @staticmethod
+    def parts(out):
+        return out if isinstance(out, tuple) else (out,)
+
+    @pytest.mark.parametrize("kind", ["diffusion", "flow"])
+    def test_scalar_calls_equal_array_elements(self, kind):
+        sched = self.SCHEDULES[kind]
+        for name in self.METHODS[kind]:
+            method = getattr(sched, name)
+            array = [np.broadcast_to(p, self.TIMES.shape)
+                     for p in self.parts(method(self.TIMES))]
+            for i, t in enumerate(self.TIMES):
+                scalar = self.parts(method(float(t)))
+                assert len(scalar) == len(array), name
+                for got, want in zip(scalar, array):
+                    assert np.ndim(got) == 0, (name, t)
+                    assert np.float64(got).tobytes() == np.float64(want[i]).tobytes(), (name, t)
+
+    @pytest.mark.parametrize("t", [-1e-12, 1.0 + 1e-12, -0.5, 2.0])
+    @pytest.mark.parametrize("kind", ["diffusion", "flow"])
+    def test_scalar_outside_unit_interval_raises(self, kind, t):
+        sched = self.SCHEDULES[kind]
+        for name in self.METHODS[kind]:
+            with pytest.raises(ScheduleDomainError):
+                getattr(sched, name)(t)
+
+    def test_flow_kappa3_at_one_stays_inf_with_a_warning(self):
+        from cji.conjugate import kappa3
+
+        cfg = GuidanceConfig(w=2.0, sigma_y=0.05)
+        with pytest.warns(RuntimeWarning):
+            assert kappa3(1.0, cfg, FlowSchedule()) == -np.inf
+
+
 class TestGuidanceWeight:
     def test_adaptive_vanishes_at_zero(self):
         s = DiffusionSchedule()
