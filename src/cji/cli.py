@@ -61,10 +61,8 @@ def cmd_run(args) -> int:
 
 def cmd_degrade(args) -> int:
     config = _load(args)
-    problem = config.get("problem")
-    if problem is None:
-        raise ConfigError("config needs a problem block")
-    op = harness.build_operator(problem["operator"])
+    problem = harness._need(config, "problem", "config")
+    op = harness.build_operator(harness._need(problem, "operator", "problem"))
     sigma_y = float(problem.get("sigma_y", 0.0))
     out_dir = config.get("output_dir", ".")
     os.makedirs(out_dir, exist_ok=True)

@@ -78,31 +78,66 @@ def kappa2_origin(cfg: GuidanceConfig, sched) -> float:
     return 0.0 if regular else cfg.t_floor
 
 
-def kappa2_integrand(s, cfg: GuidanceConfig, sched):
-    """d(kappa2)/ds: the scalar weight on P inside the transform exponent.
-
-    Algebraically simplified per schedule kind so the guidance-weight factors
-    cancel exactly instead of forming 0/0 at the endpoints.
-    """
-    s = np.asarray(s, dtype=float)
-    w = cfg.w
+def _path_variables(t, sched):
+    """The variables the closed forms are written in: (beta, B, E) =
+    (beta_t, int_0^t beta, e^B - 1) for diffusion, (alpha_t, gamma_t) for
+    flows."""
     if process_kind(sched) == "diffusion":
-        beta = sched.beta(s)
-        if cfg.schedule_kind == "adaptive_paper":
-            return -0.5 * w * beta
-        if cfg.schedule_kind == "constant_r2":
-            return -0.5 * w * beta * np.exp(sched.beta_int(s))
-        return -0.5 * w * beta / (sched.mu(s) ** 2 * sched.sigma_sq(s))
-    # Flows carry no 1/2: the transform exponent must cancel the full
-    # projector drift w_t r^-2 gamma gammadot^2 / (alpha (gamma alphadot -
-    # gammadot alpha)) of the conditional velocity field.
-    alpha = sched.alpha(s)
-    gamma = sched.gamma(s)
-    if cfg.schedule_kind == "adaptive_paper":
-        return w * alpha * gamma
-    if cfg.schedule_kind == "constant_r2":
-        return w * gamma / alpha
-    return w * (alpha * alpha + gamma * gamma) / (alpha * gamma)
+        b = sched.beta_int(t)
+        return sched.beta(t), b, np.expm1(b)
+    return sched.scale_noise(t)
+
+
+# One row per (process, schedule_kind) of closed forms in the path variables:
+# the rate kappa2'(t) / w, an antiderivative K2 of it and an antiderivative K3
+# of rate / r_t^2, simplified so the guidance-weight factors cancel exactly
+# instead of forming 0/0 at the ends.  Diffusion: dE = beta e^B dt and
+# r^2 = E / (E + 1).  Flows carry no 1/2: the transform exponent must cancel
+# the full projector drift w_t r^-2 gamma gammadot^2 / (alpha (gamma alphadot
+# - gammadot alpha)) of the conditional velocity field.
+_CLOSED_FORMS = {
+    ("diffusion", "adaptive_paper"): (
+        lambda beta, b, e: -0.5 * beta,
+        lambda beta, b, e: -0.5 * b,
+        lambda beta, b, e: -0.5 * np.log(e)),
+    ("diffusion", "constant_r2"): (
+        lambda beta, b, e: -0.5 * beta * np.exp(b),
+        lambda beta, b, e: -0.5 * e,
+        lambda beta, b, e: -0.5 * (e + np.log(e))),
+    ("diffusion", "constant"): (
+        lambda beta, b, e: -0.5 * beta * np.exp(2.0 * b) / e,
+        lambda beta, b, e: -0.5 * (e + np.log(e)),
+        lambda beta, b, e: -0.5 * (e + 2.0 * np.log(e) - 1.0 / e)),
+    ("flow", "adaptive_paper"): (
+        lambda a, g: a * g,
+        lambda a, g: a * a / 2.0 - a ** 3 / 3.0,
+        lambda a, g: -(2.0 * a * a * a / 3.0 + a + np.log(g))),
+    ("flow", "constant_r2"): (
+        lambda a, g: g / a,
+        lambda a, g: np.log(a) - a,
+        lambda a, g: np.log(a / g) - 2.0 * a),
+    ("flow", "constant"): (
+        lambda a, g: (a * a + g * g) / (a * g),
+        lambda a, g: np.log(a / g) - 2.0 * a,
+        lambda a, g: np.log(a / g ** 5) - 4.0 * a - 3.0 / g + 0.5 / (g * g)),
+}
+
+
+def _closed_forms(cfg: GuidanceConfig, sched):
+    """(rate, K2, K3) of the configured process and schedule kind."""
+    return _CLOSED_FORMS[process_kind(sched), cfg.schedule_kind]
+
+
+def _kappa2(v, cfg: GuidanceConfig, sched):
+    """kappa2 = w [K2(t) - K2(kappa2_origin)] from the path variables v at t."""
+    _, k2, _ = _closed_forms(cfg, sched)
+    return cfg.w * (k2(*v) - k2(*_path_variables(kappa2_origin(cfg, sched), sched)))
+
+
+def kappa2_integrand(s, cfg: GuidanceConfig, sched):
+    """d(kappa2)/ds: the scalar weight on P inside the transform exponent."""
+    rate, _, _ = _closed_forms(cfg, sched)
+    return cfg.w * rate(*_path_variables(np.asarray(s, dtype=float), sched))
 
 
 def kappa2(t, cfg: GuidanceConfig, sched):
@@ -110,62 +145,16 @@ def kappa2(t, cfg: GuidanceConfig, sched):
 
     Accepts scalars or arrays; returns a float for scalar input.
     """
-    scalar = np.isscalar(t) or np.ndim(t) == 0
+    scalar = np.ndim(t) == 0
     t = np.asarray(t, dtype=float)
-    w = cfg.w
-    if w == 0.0:
-        out = np.zeros_like(t)
-    elif process_kind(sched) == "diffusion":
-        if cfg.schedule_kind == "adaptive_paper":
-            out = -0.5 * w * sched.beta_int(t)
-        elif cfg.schedule_kind == "constant_r2":
-            out = -0.5 * w * np.expm1(sched.beta_int(t))
-        else:
-            # constant: -(w/2) int beta e^B/(1 - e^-B) = -(w/2) [e^B + ln(e^B - 1)]
-            def anti(s):
-                bb = sched.beta_int(s)
-                return np.exp(bb) + bb + np.log(-np.expm1(-bb))
-            out = -0.5 * w * (anti(t) - anti(kappa2_origin(cfg, sched)))
-    else:
-        if cfg.schedule_kind == "adaptive_paper":
-            out = w * (t * t / 2.0 - t ** 3 / 3.0)
-        elif cfg.schedule_kind == "constant_r2":
-            lo = kappa2_origin(cfg, sched)
-            out = w * ((np.log(t) - t) - (math.log(lo) - lo))
-        else:
-            lo = kappa2_origin(cfg, sched)
-
-            def anti(s):
-                return np.log(s / (1.0 - s)) - 2.0 * s
-
-            out = w * (anti(t) - anti(lo))
+    out = np.zeros_like(t) if cfg.w == 0.0 else _kappa2(_path_variables(t, sched), cfg, sched)
     return float(out) if scalar else out
-
-
-def _kappa3_primitive(t, cfg: GuidanceConfig, sched):
-    """Closed-form antiderivative K of kappa2'(s) / r_s^2, singular at 0: in
-    alpha, gamma for flows, in E = e^B - 1 for diffusion (dE = beta e^B ds)."""
-    w = cfg.w
-    if process_kind(sched) == "diffusion":
-        e = np.expm1(sched.beta_int(t))
-        log_e = np.log(e)
-        if cfg.schedule_kind == "adaptive_paper":
-            return -0.5 * w * log_e
-        if cfg.schedule_kind == "constant_r2":
-            return -0.5 * w * (e + log_e)
-        return -0.5 * w * (e + 2.0 * log_e - 1.0 / e)
-    a, g = sched.scale_noise(t)
-    if cfg.schedule_kind == "adaptive_paper":
-        return -w * (2.0 * a * a * a / 3.0 + a + np.log(g))
-    if cfg.schedule_kind == "constant_r2":
-        return w * (np.log(a / g) - 2.0 * a)
-    return w * (np.log(a / g ** 5) - 4.0 * a - 3.0 / g + 0.5 / (g * g))
 
 
 def kappa3(t, cfg: GuidanceConfig, sched):
     """First-order noise correction coefficient on H^+ (H^+)^T, 0 at and below
-    the floor and -sigma_y^2 [K(t) - K(floor)] exp(kappa1 + kappa2) above it.
-    Accepts scalars or arrays; returns a float for scalar input."""
+    the floor and -sigma_y^2 w [K3(t) - K3(floor)] exp(kappa1 + kappa2) above
+    it.  Accepts scalars or arrays; returns a float for scalar input."""
     scalar = np.ndim(t) == 0
     t = np.asarray(t, dtype=float)
     out = np.zeros_like(t)
@@ -173,8 +162,10 @@ def kappa3(t, cfg: GuidanceConfig, sched):
         lo = cfg.t_floor
         live = t > lo
         ends = np.where(live, t, lo)  # empty intervals below the floor
-        base = _kappa3_primitive(ends, cfg, sched) - _kappa3_primitive(lo, cfg, sched)
-        k12 = kappa1(ends, cfg.lam, sched) + kappa2(ends, cfg, sched)
+        v = _path_variables(ends, sched)
+        _, _, k3 = _closed_forms(cfg, sched)
+        base = cfg.w * (k3(*v) - k3(*_path_variables(lo, sched)))
+        k12 = kappa1(ends, cfg.lam, sched) + _kappa2(v, cfg, sched)
         _exp_guard(float(np.max(k12, initial=-np.inf)), "kappa1 + kappa2")
         out = np.where(live, -(cfg.sigma_y ** 2) * base * np.exp(k12), 0.0)
     return float(out) if scalar else out
@@ -282,8 +273,10 @@ def _phi_integrands(s, cfg, sched):
     if cfg.w == 0.0:
         return me1
     c, q = sched.endpoint_map(s)
-    g = kappa2_integrand(s, cfg, sched)
-    ek2 = np.exp(kappa2(s, cfg, sched))
+    rate, _, _ = _closed_forms(cfg, sched)
+    v = _path_variables(s, sched)
+    g = cfg.w * rate(*v)
+    ek2 = np.exp(_kappa2(v, cfg, sched))
     e12 = e1 * ek2
     j_id = -g * q * c * e1
     return np.stack([

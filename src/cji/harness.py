@@ -95,9 +95,12 @@ def psnr_from_mse(mse: float, peak: float = 1.0) -> float:
 def load_config(path) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return json.load(fh)
+            config = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
+    if not isinstance(config, dict):
+        raise ConfigError(f"{path}: top level must be a JSON object")
+    return config
 
 
 def apply_overrides(config: dict, overrides) -> dict:
@@ -129,37 +132,43 @@ def _need(desc: dict, key: str, what: str):
 
 
 def build_operator(desc: dict):
+    """The operator a problem.operator block describes; a constructor's
+    ValueError is a ConfigError."""
     kind = desc.get("kind")
     what = f"{kind} operator"
-    if kind == "mask":
-        if "bitmap_file" in desc:
-            bitmap = read_tensor(desc["bitmap_file"])
-            indices = np.flatnonzero(bitmap != 0.0)
-            return Mask(indices, bitmap.size)
-        if "indices_file" in desc:
-            indices = read_tensor(desc["indices_file"]).astype(int)
-        else:
-            indices = desc.get("indices")
-        if indices is None:
-            raise ConfigError("mask operator needs indices, indices_file, or bitmap_file")
-        return Mask(indices, int(desc["in_dim"] if "in_dim" in desc
-                                 else _need(desc, "dim", what)))
-    if kind == "block_average":
-        return BlockAverage(*(int(_need(desc, k, what)) for k in ("factor", "height", "width")))
-    if kind == "circulant_blur":
-        kernel = (read_tensor(desc["kernel_file"]) if "kernel_file" in desc
-                  else np.asarray(_need(desc, "kernel", what), dtype=float))
-        threshold = float(desc.get("threshold", 1e-8))
-        if kernel.ndim == 2:
-            shape = tuple(int(_need(desc, k, what)) for k in ("height", "width"))
-            return CirculantBlur(kernel, shape=shape, threshold=threshold)
-        return CirculantBlur(kernel, in_dim=int(_need(desc, "in_dim", what)),
-                             threshold=threshold)
-    if kind == "dense":
-        matrix = (read_tensor(desc["matrix_file"]) if "matrix_file" in desc
-                  else np.asarray(_need(desc, "matrix", what), dtype=float))
-        return DenseOperator(matrix)
-    raise ConfigError(f"unknown operator kind {kind!r}")
+    try:
+        if kind == "mask":
+            if "bitmap_file" in desc:
+                bitmap = read_tensor(desc["bitmap_file"])
+                indices = np.flatnonzero(bitmap != 0.0)
+                return Mask(indices, bitmap.size)
+            if "indices_file" in desc:
+                indices = read_tensor(desc["indices_file"]).astype(int)
+            else:
+                indices = desc.get("indices")
+            if indices is None:
+                raise ConfigError("mask operator needs indices, indices_file, or bitmap_file")
+            return Mask(indices, int(desc["in_dim"] if "in_dim" in desc
+                                     else _need(desc, "dim", what)))
+        if kind == "block_average":
+            return BlockAverage(*(int(_need(desc, k, what))
+                                  for k in ("factor", "height", "width")))
+        if kind == "circulant_blur":
+            kernel = (read_tensor(desc["kernel_file"]) if "kernel_file" in desc
+                      else np.asarray(_need(desc, "kernel", what), dtype=float))
+            threshold = float(desc.get("threshold", 1e-8))
+            if kernel.ndim == 2:
+                shape = tuple(int(_need(desc, k, what)) for k in ("height", "width"))
+                return CirculantBlur(kernel, shape=shape, threshold=threshold)
+            return CirculantBlur(kernel, in_dim=int(_need(desc, "in_dim", what)),
+                                 threshold=threshold)
+        if kind == "dense":
+            matrix = (read_tensor(desc["matrix_file"]) if "matrix_file" in desc
+                      else np.asarray(_need(desc, "matrix", what), dtype=float))
+            return DenseOperator(matrix)
+        raise ConfigError(f"unknown operator kind {kind!r}")
+    except ValueError as exc:
+        raise ConfigError(f"{what}: {exc}") from exc
 
 
 def _coerce_profile(value, dim: int) -> np.ndarray:
@@ -192,9 +201,9 @@ def build_data_model(desc: dict):
 
 
 def _draw_x0(problem: dict, seed: int) -> np.ndarray:
-    data = problem["data"]
+    data = _need(problem, "data", "problem")
     if data.get("source") == "tensor_file":
-        return read_tensor(data["path"]).reshape(-1)
+        return read_tensor(_need(data, "path", "tensor_file data")).reshape(-1)
     model = build_data_model(data)
     rng = np.random.default_rng([seed, _X0_SALT])
     if isinstance(model, MixtureModel):
@@ -233,10 +242,13 @@ def build_oracle(model_desc: dict, problem: dict, sched):
     if kind == "external":
         from .external import ExternalOracle
 
-        return ExternalOracle(model_desc["argv"],
-                              timeout=float(model_desc.get("timeout", 30.0)),
-                              jvp_mode=model_desc.get("jvp_mode", "remote"))
-    data_desc = model_desc if "dim" in model_desc else problem["data"]
+        argv = _need(model_desc, "argv", "external model")
+        try:
+            return ExternalOracle(argv, timeout=float(model_desc.get("timeout", 30.0)),
+                                  jvp_mode=model_desc.get("jvp_mode", "remote"))
+        except (OSError, ValueError) as exc:  # unspawnable argv, bad jvp_mode or timeout
+            raise ConfigError(f"external model {argv!r}: {exc}") from exc
+    data_desc = model_desc if "dim" in model_desc else _need(problem, "data", "problem")
     model = build_data_model(data_desc)
     if isinstance(sched, DiffusionSchedule):
         if isinstance(model, MixtureModel):
@@ -279,17 +291,14 @@ def sweep_points(config: dict):
     return [dict(sampler, **dict(zip(defaults, p))) for p in itertools.product(*axes)]
 
 
-def run(config: dict, *, threads: int = 1, output_dir=None,
-        write_outputs: bool = True) -> RunReport:
+def run(config: dict, *, threads: int = 1, output_dir=None) -> RunReport:
     """Execute the sweep described by the config; returns the full report.
 
     Divergent runs, runs whose transform exponents would overflow or whose
     coefficient table fails to integrate, and runs whose squared error
     overflows are recorded with empty metrics rather than aborting the sweep.
     """
-    problem = config.get("problem")
-    if problem is None:
-        raise ConfigError("config needs a problem block")
+    problem = _need(config, "problem", "config")
     seeds = list(config.get("seeds", [0]))
     points = sweep_points(config)
     if len(points) * len(seeds) > SWEEP_GUARD:
@@ -297,7 +306,7 @@ def run(config: dict, *, threads: int = 1, output_dir=None,
             f"sweep size {len(points) * len(seeds)} exceeds the guard {SWEEP_GUARD}")
 
     sched = build_schedule(config)
-    op = build_operator(problem["operator"])
+    op = build_operator(_need(problem, "operator", "problem"))
     sigma_y = float(problem.get("sigma_y", 0.0))
     specs = [SamplerSpec(method=desc["method"], guidance=guidance_from_sampler(desc, sigma_y))
              for desc in points]
@@ -348,7 +357,7 @@ def run(config: dict, *, threads: int = 1, output_dir=None,
 
     records = [rec for rec, _ in outcomes]
     report = RunReport(records=records, aggregates=_aggregate(records))
-    if write_outputs and out_dir is not None:
+    if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         for (pi, seed), (_, x) in zip(jobs, outcomes):
             if x is not None:
@@ -411,8 +420,9 @@ def report_from_csv(text: str) -> RunReport:
 def coeff_dump(config: dict) -> str:
     """Coefficient table CSV for the configured sampler grid."""
     sigma_y = float(config.get("problem", {}).get("sigma_y", 0.0))
-    cfg = guidance_from_sampler(config["sampler"], sigma_y)
-    spec = SamplerSpec(method=config["sampler"]["method"], guidance=cfg)
+    sampler = _need(config, "sampler", "config")
+    spec = SamplerSpec(method=_need(sampler, "method", "sampler"),
+                       guidance=guidance_from_sampler(sampler, sigma_y))
     table = precompute_table(spec.resolved_grid(), spec.table_guidance,
                              build_schedule(config))
     return table_to_csv(table)

@@ -217,16 +217,10 @@ class CirculantBlur(LinearDegradation):
         self.out_dim = self.in_dim
         self.threshold = float(threshold)
 
+        # Tap index k // 2 of each axis on lag zero, wrapped around the grid.
         embedded = np.zeros(self.shape)
-        if kernel.ndim == 1:
-            center = kernel.size // 2
-            for j, tap in enumerate(kernel):
-                embedded[(j - center) % self.shape[0]] += tap
-        else:
-            ci, cj = kernel.shape[0] // 2, kernel.shape[1] // 2
-            for i in range(kernel.shape[0]):
-                for j in range(kernel.shape[1]):
-                    embedded[(i - ci) % self.shape[0], (j - cj) % self.shape[1]] += kernel[i, j]
+        np.add.at(embedded, np.ix_(*[(np.arange(k) - k // 2) % n
+                                     for k, n in zip(kernel.shape, self.shape)]), kernel)
         self.spectrum = np.fft.fftn(embedded)
         power = np.abs(self.spectrum) ** 2
         self.keep = np.abs(self.spectrum) >= self.threshold * np.abs(self.spectrum).max()

@@ -118,15 +118,22 @@ class TestKappa3:
     @pytest.mark.parametrize("sched", [DIFF, FLOW], ids=["diffusion", "flow"])
     def test_primitive_matches_floor_anchored_quadrature(self, sched, kind, floor):
         # The closed form against the integral it replaces: kappa2'(s)/r_s^2
-        # from the floor, by adaptive Simpson at a tight tolerance.
+        # from the floor, by adaptive Simpson at a tight tolerance, read off
+        # kappa3 = -sigma_y^2 exp(kappa1 + kappa2) times that integral.  The
+        # integral does not depend on lambda, so lambda is set per time to
+        # hold kappa1 + kappa2 at 0 where exp(kappa2) alone would underflow.
         cfg = GuidanceConfig(w=2.0, sigma_y=0.05, schedule_kind=kind, t_floor=floor)
         times = np.array([1.01 * floor, 2.0 * floor, 0.3, 0.6, 0.9]
                          + ([1.0 - 1e-4] if sched is FLOW else []))
         fast = validated(sched, floor, times)
         ref = adaptive_simpson(lambda s: kappa2_integrand(s, cfg, fast) / fast.r_sq(s),
                                floor, times, atol=1e-12, rtol=1e-12)
-        primitive = cji.conjugate._kappa3_primitive
-        got = primitive(times, cfg, sched) - primitive(floor, cfg, sched)
+        got = np.empty_like(times)
+        for i, t in enumerate(times):
+            k2 = kappa2(t, cfg, sched)
+            at_t = replace(cfg, lam=-(float(kappa1(t, 0.0, sched)) + k2) / t)
+            k12 = float(kappa1(t, at_t.lam, sched)) + k2
+            got[i] = kappa3(t, at_t, sched) / (-(cfg.sigma_y ** 2) * math.exp(k12))
         assert np.all(np.abs(got - ref) <= np.maximum(1e-9, 1e-9 * np.abs(ref)))
 
     @pytest.mark.parametrize("sched", [DIFF, FLOW], ids=["diffusion", "flow"])

@@ -106,7 +106,7 @@ class TestConfig:
     def test_sweep_cross_product_count(self):
         cfg = base_config()
         cfg["sweep"] = {"nfe": [5, 10, 20]}
-        report = harness.run(cfg, write_outputs=False)
+        report = harness.run(cfg)
         assert len(report.records) == 9  # 3 nfe x 3 seeds
 
     def test_sweep_guard(self):
@@ -114,13 +114,13 @@ class TestConfig:
         cfg["sweep"] = {"w": list(range(1, 200)), "tau": [0.1 * k for k in range(1, 8)]}
         cfg["seeds"] = list(range(10))
         with pytest.raises(ConfigError):
-            harness.run(cfg, write_outputs=False)
+            harness.run(cfg)
 
     def test_unknown_sweep_key(self):
         cfg = base_config()
         cfg["sweep"] = {"temperature": [1, 2]}
         with pytest.raises(ConfigError):
-            harness.run(cfg, write_outputs=False)
+            harness.run(cfg)
 
     def test_operator_builders(self, tmp_path):
         op = harness.build_operator({"kind": "mask", "indices": [1, 3], "dim": 6})
@@ -149,8 +149,8 @@ class TestConfig:
 class TestRun:
     def test_determinism_rerun(self):
         cfg = base_config()
-        a = harness.run(cfg, write_outputs=False)
-        b = harness.run(cfg, write_outputs=False)
+        a = harness.run(cfg)
+        b = harness.run(cfg)
         assert [r.mse for r in a.records] == [r.mse for r in b.records]
 
     @pytest.mark.parametrize("model", ["auto", "external"])
@@ -166,8 +166,8 @@ class TestRun:
                 "argv": [sys.executable, "-m", "cji.oracle_server",
                          "--kind", "gaussian-diffusion", "--dim", "8"],
             }
-        a = harness.run(cfg, threads=1, write_outputs=False)
-        b = harness.run(cfg, threads=4, write_outputs=False)
+        a = harness.run(cfg, threads=1)
+        b = harness.run(cfg, threads=4)
         for ra, rb in zip(a.records, b.records):
             assert (ra.method, ra.w, ra.lam, ra.tau, ra.nfe, ra.seed) == \
                    (rb.method, rb.w, rb.lam, rb.tau, rb.nfe, rb.seed)
@@ -175,7 +175,7 @@ class TestRun:
             assert ra.observed_residual == rb.observed_residual
 
     def test_psnr_relation(self):
-        report = harness.run(base_config(), write_outputs=False)
+        report = harness.run(base_config())
         for r in report.records:
             assert r.psnr == pytest.approx(10.0 * math.log10(1.0 / r.mse), abs=1e-12)
 
@@ -194,7 +194,7 @@ class TestRun:
         assert all("mse_mean" in v for v in summary.values())
 
     def test_csv_round_trip(self):
-        report = harness.run(base_config(), write_outputs=False)
+        report = harness.run(base_config())
         text = harness.report_to_csv(report)
         back = harness.report_from_csv(text)
         assert back.records == report.records
@@ -206,7 +206,7 @@ class TestRun:
 
     def test_aggregates(self):
         cfg = base_config()
-        report = harness.run(cfg, write_outputs=False)
+        report = harness.run(cfg)
         (key, agg), = report.aggregates.items()
         assert agg["runs"] == 3 and agg["diverged"] == 0
         mses = [r.mse for r in report.records]
@@ -215,7 +215,7 @@ class TestRun:
     def test_divergence_recorded_not_fatal(self):
         for cfg in diverging_configs():
             with np.errstate(over="ignore", invalid="ignore"):
-                report = harness.run(cfg, write_outputs=False)
+                report = harness.run(cfg)
             assert report.diverged_count == 1
             assert report.records[0].mse is None
             text = harness.report_to_csv(report)
@@ -231,7 +231,7 @@ class TestRun:
                      "--kind", "gaussian-diffusion", "--dim", "8"],
         }
         cfg["seeds"] = [0]
-        report = harness.run(cfg, write_outputs=False)
+        report = harness.run(cfg)
         assert report.records[0].mse is not None
 
 
@@ -295,12 +295,12 @@ class TestTableCache:
         assert len(builds) == 2 and all(g.w == 0.0 for g in builds)
         self.check_reconstructions(cfg, str(tmp_path))
 
-    def test_failed_build_is_not_cached(self, builds):
+    def test_failed_build_is_not_cached(self, builds, tmp_path):
         cfg = harness.load_config(os.path.join(CONFIGS, "gaussian_mask.json"))
         harness.apply_overrides(cfg, ["sampler.method=conjugate_flow", "sampler.lambda=1100",
                                       "sampler.tau=0.7", "sweep.nfe=[5]"])
         with np.errstate(over="ignore", invalid="ignore"):
-            report = harness.run(cfg, write_outputs=False)
+            report = harness.run(cfg, output_dir=tmp_path)
         assert report.diverged_count == 3 and len(builds) == 3
 
 
@@ -449,7 +449,7 @@ class TestCLI:
         assert {r.seed for r in report.records} == {7}
         assert {r.nfe for r in report.records} == {3}
 
-    def test_below_floor_grid_refused_before_any_sample(self, monkeypatch):
+    def test_below_floor_grid_refused_before_any_sample(self, monkeypatch, tmp_path):
         # the nfe=20 grid evaluates the oracle below the time floor; the nfe 5
         # and 10 points must not run first
         calls = []
@@ -464,7 +464,7 @@ class TestCLI:
             harness.load_config(os.path.join(CONFIGS, "gaussian_mask.json")),
             ["sampler.t_floor=2e-5", "sampler.tau=0.001"])
         with pytest.raises(ConfigError, match="below the time floor"):
-            harness.run(config, write_outputs=False)
+            harness.run(config, output_dir=tmp_path)
         assert calls == []
 
     @pytest.mark.parametrize("overrides", [
@@ -484,6 +484,42 @@ class TestCLI:
     ], ids=["mask-dim", "block-height", "data-dim", "scalar-sweep"])
     def test_incomplete_config_is_a_config_error(self, tmp_path, capsys, override, named):
         assert cli.main(self.shipped_mask_argv(tmp_path / "out", override)) == 1
+        err = capsys.readouterr().err
+        assert "configuration error" in err and named in err
+
+    @pytest.mark.parametrize("command,path,value,named", [
+        ("run", "problem.operator", None, "'operator'"),
+        ("degrade", "problem.operator", None, "'operator'"),
+        ("run", "problem.data", None, "'data'"),
+        ("degrade", "problem.data", {"source": "tensor_file"}, "'path'"),
+        ("run", "model", {"kind": "external"}, "'argv'"),
+        ("coeff-dump", "sampler", None, "'sampler'"),
+        ("coeff-dump", "sampler.method", None, "'method'"),
+        ("run", "", [1, 2], "JSON object"),
+        ("run", "problem.operator.indices", [0, 99], "indices out of range"),
+        ("run", "problem.operator", {"kind": "circulant_blur", "kernel": [0.25, 0.5, 0.25],
+                                     "in_dim": 8, "threshold": 0}, "threshold"),
+        ("run", "model", {"kind": "external", "argv": ["no-such-oracle-binary"]},
+         "no-such-oracle-binary"),
+    ], ids=["run-no-operator", "degrade-no-operator", "no-data", "tensor-file-no-path",
+            "external-no-argv", "coeff-dump-no-sampler", "coeff-dump-no-method",
+            "top-level-list", "mask-index-range", "blur-threshold", "argv-not-spawned"])
+    def test_malformed_config_exits_one(self, tmp_path, capsys, command, path, value, named):
+        # value None deletes the key; the empty path replaces the whole config
+        cfg = base_config()
+        if path:
+            *parents, key = path.split(".")
+            node = cfg
+            for part in parents:
+                node = node[part]
+            if value is None:
+                del node[key]
+            else:
+                node[key] = value
+        else:
+            cfg = value
+        argv = [command, self.write_config(tmp_path, cfg), "--output-dir", str(tmp_path / "o")]
+        assert cli.main(argv) == 1
         err = capsys.readouterr().err
         assert "configuration error" in err and named in err
 

@@ -231,6 +231,22 @@ HALF_SPECTRUM_ACTIONS = {
 }
 
 
+def _loop_embedded(kernel, shape):
+    """The kernel placed on the grid tap by tap, centre tap on lag zero."""
+    embedded = np.zeros(shape)
+    for idx in np.ndindex(kernel.shape):
+        at = tuple((i - k // 2) % n for i, k, n in zip(idx, kernel.shape, shape))
+        embedded[at] += kernel[idx]
+    return embedded
+
+
+_TAPS = np.random.default_rng(3).uniform(0.1, 1.0, 5 * 6)
+EMBEDDING_BLURS = dict(BLURS, **{
+    "1d-5-full": CirculantBlur(_TAPS[:5] / _TAPS[:5].sum(), in_dim=5),
+    "2d-5x6-full": CirculantBlur((_TAPS / _TAPS.sum()).reshape(5, 6), shape=(5, 6)),
+})
+
+
 class TestCirculantHalfSpectrum:
     """Each blur action is one multiply on the real half spectrum.  It must
     match the generic composition (or a full-grid complex FFT for the
@@ -251,6 +267,12 @@ class TestCirculantHalfSpectrum:
                                    atol=1e-12 * max(1.0, np.max(np.abs(ref))))
         rows = np.stack([call(op, row) for row in x.reshape(-1, op.in_dim)])
         np.testing.assert_array_equal(out, rows.reshape(x.shape))
+
+    @pytest.mark.parametrize("blur", EMBEDDING_BLURS)
+    def test_spectrum_matches_loop_embedding(self, blur):
+        op = EMBEDDING_BLURS[blur]
+        expected = np.fft.fftn(_loop_embedded(op.kernel, op.shape))
+        np.testing.assert_array_equal(op.spectrum, expected)
 
     @pytest.mark.parametrize("blur", BLURS)
     def test_public_spectra_are_full_grid(self, blur):

@@ -3,26 +3,36 @@
 perfbench/tracing.py lists them in ENTRY_POINTS and looks each one up when
 it installs: a missing module-level function breaks the traced benchmark
 run, and a missing method is silently no longer counted.  These tests keep
-every listed name resolvable.
+every listed name resolvable, and run the tracer's counters on real results:
+they read the columns and length of every coefficient table and the
+jvp_mode of an external oracle.
 """
 
 import importlib
 import importlib.util
 import pathlib
+import sys
 
+import numpy as np
 import pytest
+
+from cji.conjugate import precompute_table
+from cji.external import ExternalOracle
+from cji.schedules import (DiffusionSchedule, FlowSchedule, GuidanceConfig, process_kind,
+                           sampling_grid)
 
 TRACING = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 
-def _entry_points() -> dict:
+def _tracing():
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.ENTRY_POINTS
+    return module
 
 
-ENTRY_POINTS = _entry_points()
+tracing = _tracing()
+ENTRY_POINTS = tracing.ENTRY_POINTS
 
 
 def _defines(cls, name) -> bool:
@@ -45,3 +55,22 @@ def test_entry_points_resolve(layer):
             continue
         missing += [f"{owner}.{name}" for name in names if not _defines(cls, name)]
     assert not missing, f"cji.{layer} no longer defines {missing}"
+
+
+@pytest.mark.parametrize("sched", [DiffusionSchedule(), FlowSchedule()],
+                         ids=["diffusion", "flow"])
+def test_table_counter_reads_every_table(sched):
+    cfg = GuidanceConfig(w=2.0, sigma_y=0.05, nfe=5)
+    table = precompute_table(sampling_grid(cfg, process_kind(sched)), cfg, sched)
+    tracer = tracing.Tracer()
+    tracing._count_table(tracer, (), {}, table, True)
+    assert tracer.counts["conjugate.table_points"] == len(table) == 6
+    assert len(tracer.tables) == 1
+
+
+def test_jvp_counter_reads_external_jvp_mode():
+    argv = [sys.executable, "-m", "cji.oracle_server", "--kind", "echo", "--dim", "3"]
+    tracer = tracing.Tracer()
+    with ExternalOracle(argv) as oracle:
+        tracing._count_jvp_requests(tracer, (oracle, np.zeros((2, 3))), {}, None, True)
+    assert tracer.counts["external.requests"] == 2
