@@ -61,12 +61,12 @@ def cmd_run(args) -> int:
 
 def cmd_degrade(args) -> int:
     config = _load(args)
-    problem = harness._need(config, "problem", "config")
-    op = harness.build_operator(harness._need(problem, "operator", "problem"))
-    sigma_y = float(problem.get("sigma_y", 0.0))
+    problem = harness._need(config, "problem", "config", dict)
+    op = harness.build_operator(harness._need(problem, "operator", "problem", dict))
+    sigma_y = harness._need(problem, "sigma_y", "problem", float, 0.0)
     out_dir = config.get("output_dir", ".")
     os.makedirs(out_dir, exist_ok=True)
-    for seed in config.get("seeds", [0]):
+    for seed in harness._need(config, "seeds", "config", list, [0]):
         x0 = harness._draw_x0(problem, seed)
         y = harness.degrade(x0, op, sigma_y, seed)
         write_tensor(os.path.join(out_dir, f"x0_{seed}.cji"), x0)

@@ -124,11 +124,30 @@ def apply_overrides(config: dict, overrides) -> dict:
     return config
 
 
-def _need(desc: dict, key: str, what: str):
-    """desc[key], or a ConfigError naming the missing key."""
-    if key not in desc:
-        raise ConfigError(f"{what} needs {key!r}")
-    return desc[key]
+_KINDS = {dict: "an object", list: "a list", float: "a number", int: "an integer"}
+_REQUIRED = object()
+
+
+def _need(desc: dict, key: str, what: str, kind=None, default=_REQUIRED):
+    """desc[key], or default when the key is absent or null.
+
+    ``kind`` (dict, list, float or int) is the type the value must have;
+    numbers are converted.  A missing required key or a value of another
+    kind is a ConfigError naming the key.
+    """
+    value = desc.get(key)
+    if value is None:
+        if default is _REQUIRED:
+            raise ConfigError(f"{what} needs {key!r}")
+        value = default
+    if kind in (float, int):
+        try:
+            return kind(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    elif kind is None or isinstance(value, kind):
+        return value
+    raise ConfigError(f"{what} {key!r} must be {_KINDS[kind]}, got {value!r}")
 
 
 def build_operator(desc: dict):
@@ -148,19 +167,19 @@ def build_operator(desc: dict):
                 indices = desc.get("indices")
             if indices is None:
                 raise ConfigError("mask operator needs indices, indices_file, or bitmap_file")
-            return Mask(indices, int(desc["in_dim"] if "in_dim" in desc
-                                     else _need(desc, "dim", what)))
+            return Mask(indices, _need(desc, "in_dim" if "in_dim" in desc else "dim",
+                                       what, int))
         if kind == "block_average":
-            return BlockAverage(*(int(_need(desc, k, what))
+            return BlockAverage(*(_need(desc, k, what, int)
                                   for k in ("factor", "height", "width")))
         if kind == "circulant_blur":
             kernel = (read_tensor(desc["kernel_file"]) if "kernel_file" in desc
                       else np.asarray(_need(desc, "kernel", what), dtype=float))
-            threshold = float(desc.get("threshold", 1e-8))
+            threshold = _need(desc, "threshold", what, float, 1e-8)
             if kernel.ndim == 2:
-                shape = tuple(int(_need(desc, k, what)) for k in ("height", "width"))
+                shape = tuple(_need(desc, k, what, int) for k in ("height", "width"))
                 return CirculantBlur(kernel, shape=shape, threshold=threshold)
-            return CirculantBlur(kernel, in_dim=int(_need(desc, "in_dim", what)),
+            return CirculantBlur(kernel, in_dim=_need(desc, "in_dim", what, int),
                                  threshold=threshold)
         if kind == "dense":
             matrix = (read_tensor(desc["matrix_file"]) if "matrix_file" in desc
@@ -186,7 +205,7 @@ def build_data_model(desc: dict):
     if source not in ("gaussian", "mixture"):
         raise ConfigError(f"unknown data source {source!r}")
     what = f"{source} data"
-    dim = int(_need(desc, "dim", what))
+    dim = _need(desc, "dim", what, int)
     if source == "gaussian":
         return GaussianModel(
             mean=_coerce_profile(desc.get("mean", 0.0), dim),
@@ -194,14 +213,14 @@ def build_data_model(desc: dict):
         )
     comps = tuple(
         GaussianModel(mean=_coerce_profile(m, dim), var=_coerce_profile(v, dim))
-        for m, v in zip(_need(desc, "means", what), _need(desc, "vars", what))
+        for m, v in zip(_need(desc, "means", what, list), _need(desc, "vars", what, list))
     )
     return MixtureModel(weights=np.asarray(_need(desc, "weights", what), dtype=float),
                         components=comps)
 
 
 def _draw_x0(problem: dict, seed: int) -> np.ndarray:
-    data = _need(problem, "data", "problem")
+    data = _need(problem, "data", "problem", dict)
     if data.get("source") == "tensor_file":
         return read_tensor(_need(data, "path", "tensor_file data")).reshape(-1)
     model = build_data_model(data)
@@ -226,10 +245,10 @@ def build_schedule(config: dict):
     interpolant, whichever the (validated) sampler method needs."""
     if METHODS[config["sampler"]["method"]][1] == "flow":
         return FlowSchedule()
-    desc = config.get("schedule", {})
+    desc = _need(config, "schedule", "config", dict, {})
     return DiffusionSchedule(
-        beta_min=float(desc.get("beta_min", 0.1)),
-        beta_max=float(desc.get("beta_max", 20.0)),
+        beta_min=_need(desc, "beta_min", "schedule", float, 0.1),
+        beta_max=_need(desc, "beta_max", "schedule", float, 20.0),
     )
 
 
@@ -244,11 +263,12 @@ def build_oracle(model_desc: dict, problem: dict, sched):
 
         argv = _need(model_desc, "argv", "external model")
         try:
-            return ExternalOracle(argv, timeout=float(model_desc.get("timeout", 30.0)),
+            return ExternalOracle(argv, timeout=_need(model_desc, "timeout", "external model",
+                                                      float, 30.0),
                                   jvp_mode=model_desc.get("jvp_mode", "remote"))
         except (OSError, ValueError) as exc:  # unspawnable argv, bad jvp_mode or timeout
             raise ConfigError(f"external model {argv!r}: {exc}") from exc
-    data_desc = model_desc if "dim" in model_desc else _need(problem, "data", "problem")
+    data_desc = model_desc if "dim" in model_desc else _need(problem, "data", "problem", dict)
     model = build_data_model(data_desc)
     if isinstance(sched, DiffusionSchedule):
         if isinstance(model, MixtureModel):
@@ -261,25 +281,23 @@ def build_oracle(model_desc: dict, problem: dict, sched):
 
 def guidance_from_sampler(desc: dict, sigma_y: float) -> GuidanceConfig:
     return GuidanceConfig(
-        w=float(desc.get("w", 1.0)),
-        lam=float(desc.get("lambda", 0.0)),
-        tau=float(desc.get("tau", 0.6)),
-        nfe=int(desc.get("nfe", 20)),
+        w=_need(desc, "w", "sampler", float, 1.0),
+        lam=_need(desc, "lambda", "sampler", float, 0.0),
+        tau=_need(desc, "tau", "sampler", float, 0.6),
+        nfe=_need(desc, "nfe", "sampler", int, 20),
         sigma_y=sigma_y,
         schedule_kind=desc.get("schedule_kind", "adaptive_paper"),
-        t_floor=float(desc.get("t_floor", DEFAULT_T_FLOOR)),
+        t_floor=_need(desc, "t_floor", "sampler", float, DEFAULT_T_FLOOR),
     )
 
 
 def sweep_points(config: dict):
     """Cross-product of the sweep lists over the base sampler block."""
-    sampler = config.get("sampler")
-    if sampler is None:
-        raise ConfigError("config needs a sampler block")
+    sampler = _need(config, "sampler", "config", dict)
     method = sampler.get("method")
     if method not in METHODS:
         raise ConfigError(f"sampler.method must be one of {tuple(METHODS)}")
-    sweep = config.get("sweep", {}) or {}
+    sweep = _need(config, "sweep", "config", dict, {})
     defaults = {"w": 1.0, "lambda": 0.0, "tau": 0.6, "nfe": 20}
     unknown = set(sweep) - set(defaults)
     if unknown:
@@ -298,24 +316,24 @@ def run(config: dict, *, threads: int = 1, output_dir=None) -> RunReport:
     coefficient table fails to integrate, and runs whose squared error
     overflows are recorded with empty metrics rather than aborting the sweep.
     """
-    problem = _need(config, "problem", "config")
-    seeds = list(config.get("seeds", [0]))
+    problem = _need(config, "problem", "config", dict)
+    seeds = _need(config, "seeds", "config", list, [0])
     points = sweep_points(config)
     if len(points) * len(seeds) > SWEEP_GUARD:
         raise ConfigError(
             f"sweep size {len(points) * len(seeds)} exceeds the guard {SWEEP_GUARD}")
 
     sched = build_schedule(config)
-    op = build_operator(_need(problem, "operator", "problem"))
-    sigma_y = float(problem.get("sigma_y", 0.0))
+    op = build_operator(_need(problem, "operator", "problem", dict))
+    sigma_y = _need(problem, "sigma_y", "problem", float, 0.0)
     specs = [SamplerSpec(method=desc["method"], guidance=guidance_from_sampler(desc, sigma_y))
              for desc in points]
     # A grid that sample would refuse aborts the sweep before any job runs
     # (and before an external oracle is spawned).
     for spec in specs:
         check_grid(spec.resolved_grid(), spec.kind, spec.guidance)
-    oracle = build_oracle(config.get("model", {}), problem, sched)
-    peak = float(config.get("peak", 1.0))
+    oracle = build_oracle(_need(config, "model", "config", dict, {}), problem, sched)
+    peak = _need(config, "peak", "config", float, 1.0)
     out_dir = output_dir or config.get("output_dir")
 
     jobs = [(pi, seed) for pi in range(len(points)) for seed in seeds]
@@ -419,8 +437,9 @@ def report_from_csv(text: str) -> RunReport:
 
 def coeff_dump(config: dict) -> str:
     """Coefficient table CSV for the configured sampler grid."""
-    sigma_y = float(config.get("problem", {}).get("sigma_y", 0.0))
-    sampler = _need(config, "sampler", "config")
+    problem = _need(config, "problem", "config", dict, {})
+    sigma_y = _need(problem, "sigma_y", "problem", float, 0.0)
+    sampler = _need(config, "sampler", "config", dict)
     spec = SamplerSpec(method=_need(sampler, "method", "sampler"),
                        guidance=guidance_from_sampler(sampler, sigma_y))
     table = precompute_table(spec.resolved_grid(), spec.table_guidance,

@@ -1,24 +1,24 @@
 """Matrix-free linear degradation operators.
 
-Every operator exposes the actions needed by the guided samplers without ever
-forming a d x d matrix:
+Every operator is a thin singular value decomposition H = U diag(s) V^T and
+exposes the actions needed by the guided samplers without ever forming a
+d x d matrix.  With iota = 1 / |s|^2 on kept modes and 0 elsewhere:
 
-- apply:          y = H x
-- adjoint:        x = H^T y
-- gram_solve:     (H H^T)^{-1} y
-- gram_reg_solve: (H H^T + c I)^{-1} y   (regularized; c = 0 recovers gram_solve)
-- pinv_apply:     H^+ y = H^T (H H^T)^{-1} y
-- proj_apply:     P x = H^+ H x
-- pinv_outer_apply: H^+ (H^+)^T x
+- apply:            y = H x                        = U (s V^T x)
+- adjoint:          x = H^T y                      = V (conj(s) U^T y)
+- gram_solve:       (H H^T)^{-1} y                 = U (iota U^T y)
+- gram_reg_solve:   (H H^T + c I)^{-1} y           = U (U^T y / (|s|^2 + c))
+- pinv_apply:       H^+ y = H^T (H H^T)^{-1} y     = V (conj(s) iota U^T y)
+- reg_pinv_apply:   H^T (H H^T + c I)^{-1} y       = V (conj(s) / (|s|^2 + c) U^T y)
+- proj_apply:       P x = H^+ H x                  = V (keep V^T x)
+- pinv_outer_apply: H^+ (H^+)^T x                  = V (iota V^T x)
+
+c = 0 in the regularised actions gives the unregularised ones.  Each action
+is one analysis, one multiply by a diagonal factor and one synthesis.
 
 All vector arguments are flat arrays whose *last* axis has the operator
 dimension; leading axes are batch axes (sampling chains).  Image geometry
 lives in operator metadata only.
-
-``CirculantBlur`` works on the real half spectrum: every action, the
-composite ``pinv_apply``, ``proj_apply``, ``reg_pinv_apply`` and
-``pinv_outer_apply`` included, is one forward/inverse real FFT pair around
-one multiply by a precomputed diagonal factor.
 """
 
 from __future__ import annotations
@@ -29,57 +29,87 @@ DENSE_GUARD = 4096
 
 
 class LinearDegradation:
-    """Base class; subclasses fill in apply/adjoint/gram solves."""
+    """H = U diag(s) V^T; this class defines every action once.
+
+    A subclass validates its arguments, sets ``in_dim`` and ``out_dim``,
+    calls ``_set_singular_values(s, keep)`` and overrides the basis maps it
+    does not leave as the identity: ``to_basis`` (V^T, signal to modes),
+    ``from_basis`` (V), ``from_data`` (U^T, observation to modes) and
+    ``to_data`` (U).  An analysis returns its argument itself or a new
+    array; a synthesis may overwrite its argument only if its analyses
+    never return their argument.  ``s`` is one scalar or one array over the
+    mode axes, and ``keep`` marks the modes that the pseudoinverse inverts.
+    """
 
     out_dim: int
     in_dim: int
 
-    def _check_in(self, x):
-        x = np.asarray(x, dtype=float)
-        if x.shape[-1] != self.in_dim:
-            raise ValueError(
-                f"expected last axis {self.in_dim}, got {x.shape[-1]}"
-            )
+    def _set_singular_values(self, s, keep=True):
+        """Store s and the actions' diagonal factors.  A scalar factor of 1
+        is stored as None, and the actions skip its multiply."""
+        def diag(factor):
+            return None if np.ndim(factor) == 0 and factor == 1 else factor
+
+        self.s = s
+        self._s_conj = np.conj(s)
+        self._power = np.abs(s) ** 2
+        inv_power = np.where(keep, 1.0 / np.where(keep, self._power, 1.0), 0.0)
+        self._apply, self._adjoint = diag(s), diag(self._s_conj)
+        self._keep = diag(np.asarray(keep, dtype=float))
+        self._inv_power, self._pinv = diag(inv_power), diag(self._s_conj * inv_power)
+
+    def to_basis(self, x):
         return x
 
-    def _check_out(self, y):
-        y = np.asarray(y, dtype=float)
-        if y.shape[-1] != self.out_dim:
-            raise ValueError(
-                f"expected last axis {self.out_dim}, got {y.shape[-1]}"
-            )
+    def from_basis(self, modes):
+        return modes
+
+    def from_data(self, y):
         return y
 
+    def to_data(self, modes):
+        return modes
+
+    def _act(self, z, dim, analyse, factor, synthesise):
+        """synthesise(factor * analyse(z)) for z whose last axis is dim."""
+        z = np.asarray(z, dtype=float)
+        if z.shape[-1] != dim:
+            raise ValueError(f"expected last axis {dim}, got {z.shape[-1]}")
+        modes = analyse(z)
+        if factor is not None:
+            if modes is z:  # identity analysis: never scale the caller's array
+                modes = modes * factor
+            else:
+                modes *= factor
+        return synthesise(modes)
+
     def apply(self, x):
-        raise NotImplementedError
+        return self._act(x, self.in_dim, self.to_basis, self._apply, self.to_data)
 
     def adjoint(self, y):
-        raise NotImplementedError
+        return self._act(y, self.out_dim, self.from_data, self._adjoint, self.from_basis)
 
     def gram_solve(self, y):
-        raise NotImplementedError
+        return self._act(y, self.out_dim, self.from_data, self._inv_power, self.to_data)
 
     def gram_reg_solve(self, y, c):
-        if c == 0:
-            return self.gram_solve(y)
-        return self._gram_reg_solve(y, c)
-
-    def _gram_reg_solve(self, y, c):
-        raise NotImplementedError
+        factor = self._inv_power if c == 0 else 1.0 / (self._power + c)
+        return self._act(y, self.out_dim, self.from_data, factor, self.to_data)
 
     def pinv_apply(self, y):
-        return self.adjoint(self.gram_solve(y))
+        return self._act(y, self.out_dim, self.from_data, self._pinv, self.from_basis)
 
     def reg_pinv_apply(self, y, c):
         """H^T (H H^T + c I)^{-1} y, the noisy-guidance replacement for H^+."""
-        return self.adjoint(self.gram_reg_solve(y, c))
+        factor = self._pinv if c == 0 else self._s_conj / (self._power + c)
+        return self._act(y, self.out_dim, self.from_data, factor, self.from_basis)
 
     def proj_apply(self, x):
-        return self.pinv_apply(self.apply(x))
+        return self._act(x, self.in_dim, self.to_basis, self._keep, self.from_basis)
 
     def pinv_outer_apply(self, x):
         """H^+ (H^+)^T x = H^T (H H^T)^{-2} H x."""
-        return self.adjoint(self.gram_solve(self.gram_solve(self.apply(x))))
+        return self._act(x, self.in_dim, self.to_basis, self._inv_power, self.from_basis)
 
     # -- dense materializers (test oracles; small dimensions only) ---------
 
@@ -106,7 +136,10 @@ class LinearDegradation:
 
 
 class Mask(LinearDegradation):
-    """Row-selection operator: keeps the listed coordinates (inpainting)."""
+    """Row-selection operator: keeps the listed coordinates (inpainting).
+
+    V^T selects the coordinates and V scatters them back; U = I, s = 1.
+    """
 
     def __init__(self, indices, in_dim):
         indices = np.asarray(indices, dtype=int)
@@ -119,28 +152,22 @@ class Mask(LinearDegradation):
         self.indices = indices
         self.in_dim = int(in_dim)
         self.out_dim = int(indices.size)
+        self._set_singular_values(1.0)
 
-    def apply(self, x):
-        return self._check_in(x)[..., self.indices]
+    def to_basis(self, x):
+        return x[..., self.indices]
 
-    def adjoint(self, y):
-        y = self._check_out(y)
-        x = np.zeros(y.shape[:-1] + (self.in_dim,))
-        x[..., self.indices] = y
+    def from_basis(self, modes):
+        x = np.zeros(modes.shape[:-1] + (self.in_dim,))
+        x[..., self.indices] = modes
         return x
-
-    def gram_solve(self, y):
-        return self._check_out(y)
-
-    def _gram_reg_solve(self, y, c):
-        return self._check_out(y) / (1.0 + c)
 
 
 class BlockAverage(LinearDegradation):
     """k x k block averaging on an (height, width) image (super-resolution).
 
-    Rows average disjoint blocks with weight 1/k^2, so H H^T = (1/k^2) I and
-    H^+ = k^2 H^T exactly.
+    V^T sums each block and divides by k (the normalised block indicators),
+    U = I and s = 1/k, so H H^T = (1/k^2) I and H^+ = k^2 H^T exactly.
     """
 
     def __init__(self, factor, height, width):
@@ -153,25 +180,20 @@ class BlockAverage(LinearDegradation):
         self.h_out = self.height // self.factor
         self.w_out = self.width // self.factor
         self.out_dim = self.h_out * self.w_out
+        self._set_singular_values(1.0 / self.factor)
 
-    def apply(self, x):
-        x = self._check_in(x)
-        k = self.factor
-        img = x.reshape(x.shape[:-1] + (self.h_out, k, self.w_out, k))
-        return img.mean(axis=(-3, -1)).reshape(x.shape[:-1] + (self.out_dim,))
+    def to_basis(self, x):
+        k, lead = self.factor, x.shape[:-1]
+        img = x.reshape(lead + (self.h_out, k, self.w_out, k))
+        modes = img.sum(axis=(-3, -1)).reshape(lead + (self.out_dim,))
+        modes /= k
+        return modes
 
-    def adjoint(self, y):
-        y = self._check_out(y)
-        k = self.factor
-        img = y.reshape(y.shape[:-1] + (self.h_out, 1, self.w_out, 1)) / (k * k)
-        img = np.broadcast_to(img, y.shape[:-1] + (self.h_out, k, self.w_out, k))
-        return img.reshape(y.shape[:-1] + (self.in_dim,)).copy()
-
-    def gram_solve(self, y):
-        return self._check_out(y) * (self.factor ** 2)
-
-    def _gram_reg_solve(self, y, c):
-        return self._check_out(y) / (1.0 / self.factor ** 2 + c)
+    def from_basis(self, modes):
+        k, lead = self.factor, modes.shape[:-1]
+        img = np.empty(lead + (self.h_out, k, self.w_out, k))
+        img[...] = (modes / k).reshape(lead + (self.h_out, 1, self.w_out, 1))
+        return img.reshape(lead + (self.in_dim,))
 
 
 class CirculantBlur(LinearDegradation):
@@ -185,11 +207,10 @@ class CirculantBlur(LinearDegradation):
     array acts on signals viewed as (height, width) images.
 
     ``spectrum``, ``keep`` and ``inv_power`` are full-grid arrays of shape
-    ``shape``.  The actions work on the real half spectrum (last axis
-    ``n // 2 + 1``): each one, ``pinv_outer_apply`` and ``reg_pinv_apply``
-    included, is one ``rfftn``, one multiply by a diagonal factor and one
-    ``irfftn``.  The factors are precomputed here, except the regularised
-    ones, which are formed per call from the stored ``|S|^2``.
+    ``shape``.  U and V are the same map: ``rfftn`` analyses onto the real
+    half spectrum (last axis ``n // 2 + 1``; the kernel is real, so every
+    factor is Hermitian and those modes suffice), ``irfftn`` synthesises,
+    and s is the half spectrum.
     """
 
     def __init__(self, kernel, in_dim=None, shape=None, threshold=1e-8):
@@ -227,103 +248,60 @@ class CirculantBlur(LinearDegradation):
         # Inverse power on kept modes, zero elsewhere (clamped pseudoinverse).
         self.inv_power = np.where(self.keep, 1.0 / np.where(self.keep, power, 1.0), 0.0)
 
-        # Half-spectrum factors: the kernel is real, so every factor is
-        # Hermitian and its first n // 2 + 1 modes on the last axis suffice.
         self._half_shape = self.shape[:-1] + (self.shape[-1] // 2 + 1,)
         self._axes = tuple(range(-len(self.shape), 0))
         half = (Ellipsis, slice(0, self._half_shape[-1]))
-        self._s = np.ascontiguousarray(self.spectrum[half])
-        self._s_conj = np.conj(self._s)
-        self._power = np.ascontiguousarray(power[half])
-        self._keep = self.keep[half].astype(float)
-        self._inv_power = np.ascontiguousarray(self.inv_power[half])
-        self._pinv = self._s_conj * self._inv_power
+        self._set_singular_values(np.ascontiguousarray(self.spectrum[half]), self.keep[half])
 
-    def _spectral(self, x, factor):
-        """rfftn, multiply by a half-spectrum factor, irfftn.
-
-        The complex passes run in place in one buffer (``irfftn`` would
-        allocate a second one for its inner inverse passes); the result is
-        bitwise the same as ``irfftn(spec * factor, s=self.shape)``.
-        """
-        x = self._check_in(x)
+    def to_basis(self, x):
         lead = x.shape[:-1]
         spec = np.empty(lead + self._half_shape, dtype=complex)
         np.fft.rfftn(x.reshape(lead + self.shape), axes=self._axes, out=spec)
-        spec *= factor
+        return spec
+
+    def from_basis(self, spec):
+        # The inner inverse passes run in place (irfftn would allocate a
+        # second complex buffer); bitwise the same as irfftn(spec, s=shape).
         for axis in self._axes[:-1]:
             np.fft.ifft(spec, axis=axis, out=spec)
         out = np.fft.irfft(spec, n=self.shape[-1], axis=-1)
-        return out.reshape(lead + (self.in_dim,))
+        return out.reshape(spec.shape[:-len(self.shape)] + (self.in_dim,))
 
-    def apply(self, x):
-        return self._spectral(x, self._s)
-
-    def adjoint(self, y):
-        return self._spectral(y, self._s_conj)
-
-    def gram_solve(self, y):
-        return self._spectral(y, self._inv_power)
-
-    def _gram_reg_solve(self, y, c):
-        return self._spectral(y, 1.0 / (self._power + c))
-
-    def pinv_apply(self, y):
-        return self._spectral(y, self._pinv)
-
-    def reg_pinv_apply(self, y, c):
-        if c == 0:
-            return self.pinv_apply(y)
-        return self._spectral(y, self._s_conj / (self._power + c))
-
-    def proj_apply(self, x):
-        return self._spectral(x, self._keep)
-
-    def pinv_outer_apply(self, x):
-        # H^T (H H^T)^{-2} H = |S|^2 inv_power^2 = inv_power on kept modes.
-        return self._spectral(x, self._inv_power)
+    from_data = to_basis
+    to_data = from_basis
 
 
 class DenseOperator(LinearDegradation):
-    """Explicit (m, d) matrix with a cached Cholesky factor of H H^T.
-
-    The only operator that needs scipy; it imports ``scipy.linalg`` on use,
-    so ``import cji`` (and an oracle child process) loads no scipy.
-    """
+    """Explicit (m, d) matrix of full row rank, through its thin SVD."""
 
     def __init__(self, matrix):
-        from scipy.linalg import cho_factor
-
         matrix = np.asarray(matrix, dtype=float)
         if matrix.ndim != 2:
             raise ValueError("matrix must be 2-d")
         m, d = matrix.shape
-        if m > d:
-            raise ValueError("need out_dim <= in_dim (full row rank)")
+        if not 0 < m <= d:
+            raise ValueError("need 0 < out_dim <= in_dim (full row rank)")
+        u, s, vt = np.linalg.svd(matrix, full_matrices=False)
+        if not s[-1] > d * np.finfo(float).eps * s[0]:
+            raise ValueError("matrix must have full row rank "
+                             f"(singular values {s[0]:.3g} to {s[-1]:.3g})")
         self.matrix = matrix
         self.out_dim = m
         self.in_dim = d
-        self.gram = matrix @ matrix.T
-        self._chol = cho_factor(self.gram)
+        self._u, self._vt = u, vt
+        self._set_singular_values(s)
 
-    def apply(self, x):
-        return self._check_in(x) @ self.matrix.T
+    def to_basis(self, x):
+        return x @ self._vt.T
 
-    def adjoint(self, y):
-        return self._check_out(y) @ self.matrix
+    def from_basis(self, modes):
+        return modes @ self._vt
 
-    def gram_solve(self, y):
-        from scipy.linalg import cho_solve
+    def from_data(self, y):
+        return y @ self._u
 
-        y = self._check_out(y)
-        flat = y.reshape(-1, self.out_dim)
-        return cho_solve(self._chol, flat.T).T.reshape(y.shape)
-
-    def _gram_reg_solve(self, y, c):
-        y = self._check_out(y)
-        flat = y.reshape(-1, self.out_dim)
-        reg = self.gram + c * np.eye(self.out_dim)
-        return np.linalg.solve(reg, flat.T).T.reshape(y.shape)
+    def to_data(self, modes):
+        return modes @ self._u.T
 
 
 def dense_materialize(op: LinearDegradation):

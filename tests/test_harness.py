@@ -523,6 +523,30 @@ class TestCLI:
         err = capsys.readouterr().err
         assert "configuration error" in err and named in err
 
+    @pytest.mark.parametrize("override,named", [
+        ("problem=3", "'problem'"),
+        ("problem.operator=3", "'operator'"),
+        ("model=3", "'model'"),
+        ("seeds=5", "'seeds'"),
+        ("sweep=3", "'sweep'"),
+        ("problem.data.dim=abc", "'dim'"),
+        ('sampler.w="x"', "'w'"),
+        ("problem.sigma_y=[1]", "'sigma_y'"),
+    ], ids=["problem", "operator", "model", "seeds", "sweep", "data-dim", "sampler-w",
+            "sigma-y"])
+    def test_mistyped_config_is_a_config_error(self, tmp_path, capsys, override, named):
+        # a block that is not an object, a list that is not a list, or a
+        # number that does not parse
+        assert cli.main(self.shipped_mask_argv(tmp_path / "out", override)) == 1
+        err = capsys.readouterr().err
+        assert "configuration error" in err and named in err
+
+    def test_rank_deficient_dense_is_a_config_error(self, tmp_path, capsys):
+        override = 'problem.operator={"kind":"dense","matrix":[[1,0,0],[2,0,0]]}'
+        assert cli.main(self.shipped_mask_argv(tmp_path / "out", override)) == 1
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "full row rank" in err
+
     def test_flags_only_where_read(self, tmp_path):
         path = self.write_config(tmp_path, base_config())
         for argv in (["degrade", path, "--threads", "2"],

@@ -6,7 +6,6 @@ from cji.operators import (
     BlockAverage,
     CirculantBlur,
     DenseOperator,
-    LinearDegradation,
     Mask,
     dense_materialize,
 )
@@ -219,15 +218,16 @@ HALF_SPECTRUM_ACTIONS = {
                        lambda op, x: _full_grid(
                            op, x, 1.0 / (np.abs(op.spectrum) ** 2 + 0.37))),
     "pinv_apply": (lambda op, x: op.pinv_apply(x),
-                   lambda op, x: LinearDegradation.pinv_apply(op, x)),
+                   lambda op, x: _full_grid(op, x, np.conj(op.spectrum) * op.inv_power)),
     "reg_pinv_apply-0": (lambda op, x: op.reg_pinv_apply(x, 0.0),
-                         lambda op, x: LinearDegradation.reg_pinv_apply(op, x, 0.0)),
+                         lambda op, x: _full_grid(op, x, np.conj(op.spectrum) * op.inv_power)),
     "reg_pinv_apply-0.37": (lambda op, x: op.reg_pinv_apply(x, 0.37),
-                            lambda op, x: LinearDegradation.reg_pinv_apply(op, x, 0.37)),
+                            lambda op, x: _full_grid(
+                                op, x, np.conj(op.spectrum) / (np.abs(op.spectrum) ** 2 + 0.37))),
     "proj_apply": (lambda op, x: op.proj_apply(x),
-                   lambda op, x: LinearDegradation.proj_apply(op, x)),
+                   lambda op, x: _full_grid(op, x, op.keep)),
     "pinv_outer_apply": (lambda op, x: op.pinv_outer_apply(x),
-                         lambda op, x: LinearDegradation.pinv_outer_apply(op, x)),
+                         lambda op, x: _full_grid(op, x, op.inv_power)),
 }
 
 
@@ -249,9 +249,9 @@ EMBEDDING_BLURS = dict(BLURS, **{
 
 class TestCirculantHalfSpectrum:
     """Each blur action is one multiply on the real half spectrum.  It must
-    match the generic composition (or a full-grid complex FFT for the
-    primitives) and act on every batch row independently, on odd last axes
-    and on kernels with an exactly-zero Nyquist mode."""
+    match a full-grid complex FFT with the full-grid factor and act on every
+    batch row independently, on odd last axes and on kernels with an
+    exactly-zero Nyquist mode."""
 
     @pytest.mark.parametrize("action", list(HALF_SPECTRUM_ACTIONS))
     @pytest.mark.parametrize("blur", BLURS)
@@ -341,6 +341,14 @@ class TestConstruction:
     def test_dense_shape(self):
         with pytest.raises(ValueError):
             DenseOperator(np.zeros((5, 3)))
+
+    @pytest.mark.parametrize("matrix", [[[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]], np.zeros((2, 4)),
+                                        [[1.0, 0.0, 0.0], [1.0, 1e-16, 0.0]]],
+                             ids=["parallel-rows", "zero", "nearly-parallel"])
+    def test_dense_rank_deficient(self, matrix):
+        # H H^T would be singular: H^+ and the projector are undefined.
+        with pytest.raises(ValueError, match="full row rank"):
+            DenseOperator(matrix)
 
 
 @settings(max_examples=25, deadline=None)

@@ -5,7 +5,8 @@ it installs: a missing module-level function breaks the traced benchmark
 run, and a missing method is silently no longer counted.  These tests keep
 every listed name resolvable, and run the tracer's counters on real results:
 they read the columns and length of every coefficient table and the
-jvp_mode of an external oracle.
+jvp_mode of an external oracle, and count the operator actions of a traced
+sampler call.
 """
 
 import importlib
@@ -18,6 +19,9 @@ import pytest
 
 from cji.conjugate import precompute_table
 from cji.external import ExternalOracle
+from cji.operators import CirculantBlur
+from cji.oracles import GaussianDiffusionOracle, GaussianModel
+from cji.samplers import SamplerSpec, sample
 from cji.schedules import (DiffusionSchedule, FlowSchedule, GuidanceConfig, process_kind,
                            sampling_grid)
 
@@ -74,3 +78,26 @@ def test_jvp_counter_reads_external_jvp_mode():
     with ExternalOracle(argv) as oracle:
         tracing._count_jvp_requests(tracer, (oracle, np.zeros((2, 3))), {}, None, True)
     assert tracer.counts["external.requests"] == 2
+
+
+def test_operator_counters_see_every_action():
+    # All actions live on the operator base class; the tracer must still
+    # wrap and count each one that a noisy conjugate step calls.
+    taps = np.array([0.25, 0.5, 0.25])
+    op = CirculantBlur(np.outer(taps, taps), shape=(8, 8), threshold=0.1)
+    sched = DiffusionSchedule()
+    oracle = GaussianDiffusionOracle(GaussianModel(mean=np.zeros(64), var=np.ones(64)), sched)
+    rng = np.random.default_rng(5)
+    y = op.apply(rng.standard_normal(64)) + 0.05 * rng.standard_normal(64)
+    spec = SamplerSpec(method="conjugate_diffusion",
+                       guidance=GuidanceConfig(w=2.0, nfe=3, sigma_y=0.05))
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        sample(spec, y, op, oracle, sched, rng.standard_normal((2, 64)))
+    finally:
+        tracer.uninstall()
+    metrics = tracer.layer_metrics()
+    for action in ("apply", "pinv_apply", "reg_pinv_apply", "proj_apply", "pinv_outer_apply"):
+        assert metrics[f"operators.{action}.calls"] > 0, action
+    assert metrics["operators.bytes_computed"] > 0
