@@ -40,7 +40,10 @@ def _load(args) -> dict:
     config = harness.load_config(args.config)
     harness.apply_overrides(config, args.override)
     if getattr(args, "seeds", None) is not None:
-        config["seeds"] = [int(s) for s in args.seeds.split(",") if s]
+        try:
+            config["seeds"] = [int(s) for s in args.seeds.split(",") if s]
+        except ValueError:
+            raise ConfigError(f"--seeds {args.seeds!r} must be comma-separated integers") from None
     if args.output_dir is not None:
         config["output_dir"] = args.output_dir
     return config
@@ -66,7 +69,7 @@ def cmd_degrade(args) -> int:
     sigma_y = harness._need(problem, "sigma_y", "problem", float, 0.0)
     out_dir = config.get("output_dir", ".")
     os.makedirs(out_dir, exist_ok=True)
-    for seed in harness._need(config, "seeds", "config", list, [0]):
+    for seed in harness._seeds(config):
         x0 = harness._draw_x0(problem, seed)
         y = harness.degrade(x0, op, sigma_y, seed)
         write_tensor(os.path.join(out_dir, f"x0_{seed}.cji"), x0)

@@ -20,14 +20,11 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats as _stats
 
 from .conjugate import precompute_table, table_to_csv
 from .errors import CoefficientOverflowError, ConfigError, DivergenceError, QuadratureError
 from .operators import BlockAverage, CirculantBlur, DenseOperator, Mask
 from .oracles import (
-    GaussianDiffusionOracle,
-    GaussianFlowOracle,
     GaussianModel,
     MixtureDiffusionOracle,
     MixtureFlowOracle,
@@ -190,12 +187,19 @@ def build_operator(desc: dict):
         raise ConfigError(f"{what}: {exc}") from exc
 
 
-def _coerce_profile(value, dim: int) -> np.ndarray:
-    arr = np.asarray(value, dtype=float)
+def _coerce_profile(value, size: int, key: str) -> np.ndarray:
+    """``size`` values (per coordinate or per component): a number, or a
+    list of ``size`` numbers."""
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise ConfigError(f"data {key!r} must be a number or a list of numbers, "
+                          f"got {value!r}") from None
     if arr.ndim == 0:
-        return np.full(dim, float(arr))
-    if arr.shape != (dim,):
-        raise ConfigError(f"expected scalar or length-{dim} list, got shape {arr.shape}")
+        return np.full(size, float(arr))
+    if arr.shape != (size,):
+        raise ConfigError(f"data {key!r}: expected scalar or length-{size} list, "
+                          f"got shape {arr.shape}")
     return arr
 
 
@@ -208,15 +212,25 @@ def build_data_model(desc: dict):
     dim = _need(desc, "dim", what, int)
     if source == "gaussian":
         return GaussianModel(
-            mean=_coerce_profile(desc.get("mean", 0.0), dim),
-            var=_coerce_profile(desc.get("var", 1.0), dim),
+            mean=_coerce_profile(desc.get("mean", 0.0), dim, "mean"),
+            var=_coerce_profile(desc.get("var", 1.0), dim, "var"),
         )
     comps = tuple(
-        GaussianModel(mean=_coerce_profile(m, dim), var=_coerce_profile(v, dim))
+        GaussianModel(mean=_coerce_profile(m, dim, "means"),
+                      var=_coerce_profile(v, dim, "vars"))
         for m, v in zip(_need(desc, "means", what, list), _need(desc, "vars", what, list))
     )
-    return MixtureModel(weights=np.asarray(_need(desc, "weights", what), dtype=float),
-                        components=comps)
+    weights = _coerce_profile(_need(desc, "weights", what, list), len(comps), "weights")
+    return MixtureModel(weights=weights, components=comps)
+
+
+def _seeds(config: dict) -> list:
+    """The config's seeds (default [0]), each a non-negative integer."""
+    seeds = _need(config, "seeds", "config", list, [0])
+    for seed in seeds:
+        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+            raise ConfigError(f"config 'seeds' must be non-negative integers, got {seed!r}")
+    return seeds
 
 
 def _draw_x0(problem: dict, seed: int) -> np.ndarray:
@@ -253,8 +267,8 @@ def build_schedule(config: dict):
 
 
 def build_oracle(model_desc: dict, problem: dict, sched):
-    """The external oracle, or the analytic one that the schedule (diffusion
-    or flow) and the data model (Gaussian or mixture) pick."""
+    """The external oracle, or the analytic one of the schedule's process
+    (diffusion or flow); a Gaussian data model is a one-component mixture."""
     kind = model_desc.get("kind", "auto")
     if kind not in ("auto", "external"):
         raise ConfigError(f"model.kind {kind!r} must be 'auto' or 'external'")
@@ -269,14 +283,8 @@ def build_oracle(model_desc: dict, problem: dict, sched):
         except (OSError, ValueError) as exc:  # unspawnable argv, bad jvp_mode or timeout
             raise ConfigError(f"external model {argv!r}: {exc}") from exc
     data_desc = model_desc if "dim" in model_desc else _need(problem, "data", "problem", dict)
-    model = build_data_model(data_desc)
-    if isinstance(sched, DiffusionSchedule):
-        if isinstance(model, MixtureModel):
-            return MixtureDiffusionOracle(model, sched)
-        return GaussianDiffusionOracle(model, sched)
-    if isinstance(model, MixtureModel):
-        return MixtureFlowOracle(model, sched)
-    return GaussianFlowOracle(model, sched)
+    oracle = MixtureDiffusionOracle if isinstance(sched, DiffusionSchedule) else MixtureFlowOracle
+    return oracle(build_data_model(data_desc), sched)
 
 
 def guidance_from_sampler(desc: dict, sigma_y: float) -> GuidanceConfig:
@@ -295,7 +303,7 @@ def sweep_points(config: dict):
     """Cross-product of the sweep lists over the base sampler block."""
     sampler = _need(config, "sampler", "config", dict)
     method = sampler.get("method")
-    if method not in METHODS:
+    if not isinstance(method, str) or method not in METHODS:
         raise ConfigError(f"sampler.method must be one of {tuple(METHODS)}")
     sweep = _need(config, "sweep", "config", dict, {})
     defaults = {"w": 1.0, "lambda": 0.0, "tau": 0.6, "nfe": 20}
@@ -317,7 +325,7 @@ def run(config: dict, *, threads: int = 1, output_dir=None) -> RunReport:
     overflows are recorded with empty metrics rather than aborting the sweep.
     """
     problem = _need(config, "problem", "config", dict)
-    seeds = _need(config, "seeds", "config", list, [0])
+    seeds = _seeds(config)
     points = sweep_points(config)
     if len(points) * len(seeds) > SWEEP_GUARD:
         raise ConfigError(
@@ -467,6 +475,8 @@ def posterior_stats(samples, op, y, prior: GaussianModel,
     diag(P) ~ 0), a KS test per unobserved coordinate against the exact
     posterior marginal, and the worst observed-space residual.
     """
+    from scipy import stats  # the only scipy use: kept out of `import cji.harness`
+
     samples = np.asarray(samples, dtype=float)
     if samples.ndim != 2:
         raise ValueError("samples must be (n, d)")
@@ -484,8 +494,8 @@ def posterior_stats(samples, op, y, prior: GaussianModel,
         if std == 0 or samples[:, j].std() == 0:
             pvals[i] = 0.0
             continue
-        pvals[i] = _stats.kstest(samples[:, j], "norm",
-                                 args=(post.mean[j], std)).pvalue
+        pvals[i] = stats.kstest(samples[:, j], "norm",
+                                args=(post.mean[j], std)).pvalue
     resid = float(np.max(np.abs(op.apply(samples) - y)))
     rel_var = var / np.maximum(post_std ** 2, 1e-300)
     return PosteriorStats(

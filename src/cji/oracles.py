@@ -107,7 +107,10 @@ def _mixture_parts(x, log_w, means, variances):
 
 
 def _mixture_score(x, log_w, means, variances):
-    """Score -sum_k r_k diff_k / var_k."""
+    """Score -sum_k r_k diff_k / var_k.  One component (r = 1) takes the
+    closed form (mean - x) / var, at about half the kernel's cost."""
+    if len(log_w) == 1:
+        return (means[0] - x) / variances[0]
     diff, prec, resp, _ = _mixture_parts(x, log_w, means, variances)
     return np.einsum("k...,kd,k...d->...d", resp, -prec, diff)
 
@@ -116,8 +119,11 @@ def _mixture_hessian_vec(x, v, log_w, means, variances):
     """(Hessian of log density) @ v for the diagonal mixture.
 
     With component scores s_k = -diff_k / var_k and the score s = sum_k r_k
-    s_k, H v = sum_k r_k s_k (s_k.v - s.v) - v sum_k r_k / var_k.
+    s_k, H v = sum_k r_k s_k (s_k.v - s.v) - v sum_k r_k / var_k, which is
+    -v / var for one component (r = 1).
     """
+    if len(log_w) == 1:
+        return v / -variances[0]
     diff, prec, resp, _ = _mixture_parts(x, log_w, means, variances)
     gv = np.einsum("k...d,kd,...d->k...", diff, -prec, v)  # s_k . v
     gv -= np.einsum("k...,k...->...", resp, gv)  # minus s . v
@@ -130,58 +136,13 @@ def _mixture_hessian_vec(x, v, log_w, means, variances):
     return hv
 
 
-class _DiffusionPath:
-    """Domain of the diffusion oracles: the time floor and above."""
-
-    def _scale_noise(self, t):
-        if t < DEFAULT_T_FLOOR:
-            raise ValueError(f"eps is undefined below the time floor {DEFAULT_T_FLOOR}")
-        return tuple(map(float, self.sched.scale_noise(t)))
-
-
-class _FlowPath:
-    """Domain of the straight-line flow oracles: t > 0."""
-
-    def __init__(self, model, sched: FlowSchedule | None = None):
-        super().__init__(model, sched or FlowSchedule())
-
-    def _scale_noise(self, t):
-        if t <= 0:
-            raise ValueError("velocity is undefined at t = 0 (alpha_t = 0)")
-        return tuple(map(float, self.sched.scale_noise(t)))
-
-
-class _GaussianOracle:
-    """Shared part of the Gaussian oracles.  A _DiffusionPath or _FlowPath
-    checks t and supplies _scale_noise(t), the schedule's (scale, noise) of
-    x_t = scale * x + noise * z; each oracle defines its public methods
-    itself, so that perfbench/tracing.py names each span after its own
-    oracle class."""
-
-    def __init__(self, model: GaussianModel, sched):
-        self.model = model
-        self.sched = sched
-
-    @property
-    def dim(self):
-        return self.model.dim
-
-    def _coeffs(self, t):
-        """scale, noise and the marginal variance V = scale^2 var + noise^2 at t."""
-        scale, noise = self._scale_noise(float(t))
-        return scale, noise, scale * scale * self.model.var + noise * noise
-
-    def _endpoint_mean(self, x, t):
-        """(noise^2 mean + scale var x) / V: the conditional mean of the data."""
-        scale, noise, var = self._coeffs(t)
-        num = noise ** 2 * self.model.mean + scale * self.model.var * np.asarray(x, dtype=float)
-        return num / var
-
-
 class _MixtureOracle:
-    """Shared part of the mixture oracles: log-weights and the component means
-    and variances, stacked once as (K, d) arrays.  _scale_noise and the
-    public methods come as for _GaussianOracle."""
+    """Shared part of the oracles: log-weights and the component means and
+    variances, stacked once as (K, d) arrays; a Gaussian model is the mixture
+    of one component.  Each process class checks t in _scale_noise(t), the
+    schedule's (scale, noise) of x_t = scale * x + noise * z, and defines its
+    public methods itself, so that perfbench/tracing.py names each span after
+    its own process class."""
 
     def __init__(self, model, sched):
         self.model = as_mixture(model)
@@ -209,8 +170,14 @@ class _MixtureOracle:
                 + scale * x * np.einsum("k...,kd->...d", resp, self._vars * prec))
 
 
-class MixtureDiffusionOracle(_DiffusionPath, _MixtureOracle):
-    """Noise-prediction oracle for mixture data under the diffusion kernel."""
+class MixtureDiffusionOracle(_MixtureOracle):
+    """Noise-prediction oracle for mixture data under the diffusion kernel,
+    defined from the time floor on."""
+
+    def _scale_noise(self, t):
+        if t < DEFAULT_T_FLOOR:
+            raise ValueError(f"eps is undefined below the time floor {DEFAULT_T_FLOOR}")
+        return tuple(map(float, self.sched.scale_noise(t)))
 
     def score(self, x, t):
         _, _, means, variances = self._coeffs(t)
@@ -235,23 +202,21 @@ class MixtureDiffusionOracle(_DiffusionPath, _MixtureOracle):
         return self._endpoint_mean(x, t)
 
 
-class GaussianDiffusionOracle(_DiffusionPath, _GaussianOracle):
-    """Single-Gaussian special case with direct coordinate-wise formulas."""
-
-    def eps(self, x, t):
-        mu, sigma, var = self._coeffs(t)
-        return sigma * (np.asarray(x, dtype=float) - mu * self.model.mean) / var
-
-    def eps_jvp(self, x, t, v):
-        _, sigma, var = self._coeffs(t)
-        return sigma * np.asarray(v, dtype=float) / var
-
-    def x0_mean(self, x, t):
-        return self._endpoint_mean(x, t)
+class GaussianDiffusionOracle(MixtureDiffusionOracle):
+    """Noise-prediction oracle for one Gaussian: the mixture of one component."""
 
 
-class MixtureFlowOracle(_FlowPath, _MixtureOracle):
-    """Velocity oracle for mixture data under the straight-line interpolant."""
+class MixtureFlowOracle(_MixtureOracle):
+    """Velocity oracle for mixture data under the straight-line interpolant,
+    defined for t > 0."""
+
+    def __init__(self, model, sched: FlowSchedule | None = None):
+        super().__init__(model, sched or FlowSchedule())
+
+    def _scale_noise(self, t):
+        if t <= 0:
+            raise ValueError("velocity is undefined at t = 0 (alpha_t = 0)")
+        return tuple(map(float, self.sched.scale_noise(t)))
 
     def score(self, x, t):
         _, _, means, variances = self._coeffs(t)
@@ -279,22 +244,8 @@ class MixtureFlowOracle(_FlowPath, _MixtureOracle):
         return self._endpoint_mean(x, t)
 
 
-class GaussianFlowOracle(_FlowPath, _GaussianOracle):
-    """Single-Gaussian flow oracle."""
-
-    def velocity(self, x, t):
-        x = np.asarray(x, dtype=float)
-        alpha, gamma, var = self._coeffs(t)
-        score = -(x - alpha * self.model.mean) / var
-        return x / alpha + (gamma / alpha) * score
-
-    def velocity_jvp(self, x, t, v):
-        alpha, gamma, var = self._coeffs(t)
-        v = np.asarray(v, dtype=float)
-        return v / alpha - (gamma / alpha) * v / var
-
-    def x1_mean(self, x, t):
-        return self._endpoint_mean(x, t)
+class GaussianFlowOracle(MixtureFlowOracle):
+    """Velocity oracle for one Gaussian: the mixture of one component."""
 
 
 def finite_difference_jvp(fn, x, t, v):

@@ -49,7 +49,7 @@ class SamplerSpec:
     record_trajectory: bool = False
 
     def __post_init__(self):
-        if self.method not in METHODS:
+        if not isinstance(self.method, str) or self.method not in METHODS:
             raise ConfigError(f"method {self.method!r} not in {tuple(METHODS)}")
 
     @property

@@ -495,15 +495,19 @@ class TestCLI:
         ("run", "model", {"kind": "external"}, "'argv'"),
         ("coeff-dump", "sampler", None, "'sampler'"),
         ("coeff-dump", "sampler.method", None, "'method'"),
+        ("coeff-dump", "sampler.method", [1], "method [1]"),
         ("run", "", [1, 2], "JSON object"),
         ("run", "problem.operator.indices", [0, 99], "indices out of range"),
         ("run", "problem.operator", {"kind": "circulant_blur", "kernel": [0.25, 0.5, 0.25],
                                      "in_dim": 8, "threshold": 0}, "threshold"),
         ("run", "model", {"kind": "external", "argv": ["no-such-oracle-binary"]},
          "no-such-oracle-binary"),
+        ("degrade", "seeds", [-1], "'seeds'"),
     ], ids=["run-no-operator", "degrade-no-operator", "no-data", "tensor-file-no-path",
             "external-no-argv", "coeff-dump-no-sampler", "coeff-dump-no-method",
-            "top-level-list", "mask-index-range", "blur-threshold", "argv-not-spawned"])
+            "coeff-dump-list-method",
+            "top-level-list", "mask-index-range", "blur-threshold", "argv-not-spawned",
+            "degrade-negative-seed"])
     def test_malformed_config_exits_one(self, tmp_path, capsys, command, path, value, named):
         # value None deletes the key; the empty path replaces the whole config
         cfg = base_config()
@@ -532,14 +536,29 @@ class TestCLI:
         ("problem.data.dim=abc", "'dim'"),
         ('sampler.w="x"', "'w'"),
         ("problem.sigma_y=[1]", "'sigma_y'"),
+        ('problem.data.mean="abc"', "'mean'"),
+        ('problem.data={"source":"mixture","dim":16,"weights":[0.6,0.4],'
+         '"means":["a",1],"vars":[0.3,0.5]}', "'means'"),
+        ('seeds=["a"]', "'seeds'"),
+        ("seeds=[1.5]", "'seeds'"),
+        ("seeds=[-1]", "'seeds'"),
+        ('problem.data={"source":"mixture","dim":16,"weights":["a",1],'
+         '"means":[1,-1],"vars":[1,1]}', "'weights'"),
+        ("sampler.method=[1]", "sampler.method"),
     ], ids=["problem", "operator", "model", "seeds", "sweep", "data-dim", "sampler-w",
-            "sigma-y"])
+            "sigma-y", "data-mean", "mixture-means", "seed-string", "seed-float",
+            "seed-negative", "mixture-weights", "sampler-method"])
     def test_mistyped_config_is_a_config_error(self, tmp_path, capsys, override, named):
-        # a block that is not an object, a list that is not a list, or a
-        # number that does not parse
+        # a block that is not an object, a list that is not a list, a number
+        # that does not parse, or a seed that is not a non-negative integer
         assert cli.main(self.shipped_mask_argv(tmp_path / "out", override)) == 1
         err = capsys.readouterr().err
         assert "configuration error" in err and named in err
+
+    def test_non_integer_seeds_flag_is_a_config_error(self, tmp_path, capsys):
+        assert cli.main(self.shipped_mask_argv(tmp_path / "out") + ["--seeds", "x"]) == 1
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "--seeds" in err
 
     def test_rank_deficient_dense_is_a_config_error(self, tmp_path, capsys):
         override = 'problem.operator={"kind":"dense","matrix":[[1,0,0],[2,0,0]]}'

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import mixture_reference
 
+import cji.oracles as oracles_module
 from cji.errors import ConfigError
 from cji.oracles import (
     FiniteDifferenceJVP,
@@ -81,17 +82,22 @@ class TestEps:
         np.testing.assert_allclose(oracle.eps(x, t), 0.0, atol=1e-14)
 
     def test_one_component_mixture_equals_gaussian(self):
+        # against the Gaussian closed forms eps = sigma (x - mu m) / V and
+        # J v = sigma v / V, with V = mu^2 var + sigma^2
         d = 5
         model = GaussianModel(mean=RNG.standard_normal(d), var=RNG.uniform(0.2, 2, d))
         g = GaussianDiffusionOracle(model, DIFF)
         m = MixtureDiffusionOracle(model, DIFF)
         for _ in range(5):
             x = RNG.standard_normal(d)
-            t = RNG.uniform(0.05, 1.0)
-            np.testing.assert_allclose(m.eps(x, t), g.eps(x, t), atol=1e-14)
             v = RNG.standard_normal(d)
-            np.testing.assert_allclose(m.eps_jvp(x, t, v), g.eps_jvp(x, t, v),
-                                       atol=1e-14)
+            t = RNG.uniform(0.05, 1.0)
+            mu, sigma = float(DIFF.mu(t)), float(DIFF.sigma(t))
+            var = mu * mu * model.var + sigma * sigma
+            for oracle in (g, m):
+                np.testing.assert_allclose(oracle.eps(x, t), sigma * (x - mu * model.mean) / var,
+                                           atol=1e-14)
+                np.testing.assert_allclose(oracle.eps_jvp(x, t, v), sigma * v / var, atol=1e-14)
 
     def test_floor_guard(self):
         oracle = GaussianDiffusionOracle(GaussianModel(np.zeros(2), np.ones(2)), DIFF)
@@ -128,17 +134,39 @@ class TestVelocity:
             assert np.linalg.norm(lhs - rhs) <= 1e-10 * max(1.0, np.linalg.norm(rhs))
 
     def test_one_component_matches_gaussian(self):
+        # against the Gaussian closed form b = x / alpha - (gamma / alpha)
+        # (x - alpha m) / V, with V = alpha^2 var + gamma^2
         d = 3
         model = GaussianModel(mean=RNG.standard_normal(d), var=RNG.uniform(0.3, 2, d))
-        g = GaussianFlowOracle(model)
-        m = MixtureFlowOracle(model)
         x = RNG.standard_normal(d)
-        np.testing.assert_allclose(m.velocity(x, 0.44), g.velocity(x, 0.44), atol=1e-14)
+        alpha, gamma = 0.44, 0.56
+        var = alpha * alpha * model.var + gamma * gamma
+        expected = x / alpha - (gamma / alpha) * (x - alpha * model.mean) / var
+        for oracle in (GaussianFlowOracle(model), MixtureFlowOracle(model)):
+            np.testing.assert_allclose(oracle.velocity(x, alpha), expected, atol=1e-14)
 
     def test_zero_time_rejected(self):
         oracle = GaussianFlowOracle(GaussianModel(np.zeros(2), np.ones(2)))
         with pytest.raises(ValueError):
             oracle.velocity(np.zeros(2), 0.0)
+
+
+def test_one_component_takes_the_closed_form(monkeypatch):
+    # A Gaussian oracle, or a mixture oracle given a GaussianModel, has K = 1:
+    # its field and JVP must not build the mixture kernel's responsibilities.
+    def refuse(*args):
+        raise AssertionError("K = 1 field or JVP built mixture responsibilities")
+
+    monkeypatch.setattr(oracles_module, "_mixture_parts", refuse)
+    model = GaussianModel(mean=np.linspace(-1, 1, 4), var=np.linspace(0.5, 2, 4))
+    x = RNG.standard_normal((3, 4))
+    v = RNG.standard_normal((3, 4))
+    for oracle in (GaussianDiffusionOracle(model, DIFF), MixtureDiffusionOracle(model, DIFF)):
+        oracle.eps(x, 0.4)
+        oracle.eps_jvp(x, 0.4, v)
+    for oracle in (GaussianFlowOracle(model), MixtureFlowOracle(model)):
+        oracle.velocity(x, 0.4)
+        oracle.velocity_jvp(x, 0.4, v)
 
 
 class TestJVP:

@@ -5,8 +5,8 @@ it installs: a missing module-level function breaks the traced benchmark
 run, and a missing method is silently no longer counted.  These tests keep
 every listed name resolvable, and run the tracer's counters on real results:
 they read the columns and length of every coefficient table and the
-jvp_mode of an external oracle, and count the operator actions of a traced
-sampler call.
+jvp_mode of an external oracle, and count the operator actions and the
+oracle field and JVP calls of a traced sampler call.
 """
 
 import importlib
@@ -19,8 +19,8 @@ import pytest
 
 from cji.conjugate import precompute_table
 from cji.external import ExternalOracle
-from cji.operators import CirculantBlur
-from cji.oracles import GaussianDiffusionOracle, GaussianModel
+from cji.operators import CirculantBlur, Mask
+from cji.oracles import GaussianDiffusionOracle, GaussianFlowOracle, GaussianModel
 from cji.samplers import SamplerSpec, sample
 from cji.schedules import (DiffusionSchedule, FlowSchedule, GuidanceConfig, process_kind,
                            sampling_grid)
@@ -101,3 +101,27 @@ def test_operator_counters_see_every_action():
     for action in ("apply", "pinv_apply", "reg_pinv_apply", "proj_apply", "pinv_outer_apply"):
         assert metrics[f"operators.{action}.calls"] > 0, action
     assert metrics["operators.bytes_computed"] > 0
+
+
+@pytest.mark.parametrize("oracle_cls,method", [
+    (GaussianDiffusionOracle, "conjugate_diffusion"),
+    (GaussianFlowOracle, "explicit_flow"),
+], ids=["diffusion", "flow"])
+def test_oracle_counters_see_gaussian_oracles(oracle_cls, method):
+    # The Gaussian oracles inherit every method from their process's mixture
+    # oracle; the tracer must still count each field and JVP call and row.
+    op = Mask([0, 2, 4], 8)
+    spec = SamplerSpec(method=method, guidance=GuidanceConfig(w=2.0, nfe=3, tau=0.5))
+    sched = DiffusionSchedule() if spec.kind == "diffusion" else FlowSchedule()
+    oracle = oracle_cls(GaussianModel(mean=np.zeros(8), var=np.ones(8)), sched)
+    rng = np.random.default_rng(3)
+    y = op.apply(rng.standard_normal(8))
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        sample(spec, y, op, oracle, sched, rng.standard_normal((2, 8)))
+    finally:
+        tracer.uninstall()
+    metrics = tracer.layer_metrics()
+    assert metrics["oracles.field.calls"] == metrics["oracles.jvp.calls"] == 3
+    assert metrics["oracles.field.rows"] == metrics["oracles.jvp.rows"] == 6
