@@ -95,7 +95,7 @@ def cmd_coeff_dump(args) -> int:
 
 def cmd_selftest(args) -> int:
     from .conjugate import a_apply, a_inv_apply, kappa2
-    from .operators import BlockAverage, Mask
+    from .operators import BlockAverage, CirculantBlur, Mask
     from .schedules import DiffusionSchedule, GuidanceConfig
 
     rng = np.random.default_rng(0)
@@ -124,6 +124,12 @@ def cmd_selftest(args) -> int:
     cfg = GuidanceConfig(w=3.0, lam=-0.3)
     z = a_inv_apply(0.7, a_apply(0.7, x, op, cfg, sched), op, cfg, sched)
     check("transform round trip", bool(np.max(np.abs(z - x)) < 1e-12))
+    # The blur's basis is complete: its transform is one diagonal in it.
+    taps = np.array([0.25, 0.5, 0.25])
+    blur = CirculantBlur(np.outer(taps, taps), shape=(8, 8), threshold=0.1)
+    xb = rng.standard_normal(64)
+    zb = a_inv_apply(0.7, a_apply(0.7, xb, blur, cfg, sched), blur, cfg, sched)
+    check("blur transform round trip", bool(np.max(np.abs(zb - xb)) < 1e-12))
     check("kappa2 sign (diffusion)", kappa2(0.9, cfg, sched) < 0)
     return 1 if failures else 0
 

@@ -184,7 +184,9 @@ def apply_transform(x, op, k1: float, k2: float, k3: float = 0.0, *,
 
     A_t x = e^{k1} (I - P) x + e^{k1+k2} P x + k3 H^+ (H^+)^T x; the inverse
     negates k1 and k2 and, to the same first order in sigma_y^2, subtracts
-    k3 A^{-1} H^+ (H^+)^T A^{-1} x = k3 e^{-2(k1+k2)} H^+ (H^+)^T x.  The
+    k3 A^{-1} H^+ (H^+)^T A^{-1} x = k3 e^{-2(k1+k2)} H^+ (H^+)^T x.  Either
+    way it is one ``op.split_apply``, a diagonal in the operator's basis
+    that costs one analysis and, on a complete basis, one synthesis.  The
     orthogonal-split form avoids the cancellation of the equivalent
     e^{k1} [x + (e^{k2} - 1) P x] when k2 is strongly negative.  Every
     exponent is checked before exp() is taken.
@@ -200,22 +202,16 @@ def apply_transform(x, op, k1: float, k2: float, k3: float = 0.0, *,
         e1, e12 = math.exp(k1), math.exp(k12)
     if k2 == 0.0 and k3 == 0.0:
         return e1 * x  # A_t and its inverse are scalars: no projector needed
-    px = op.proj_apply(x)
-    out = e1 * (x - px) + e12 * px
-    if k3 != 0.0:
-        outer = op.pinv_outer_apply(x)
-        if inverse:
-            # kappa3 carries a factor e^{k1+k2}, so k3 e^{-2(k1+k2)} grows
-            # only like e^{-(k1+k2)}: apply the guarded e12 twice.
-            coeff = (k3 * e12) * e12
-            if not math.isfinite(coeff):
-                raise CoefficientOverflowError(
-                    f"kappa3 exp(-2 (kappa1 + kappa2)) = {coeff} overflows; "
-                    "reduce w or lambda")
-            out = out - coeff * outer
-        else:
-            out = out + k3 * outer
-    return out
+    if inverse and k3 != 0.0:
+        # kappa3 carries a factor e^{k1+k2}, so k3 e^{-2(k1+k2)} grows only
+        # like e^{-(k1+k2)}: apply the guarded e12 twice.
+        coeff = (k3 * e12) * e12
+        if not math.isfinite(coeff):
+            raise CoefficientOverflowError(
+                f"kappa3 exp(-2 (kappa1 + kappa2)) = {coeff} overflows; "
+                "reduce w or lambda")
+        k3 = -coeff
+    return op.split_apply(x, e1, e12, k3)
 
 
 def _exponents(t, cfg: GuidanceConfig, sched):

@@ -159,7 +159,7 @@ def build_operator(desc: dict):
                 indices = np.flatnonzero(bitmap != 0.0)
                 return Mask(indices, bitmap.size)
             if "indices_file" in desc:
-                indices = read_tensor(desc["indices_file"]).astype(int)
+                indices = read_tensor(desc["indices_file"])
             else:
                 indices = desc.get("indices")
             if indices is None:

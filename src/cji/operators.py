@@ -14,7 +14,11 @@ d x d matrix.  With iota = 1 / |s|^2 on kept modes and 0 elsewhere:
 - pinv_outer_apply: H^+ (H^+)^T x                  = V (iota V^T x)
 
 c = 0 in the regularised actions gives the unregularised ones.  Each action
-is one analysis, one multiply by a diagonal factor and one synthesis.
+is one analysis, one multiply by a diagonal factor and one synthesis.  Two
+fused actions serve the sampler's step, each from one analysis:
+
+- split_apply:       a (I - P) x + b P x + c H^+ (H^+)^T x
+- guidance_residual: H^T (H H^T + c I)^{-1} (y - H x), from U^T y
 
 All vector arguments are flat arrays whose *last* axis has the operator
 dimension; leading axes are batch axes (sampling chains).  Image geometry
@@ -37,12 +41,18 @@ class LinearDegradation:
     ``from_basis`` (V), ``from_data`` (U^T, observation to modes) and
     ``to_data`` (U).  An analysis returns its argument itself or a new
     array; a synthesis may overwrite its argument only if its analyses
-    never return their argument.  ``s`` is one scalar or one array over the
-    mode axes, and ``keep`` marks the modes that the pseudoinverse inverts.
+    never return their argument and ``complete_basis`` is set, because
+    ``split_apply`` synthesises twice from one analysis on a thin basis.
+    ``s`` is one scalar or one array over the mode axes, and ``keep`` marks
+    the modes that the pseudoinverse inverts.
+
+    ``complete_basis`` states that the modes span the whole signal space
+    (V is square), so that a (I - P) + b P is itself diagonal in them.
     """
 
     out_dim: int
     in_dim: int
+    complete_basis = False
 
     def _set_singular_values(self, s, keep=True):
         """Store s and the actions' diagonal factors.  A scalar factor of 1
@@ -55,7 +65,8 @@ class LinearDegradation:
         self._power = np.abs(s) ** 2
         inv_power = np.where(keep, 1.0 / np.where(keep, self._power, 1.0), 0.0)
         self._apply, self._adjoint = diag(s), diag(self._s_conj)
-        self._keep = diag(np.asarray(keep, dtype=float))
+        self._kept = np.asarray(keep, dtype=bool)
+        self._keep = diag(self._kept.astype(float))
         self._inv_power, self._pinv = diag(inv_power), diag(self._s_conj * inv_power)
 
     def to_basis(self, x):
@@ -70,18 +81,27 @@ class LinearDegradation:
     def to_data(self, modes):
         return modes
 
-    def _act(self, z, dim, analyse, factor, synthesise):
-        """synthesise(factor * analyse(z)) for z whose last axis is dim."""
+    @staticmethod
+    def _checked(z, dim):
         z = np.asarray(z, dtype=float)
         if z.shape[-1] != dim:
             raise ValueError(f"expected last axis {dim}, got {z.shape[-1]}")
-        modes = analyse(z)
-        if factor is not None:
-            if modes is z:  # identity analysis: never scale the caller's array
-                modes = modes * factor
-            else:
-                modes *= factor
-        return synthesise(modes)
+        return z
+
+    @staticmethod
+    def _scaled(modes, z, factor):
+        """factor * modes, in place unless modes is the analysed array z."""
+        if factor is None:
+            return modes
+        if modes is z:  # identity analysis: never scale the caller's array
+            return modes * factor
+        modes *= factor
+        return modes
+
+    def _act(self, z, dim, analyse, factor, synthesise):
+        """synthesise(factor * analyse(z)) for z whose last axis is dim."""
+        z = self._checked(z, dim)
+        return synthesise(self._scaled(analyse(z), z, factor))
 
     def apply(self, x):
         return self._act(x, self.in_dim, self.to_basis, self._apply, self.to_data)
@@ -99,10 +119,12 @@ class LinearDegradation:
     def pinv_apply(self, y):
         return self._act(y, self.out_dim, self.from_data, self._pinv, self.from_basis)
 
+    def _reg_pinv(self, c):
+        return self._pinv if c == 0 else self._s_conj / (self._power + c)
+
     def reg_pinv_apply(self, y, c):
         """H^T (H H^T + c I)^{-1} y, the noisy-guidance replacement for H^+."""
-        factor = self._pinv if c == 0 else self._s_conj / (self._power + c)
-        return self._act(y, self.out_dim, self.from_data, factor, self.from_basis)
+        return self._act(y, self.out_dim, self.from_data, self._reg_pinv(c), self.from_basis)
 
     def proj_apply(self, x):
         return self._act(x, self.in_dim, self.to_basis, self._keep, self.from_basis)
@@ -110,6 +132,49 @@ class LinearDegradation:
     def pinv_outer_apply(self, x):
         """H^+ (H^+)^T x = H^T (H H^T)^{-2} H x."""
         return self._act(x, self.in_dim, self.to_basis, self._inv_power, self.from_basis)
+
+    def split_apply(self, x, a, b, c=0.0):
+        """a (I - P) x + b P x + c H^+ (H^+)^T x from one analysis of x.
+
+        On a complete basis this is one synthesis of the modes scaled by a
+        on unkept modes, b on kept ones, plus c iota.  On a thin basis the
+        unkept part is x - P x, as in the composed actions, and the result
+        is bitwise theirs."""
+        x = self._checked(x, self.in_dim)
+        modes = self.to_basis(x)
+        if self.complete_basis:
+            factor = np.where(self._kept, b, a)
+            if c != 0.0:
+                factor = factor + c * (1.0 if self._inv_power is None else self._inv_power)
+            return self.from_basis(self._scaled(modes, x, factor))
+
+        def synthesise(factor):  # never in place: modes is synthesised twice
+            return self.from_basis(modes if factor is None else modes * factor)
+
+        px = synthesise(self._keep)
+        out = x - px
+        out *= a
+        out += b * px
+        if c != 0.0:
+            out += c * synthesise(self._inv_power)
+        return out
+
+    def guidance_residual(self, y_modes, x, c):
+        """H^T (H H^T + c I)^{-1} (y - H x) from y_modes = from_data(y) and one
+        analysis of x; reg_pinv_apply(y - apply(x), c) in one pass."""
+        x = self._checked(x, self.in_dim)
+        hx = self._scaled(self.to_basis(x), x, self._apply)
+        # s V^T x is a new array unless both are identities; the residual
+        # reuses it when y_modes's shape is a suffix of its shape.
+        shape = np.shape(y_modes)
+        if hx is x or hx.shape[hx.ndim - len(shape):] != shape:
+            resid = y_modes - hx
+        else:
+            resid = np.subtract(y_modes, hx, out=hx)
+        factor = self._reg_pinv(c)
+        if factor is not None:
+            resid *= factor
+        return self.from_basis(resid)
 
     # -- dense materializers (test oracles; small dimensions only) ---------
 
@@ -135,6 +200,23 @@ class LinearDegradation:
         return self.proj_apply(np.eye(self.in_dim)).T
 
 
+def _integer_indices(indices) -> np.ndarray:
+    """indices as an array of integers or of integral floats (as a tensor
+    file stores them); a bool, a string or a fraction is a ValueError."""
+    if isinstance(indices, (list, tuple)):
+        flag = next((i for i in indices if isinstance(i, (bool, np.bool_))), None)
+        if flag is not None:
+            raise ValueError(f"indices must be integers, got {flag!r}")
+    arr = np.asarray(indices)
+    if arr.dtype.kind not in "iuf":
+        raise ValueError(f"indices must be integers, got {arr.dtype} values")
+    if arr.dtype.kind == "f":
+        fractional = ~(np.isfinite(arr) & (np.floor(arr) == arr))
+        if np.any(fractional):
+            raise ValueError(f"indices must be integers, got {arr[fractional][0].item()!r}")
+    return arr
+
+
 class Mask(LinearDegradation):
     """Row-selection operator: keeps the listed coordinates (inpainting).
 
@@ -142,14 +224,14 @@ class Mask(LinearDegradation):
     """
 
     def __init__(self, indices, in_dim):
-        indices = np.asarray(indices, dtype=int)
+        indices = _integer_indices(indices)
         if indices.ndim != 1 or indices.size == 0:
             raise ValueError("indices must be a non-empty 1-d list")
         if np.any(np.diff(indices) <= 0):
             raise ValueError("indices must be strictly increasing")
         if indices[0] < 0 or indices[-1] >= in_dim:
             raise ValueError("indices out of range")
-        self.indices = indices
+        self.indices = indices.astype(int)
         self.in_dim = int(in_dim)
         self.out_dim = int(indices.size)
         self._set_singular_values(1.0)
@@ -269,6 +351,7 @@ class CirculantBlur(LinearDegradation):
 
     from_data = to_basis
     to_data = from_basis
+    complete_basis = True
 
 
 class DenseOperator(LinearDegradation):

@@ -139,6 +139,9 @@ def sample(spec: SamplerSpec, y, op, oracle, sched, z, *,
 
     y = np.asarray(y, dtype=float)
     pinv_y = op.pinv_apply(y)
+    # U^T y once per call; read-only, as a synthesis may work in place.
+    y_modes = op.from_data(y).view()
+    y_modes.flags.writeable = False
     xbar = init_state(pinv_y, op, sched, z, table)
     sup, traj = [], ([] if spec.record_trajectory else None)
 
@@ -163,7 +166,7 @@ def sample(spec: SamplerSpec, y, op, oracle, sched, z, *,
         x_end = (x - q_t * f) / c_t
         # sigma_y^2 / r_t^2 regularises the Gram solve of noisy guidance.
         reg = cfg.sigma_y ** 2 / float(sched.r_sq(t)) if cfg.sigma_y else 0.0
-        u = op.reg_pinv_apply(y - op.apply(x_end), reg)
+        u = op.guidance_residual(y_modes, x_end, reg)
         jv = jvp(x, t, u)
 
         d_y, d_main_id, d_main_p, d_j_id, d_j_p = (float(d) for d in dphi[:, n])

@@ -175,6 +175,22 @@ class TestTransform:
         np.testing.assert_array_equal(a_apply(0.5, x, op, cfg, sched), math.exp(k1) * x)
         np.testing.assert_array_equal(a_inv_apply(0.5, x, op, cfg, sched), math.exp(-k1) * x)
 
+    @pytest.mark.parametrize("sched", [DIFF, FLOW], ids=["diffusion", "flow"])
+    def test_zero_weight_makes_no_operator_pass(self, sched, monkeypatch):
+        # The transform's one operator action is split_apply; a scalar
+        # transform must not call it.
+        def refuse(self, x, a, b, c=0.0):
+            raise AssertionError("scalar transform analysed x")
+
+        monkeypatch.setattr(Mask, "split_apply", refuse)
+        op = Mask([1], 4)
+        cfg = GuidanceConfig(w=0.0, lam=0.3, sigma_y=0.1)
+        x = RNG.standard_normal((2, 4))
+        k1 = float(kappa1(0.5, 0.3, sched))
+        np.testing.assert_array_equal(a_noisy_apply(0.5, x, op, cfg, sched), math.exp(k1) * x)
+        np.testing.assert_array_equal(a_noisy_inv_apply(0.5, x, op, cfg, sched),
+                                      math.exp(-k1) * x)
+
     def test_matches_dense_matrix_exponential(self):
         d = 8
         op = Mask([0, 3, 4, 7], d)

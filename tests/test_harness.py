@@ -145,6 +145,17 @@ class TestConfig:
         with pytest.raises(ConfigError):
             harness.build_operator({"kind": "wavelet"})
 
+    def test_mask_indices_file(self, tmp_path):
+        # A tensor file stores floats: integral values are indices, and a
+        # fraction is a configuration error rather than a truncated index.
+        ipath = tmp_path / "idx.cji"
+        write_tensor(ipath, np.array([1.0, 4.0]))
+        op = harness.build_operator({"kind": "mask", "indices_file": str(ipath), "dim": 6})
+        np.testing.assert_array_equal(op.indices, [1, 4])
+        write_tensor(ipath, np.array([1.0, 4.5]))
+        with pytest.raises(ConfigError, match="indices"):
+            harness.build_operator({"kind": "mask", "indices_file": str(ipath), "dim": 6})
+
 
 class TestRun:
     def test_determinism_rerun(self):
@@ -545,9 +556,10 @@ class TestCLI:
         ('problem.data={"source":"mixture","dim":16,"weights":["a",1],'
          '"means":[1,-1],"vars":[1,1]}', "'weights'"),
         ("sampler.method=[1]", "sampler.method"),
+        ("problem.operator.indices=[0.5]", "indices"),
     ], ids=["problem", "operator", "model", "seeds", "sweep", "data-dim", "sampler-w",
             "sigma-y", "data-mean", "mixture-means", "seed-string", "seed-float",
-            "seed-negative", "mixture-weights", "sampler-method"])
+            "seed-negative", "mixture-weights", "sampler-method", "mask-index-fraction"])
     def test_mistyped_config_is_a_config_error(self, tmp_path, capsys, override, named):
         # a block that is not an object, a list that is not a list, a number
         # that does not parse, or a seed that is not a non-negative integer

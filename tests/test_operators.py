@@ -282,6 +282,85 @@ class TestCirculantHalfSpectrum:
         assert np.iscomplexobj(op.spectrum)
 
 
+FUSED_OPERATORS = dict({
+    "mask": Mask([0, 2, 5, 11], 12),
+    "block-average": BlockAverage(2, 4, 6),
+    "dense": DenseOperator(np.random.default_rng(11).standard_normal((3, 7))),
+}, **{f"blur-{name}": op for name, op in BLURS.items()})
+
+
+class TestFusedActions:
+    """split_apply and guidance_residual each analyse x once.  They must
+    equal the composed actions: bitwise on the thin select/scatter and
+    block bases, to 1e-12 of the output scale on the blur's complete basis
+    and the dense SVD.  A batch must equal its rows called one by one,
+    bitwise except on the dense SVD, whose matrix products round a batch
+    and a single row differently in every action."""
+
+    @staticmethod
+    def check(op, out, ref, exact):
+        if exact:
+            np.testing.assert_array_equal(out, ref)
+        else:
+            np.testing.assert_allclose(out, ref, rtol=0,
+                                       atol=1e-12 * max(1.0, np.max(np.abs(ref))))
+
+    def check_composed(self, op, out, ref):
+        self.check(op, out, ref, isinstance(op, (Mask, BlockAverage)))
+
+    def check_rows(self, op, out, rows):
+        self.check(op, out, rows.reshape(out.shape), not isinstance(op, DenseOperator))
+
+    @pytest.mark.parametrize("a,b,c", [(1.3, 2e-7, 0.0), (2e-7, 1.3, 0.0),
+                                       (1.3, 2e-7, 0.37), (2e-7, 1.3, -0.37)],
+                             ids=["b<<a", "b>>a", "b<<a-outer", "b>>a-outer"])
+    @pytest.mark.parametrize("name", FUSED_OPERATORS)
+    def test_split_apply_composes(self, name, a, b, c):
+        op = FUSED_OPERATORS[name]
+        x = np.random.default_rng(7).standard_normal((2, 3, op.in_dim))
+        out = op.split_apply(x, a, b, c)
+        px = op.proj_apply(x)
+        ref = a * (x - px) + b * px
+        if c:
+            ref = ref + c * op.pinv_outer_apply(x)
+        assert out.shape == x.shape
+        self.check_composed(op, out, ref)
+        self.check_rows(op, out, np.stack([op.split_apply(row, a, b, c)
+                                           for row in x.reshape(-1, op.in_dim)]))
+
+    @pytest.mark.parametrize("c", [0.0, 0.37])
+    @pytest.mark.parametrize("name", FUSED_OPERATORS)
+    def test_guidance_residual_composes(self, name, c):
+        op = FUSED_OPERATORS[name]
+        rng = np.random.default_rng(8)
+        x = rng.standard_normal((2, 3, op.in_dim))
+        y = rng.standard_normal((2, 3, op.out_dim))
+        out = op.guidance_residual(op.from_data(y), x, c)
+        assert out.shape == x.shape
+        self.check_composed(op, out, op.reg_pinv_apply(y - op.apply(x), c))
+        self.check_rows(op, out, np.stack([
+            op.guidance_residual(op.from_data(yr), xr, c)
+            for yr, xr in zip(y.reshape(-1, op.out_dim), x.reshape(-1, op.in_dim))]))
+        # One observation against a batch, and a batch of observations
+        # against one state, broadcast like the composed actions.
+        for yb, xb in ((y[0, 0], x), (y, x[0, 0])):
+            self.check_composed(op, op.guidance_residual(op.from_data(yb), xb, c),
+                                op.reg_pinv_apply(yb - op.apply(xb), c))
+
+    def test_inputs_left_unchanged(self):
+        # Identity analyses return their argument; a fused action must not
+        # scale or overwrite the caller's arrays.
+        for op in FUSED_OPERATORS.values():
+            rng = np.random.default_rng(9)
+            x = rng.standard_normal((2, op.in_dim))
+            y_modes = op.from_data(rng.standard_normal((2, op.out_dim)))
+            x0, y0 = x.copy(), y_modes.copy()
+            op.split_apply(x, 1.3, 0.2, 0.37)
+            op.guidance_residual(y_modes, x, 0.37)
+            np.testing.assert_array_equal(x, x0)
+            np.testing.assert_array_equal(y_modes, y0)
+
+
 class TestDenseMaterialize:
     def test_mask_single_row(self):
         np.testing.assert_array_equal(Mask([1], 2).dense(), [[0.0, 1.0]])
@@ -322,6 +401,20 @@ class TestConstruction:
             Mask([0, 4], 4)
         with pytest.raises(ValueError):
             Mask([], 4)
+
+    @pytest.mark.parametrize("indices", [[0.5, 2.7], [1, 2.5], [True, 2], [0, True],
+                                         ["a"], [np.nan], [np.inf], np.array([1.0, 2.5])],
+                             ids=["fractions", "one-fraction", "bool-first", "bool-later",
+                                  "string", "nan", "inf", "float-array"])
+    def test_mask_refuses_non_integer_indices(self, indices):
+        # np.asarray(..., dtype=int) would truncate 0.5 and 2.7 to 0 and 2.
+        with pytest.raises(ValueError, match="indices"):
+            Mask(indices, 4)
+
+    def test_mask_accepts_integral_floats(self):
+        op = Mask(np.array([1.0, 3.0]), 4)
+        np.testing.assert_array_equal(op.indices, [1, 3])
+        assert op.indices.dtype.kind == "i"
 
     def test_block_average_validation(self):
         with pytest.raises(ValueError):

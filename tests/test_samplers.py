@@ -253,6 +253,43 @@ class TestAccounting:
         res = sample(spec, Y, OP, oracle_fn(), sched, RNG.standard_normal((2, D)))
         assert np.all(np.isfinite(res.x))
 
+    @pytest.mark.parametrize("method,per_step", [
+        ("conjugate_diffusion", 3), ("explicit_diffusion", 1),
+        ("conjugate_flow", 3), ("explicit_flow", 1),
+    ])
+    def test_spectral_passes_per_step(self, method, per_step):
+        # A noisy blur step analyses x once for the inverse transform, once
+        # for the guidance residual and once for the projected update (the
+        # explicit family only for the residual), and synthesises as often.
+        taps = np.array([0.25, 0.5, 0.25])
+        op = CirculantBlur(np.outer(taps, taps), shape=(8, 8), threshold=0.1)
+        passes = {"analyses": 0, "syntheses": 0}
+
+        def counted(fn, key):
+            def wrapper(z):
+                passes[key] += 1
+                return fn(z)
+            return wrapper
+
+        for name, key in (("to_basis", "analyses"), ("from_data", "analyses"),
+                          ("from_basis", "syntheses"), ("to_data", "syntheses")):
+            setattr(op, name, counted(getattr(op, name), key))
+        sched = DIFF if method.endswith("diffusion") else FLOW
+        model = GaussianModel(mean=np.zeros(64), var=np.ones(64))
+        oracle = (GaussianDiffusionOracle(model, sched) if sched is DIFF
+                  else GaussianFlowOracle(model, sched))
+        y = op.apply(RNG.standard_normal(64))
+        counts = []
+        for nfe in (5, 6):
+            passes.update(analyses=0, syntheses=0)
+            cfg = GuidanceConfig(w=2.0, lam=0.1, tau=0.6 if sched is DIFF else 0.3,
+                                 nfe=nfe, sigma_y=0.05)
+            sample(SamplerSpec(method=method, guidance=cfg), y, op, oracle, sched,
+                   RNG.standard_normal((2, 64)))
+            counts.append(dict(passes))
+        assert counts[1]["analyses"] - counts[0]["analyses"] == per_step
+        assert counts[1]["syntheses"] - counts[0]["syntheses"] == per_step
+
     def test_determinism(self):
         cfg = GuidanceConfig(w=2.0, lam=0.1, tau=0.6, nfe=8)
         oracle = GaussianDiffusionOracle(GAUSS, DIFF)

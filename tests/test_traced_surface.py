@@ -5,8 +5,9 @@ it installs: a missing module-level function breaks the traced benchmark
 run, and a missing method is silently no longer counted.  These tests keep
 every listed name resolvable, and run the tracer's counters on real results:
 they read the columns and length of every coefficient table and the
-jvp_mode of an external oracle, and count the operator actions and the
-oracle field and JVP calls of a traced sampler call.
+jvp_mode of an external oracle, count every operator action called directly
+and the operator actions and oracle field and JVP calls of traced sampler
+calls.
 """
 
 import importlib
@@ -82,7 +83,29 @@ def test_jvp_counter_reads_external_jvp_mode():
 
 def test_operator_counters_see_every_action():
     # All actions live on the operator base class; the tracer must still
-    # wrap and count each one that a noisy conjugate step calls.
+    # wrap and count each one.  The sampler's step calls the fused actions,
+    # which the tracer does not list, so each action is called directly.
+    taps = np.array([0.25, 0.5, 0.25])
+    op = CirculantBlur(np.outer(taps, taps), shape=(8, 8), threshold=0.1)
+    x = np.random.default_rng(5).standard_normal((2, 64))
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        for action in ("apply", "adjoint", "gram_solve", "pinv_apply", "proj_apply",
+                       "pinv_outer_apply"):
+            getattr(op, action)(x)
+        op.gram_reg_solve(x, 0.37)
+        op.reg_pinv_apply(x, 0.37)
+    finally:
+        tracer.uninstall()
+    metrics = tracer.layer_metrics()
+    for action in tracing.OPERATOR_ACTIONS:
+        assert metrics[f"operators.{action}.calls"] > 0, action
+    assert metrics["operators.bytes_computed"] > 0
+
+
+def test_operator_counters_in_a_sampler_call():
+    # A noisy conjugate call: H^+ y once, and one projected update per step.
     taps = np.array([0.25, 0.5, 0.25])
     op = CirculantBlur(np.outer(taps, taps), shape=(8, 8), threshold=0.1)
     sched = DiffusionSchedule()
@@ -98,9 +121,8 @@ def test_operator_counters_see_every_action():
     finally:
         tracer.uninstall()
     metrics = tracer.layer_metrics()
-    for action in ("apply", "pinv_apply", "reg_pinv_apply", "proj_apply", "pinv_outer_apply"):
-        assert metrics[f"operators.{action}.calls"] > 0, action
-    assert metrics["operators.bytes_computed"] > 0
+    assert metrics["operators.pinv_apply.calls"] == 1
+    assert metrics["operators.proj_apply.calls"] == 3
 
 
 @pytest.mark.parametrize("oracle_cls,method", [
