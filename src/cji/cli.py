@@ -121,10 +121,15 @@ def cmd_selftest(args) -> int:
     check("block-average Gram = (1/k^2) I",
           bool(np.max(np.abs(g - 0.25 * np.eye(4))) < 1e-12))
 
+    # The mask's coordinate basis is complete: with c = 0 its split is one
+    # multiply, bitwise the composed a (x - P x) + b P x.
+    a, b = 1.3, 0.2
+    check("mask split = a (x - Px) + b Px",
+          bool(np.array_equal(op.split_apply(x, a, b), a * (x - px) + b * px)))
     cfg = GuidanceConfig(w=3.0, lam=-0.3)
     z = a_inv_apply(0.7, a_apply(0.7, x, op, cfg, sched), op, cfg, sched)
     check("transform round trip", bool(np.max(np.abs(z - x)) < 1e-12))
-    # The blur's basis is complete: its transform is one diagonal in it.
+    # The blur's basis is complete too: its transform is one diagonal in it.
     taps = np.array([0.25, 0.5, 0.25])
     blur = CirculantBlur(np.outer(taps, taps), shape=(8, 8), threshold=0.1)
     xb = rng.standard_normal(64)

@@ -20,6 +20,12 @@ fused actions serve the sampler's step, each from one analysis:
 - split_apply:       a (I - P) x + b P x + c H^+ (H^+)^T x
 - guidance_residual: H^T (H H^T + c I)^{-1} (y - H x), from U^T y
 
+On a complete basis (V square: the mask's coordinates, the blur's half
+spectrum) split_apply is a single diagonal too.  The mask's V is the
+identity, so its split_apply, proj_apply and guidance_residual are
+elementwise multiplies on the signal itself; only U^T (scatter) and U
+(gather) touch the observation.
+
 All vector arguments are flat arrays whose *last* axis has the operator
 dimension; leading axes are batch axes (sampling chains).  Image geometry
 lives in operator metadata only.
@@ -220,7 +226,16 @@ def _integer_indices(indices) -> np.ndarray:
 class Mask(LinearDegradation):
     """Row-selection operator: keeps the listed coordinates (inpainting).
 
-    V^T selects the coordinates and V scatters them back; U = I, s = 1.
+    A diagonal on the complete coordinate basis, as DDRM writes inpainting:
+    V = I over all ``in_dim`` coordinates, s and keep are the 0/1 indicator
+    of the observed coordinates, U^T scatters an observation into a
+    zero-filled signal and U gathers the observed coordinates.  So
+    ``proj_apply`` multiplies x by that indicator, ``split_apply`` is one
+    elementwise multiply and ``guidance_residual`` neither gathers nor
+    scatters.  An inf or NaN in an *unobserved* coordinate therefore gives
+    NaN (0 * inf) there in ``proj_apply``, ``split_apply`` and
+    ``guidance_residual``, where a select/scatter basis would give 0; the
+    sampler raises DivergenceError on such a state either way.
     """
 
     def __init__(self, indices, in_dim):
@@ -234,15 +249,19 @@ class Mask(LinearDegradation):
         self.indices = indices.astype(int)
         self.in_dim = int(in_dim)
         self.out_dim = int(indices.size)
-        self._set_singular_values(1.0)
+        observed = np.zeros(self.in_dim, dtype=bool)
+        observed[self.indices] = True
+        self._set_singular_values(observed.astype(float), observed)
 
-    def to_basis(self, x):
-        return x[..., self.indices]
+    def from_data(self, y):
+        modes = np.zeros(y.shape[:-1] + (self.in_dim,))
+        modes[..., self.indices] = y
+        return modes
 
-    def from_basis(self, modes):
-        x = np.zeros(modes.shape[:-1] + (self.in_dim,))
-        x[..., self.indices] = modes
-        return x
+    def to_data(self, modes):
+        return modes[..., self.indices]
+
+    complete_basis = True
 
 
 class BlockAverage(LinearDegradation):

@@ -110,7 +110,9 @@ def _mixture_score(x, log_w, means, variances):
     """Score -sum_k r_k diff_k / var_k.  One component (r = 1) takes the
     closed form (mean - x) / var, at about half the kernel's cost."""
     if len(log_w) == 1:
-        return (means[0] - x) / variances[0]
+        score = means[0] - x
+        score /= variances[0]
+        return score
     diff, prec, resp, _ = _mixture_parts(x, log_w, means, variances)
     return np.einsum("k...,kd,k...d->...d", resp, -prec, diff)
 
@@ -189,13 +191,16 @@ class MixtureDiffusionOracle(_MixtureOracle):
 
     def eps(self, x, t):
         _, sigma, means, variances = self._coeffs(t)
-        return -sigma * _mixture_score(np.asarray(x, dtype=float), self._log_w, means, variances)
+        eps = _mixture_score(np.asarray(x, dtype=float), self._log_w, means, variances)
+        eps *= -sigma
+        return eps
 
     def eps_jvp(self, x, t, v):
         _, sigma, means, variances = self._coeffs(t)
         hv = _mixture_hessian_vec(np.asarray(x, dtype=float), np.asarray(v, dtype=float),
                                   self._log_w, means, variances)
-        return -sigma * hv
+        hv *= -sigma
+        return hv
 
     def x0_mean(self, x, t):
         """Exact conditional mean E[x0 | x_t] (responsibility-weighted)."""
@@ -229,15 +234,20 @@ class MixtureFlowOracle(_MixtureOracle):
     def velocity(self, x, t):
         x = np.asarray(x, dtype=float)
         alpha, gamma, means, variances = self._coeffs(t)
-        score = _mixture_score(x, self._log_w, means, variances)
-        # gamma*alpha_dot - gamma_dot*alpha = 1 for the straight-line path
-        return x / alpha + (gamma / alpha) * score
+        velocity = _mixture_score(x, self._log_w, means, variances)
+        # gamma*alpha_dot - gamma_dot*alpha = 1 for the straight-line path:
+        # x / alpha + (gamma / alpha) * score
+        velocity *= gamma / alpha
+        velocity += x / alpha
+        return velocity
 
     def velocity_jvp(self, x, t, v):
         alpha, gamma, means, variances = self._coeffs(t)
-        hv = _mixture_hessian_vec(np.asarray(x, dtype=float), np.asarray(v, dtype=float),
-                                  self._log_w, means, variances)
-        return np.asarray(v, dtype=float) / alpha + (gamma / alpha) * hv
+        v = np.asarray(v, dtype=float)
+        hv = _mixture_hessian_vec(np.asarray(x, dtype=float), v, self._log_w, means, variances)
+        hv *= gamma / alpha  # v / alpha + (gamma / alpha) * hv
+        hv += v / alpha
+        return hv
 
     def x1_mean(self, x, t):
         """Exact conditional mean E[x1 | x_t]."""

@@ -157,33 +157,53 @@ def sample(spec: SamplerSpec, y, op, oracle, sched, z, *,
     if not spec.conjugate:
         drift = (np.diff(grid) * np.exp(table.kappa1[:-1])
                  * kappa2_integrand(grid[:-1], cfg, sched))
+    # The step writes its own arrays into three per-call buffers: the update
+    # v, the projected argument and a scratch for x_hat and the update's
+    # terms.  Each is built in place from the operands, and in the order, of
+    # the plain expression in the comment above it, so the floats are that
+    # expression's.  An operator or oracle result is only read, since its
+    # maker may return an array it keeps.
+    v, arg, tmp = (np.empty_like(xbar) for _ in range(3))
     for n in range(n_steps):
         t = float(grid[n])
         h = float(grid[n + 1] - grid[n])
         x = _transform(xbar, op, table, n, inverse=True)
         f = field(x, t)
         c_t, q_t = map(float, sched.endpoint_map(t))
-        x_end = (x - q_t * f) / c_t
+        # x_end = (x - q_t * f) / c_t
+        x_end = np.multiply(f, q_t, out=tmp)
+        np.subtract(x, x_end, out=x_end)
+        x_end /= c_t
         # sigma_y^2 / r_t^2 regularises the Gram solve of noisy guidance.
         reg = cfg.sigma_y ** 2 / float(sched.r_sq(t)) if cfg.sigma_y else 0.0
         u = op.guidance_residual(y_modes, x_end, reg)
         jv = jvp(x, t, u)
 
+        # v = h lam xbar + d_main_id f + d_y pinv_y
+        #     + P (d_main_p f + d_j_p jv) + d_j_id jv + drift (c_t (u - q_t jv))
         d_y, d_main_id, d_main_p, d_j_id, d_j_p = (float(d) for d in dphi[:, n])
-        v = h * cfg.lam * xbar + d_main_id * f
+        np.multiply(f, d_main_id, out=v)
+        if cfg.lam:
+            v += np.multiply(xbar, h * cfg.lam, out=tmp)
         if d_y:
-            v = v + d_y * pinv_y
+            v += d_y * pinv_y
         if d_main_p or d_j_p:
-            v = v + op.proj_apply(d_main_p * f + d_j_p * jv)
+            np.multiply(f, d_main_p, out=arg)
+            arg += np.multiply(jv, d_j_p, out=tmp)
+            v += op.proj_apply(arg)
         if d_j_id:
-            v = v + d_j_id * jv
+            v += np.multiply(jv, d_j_id, out=tmp)
         if drift[n]:
             # The guidance gradient through x_hat = (x - q f) / c.
-            v = v + drift[n] * (c_t * (u - q_t * jv))
+            np.multiply(jv, q_t, out=tmp)
+            np.subtract(u, tmp, out=tmp)
+            tmp *= c_t
+            tmp *= drift[n]
+            v += tmp
 
-        xbar = xbar + v
+        xbar += v
         # One pass over the state: a NaN or inf entry makes the sup-norm non-finite.
-        step_sup = float(np.max(np.abs(xbar)))
+        step_sup = float(np.max(np.abs(xbar, out=v)))
         if not math.isfinite(step_sup):
             raise DivergenceError(n, t, float(table.kappa1[n]), float(table.kappa2[n]))
         sup.append(step_sup)

@@ -485,3 +485,36 @@ class TestContractionKernels:
         else:
             gamma = np.sqrt(noise_sq)
             assert_rel_close(out["velocity_jvp"], v / scale - (gamma / scale) * v / var)
+
+
+class TestArgumentsUntouched:
+    """The closed forms scale their own fresh result in place; they must
+    never write into x or v, nor return an array that shares memory with
+    them or with the oracle's stacked component means and variances."""
+
+    @pytest.mark.parametrize("wrap", [False, True], ids=["analytic", "finite-difference"])
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("process", ["diffusion", "flow"])
+    def test_methods_leave_arguments_alone(self, process, k, wrap):
+        d, t = 5, 0.4
+        rng = np.random.default_rng(21)
+        model = hetero_mixture(k, d, rng)
+        if k == 1:
+            model = model.components[0]
+        inner = (MixtureDiffusionOracle(model, DIFF) if process == "diffusion"
+                 else MixtureFlowOracle(model, FLOW))
+        oracle = FiniteDifferenceJVP(inner) if wrap else inner
+        names = (("eps", "eps_jvp") if process == "diffusion"
+                 else ("velocity", "velocity_jvp"))
+        if not wrap:
+            names = ("score",) + names
+        for shape in ((d,), (3, d)):
+            x, v = rng.standard_normal(shape), rng.standard_normal(shape)
+            x0, v0 = x.copy(), v.copy()
+            for name in names:
+                fn = getattr(oracle, name)
+                out = fn(x, t, v) if name.endswith("_jvp") else fn(x, t)
+                np.testing.assert_array_equal(x, x0, err_msg=name)
+                np.testing.assert_array_equal(v, v0, err_msg=name)
+                for other in (x, v, inner._means, inner._vars):
+                    assert not np.shares_memory(out, other), name

@@ -6,7 +6,7 @@ import pytest
 from dense_reference import dense_conjugate_sample
 from cji.conjugate import kappa2_origin, phi_origin, precompute_table
 from cji.errors import CoefficientOverflowError, ConfigError, DivergenceError
-from cji.operators import CirculantBlur, Mask
+from cji.operators import BlockAverage, CirculantBlur, Mask
 from cji.oracles import (
     GaussianDiffusionOracle,
     GaussianFlowOracle,
@@ -454,6 +454,49 @@ class TestTableUse:
         res = sample(SamplerSpec(method, cfg), Y, OP, oracle, sched,
                      RNG.standard_normal((2, D)))
         assert np.all(np.isfinite(res.x))
+
+
+class TestOwnArrays:
+    """The step builds its update in place; it may write only into arrays
+    that sample allocated itself."""
+
+    @pytest.mark.parametrize("sigma_y", [0.0, 0.05])
+    @pytest.mark.parametrize("method", sorted(
+        ["conjugate_diffusion", "conjugate_flow", "explicit_diffusion", "explicit_flow"]))
+    @pytest.mark.parametrize("name", ["mask", "block-average", "blur"])
+    def test_caller_arrays_unchanged(self, name, method, sigma_y):
+        d = 64
+        taps = np.array([0.25, 0.5, 0.25])
+        op = {"mask": Mask(np.arange(0, d, 3), d),
+              "block-average": BlockAverage(2, 8, 8),
+              "blur": CirculantBlur(np.outer(taps, taps), shape=(8, 8), threshold=0.1)}[name]
+        flow = method.endswith("flow")
+        sched = FLOW if flow else DIFF
+        oracle = (MixtureFlowOracle if flow else MixtureDiffusionOracle)(mixture(d), sched)
+        cfg = GuidanceConfig(w=2.0, lam=0.1, tau=0.3 if flow else 0.6, nfe=5,
+                             sigma_y=sigma_y)
+        spec = SamplerSpec(method, cfg, record_trajectory=True)
+        # A table with writable columns of its own: a computed table's are
+        # read-only and would refuse a write anyway.
+        table = precompute_table(spec.resolved_grid(), spec.table_guidance, sched)
+        columns = ("times", "kappa1", "kappa2", "kappa3", "dphi")
+        table = replace(table, **{c: getattr(table, c).copy() for c in columns})
+        saved = {c: getattr(table, c).copy() for c in columns}
+        rng = np.random.default_rng(3)
+        y = op.apply(rng.standard_normal(d)) + sigma_y * rng.standard_normal(op.out_dim)
+        z = rng.standard_normal((3, d))
+        y0, z0 = y.copy(), z.copy()
+
+        res = sample(spec, y, op, oracle, sched, z, table=table)
+        np.testing.assert_array_equal(y, y0)
+        np.testing.assert_array_equal(z, z0)
+        for c in columns:
+            np.testing.assert_array_equal(getattr(table, c), saved[c], err_msg=c)
+        assert len(res.trajectory) == 5
+        for i, entry in enumerate(res.trajectory):
+            assert not np.shares_memory(entry, res.x)
+            for other in res.trajectory[i + 1:]:
+                assert not np.shares_memory(entry, other)
 
 
 class TestErrors:
