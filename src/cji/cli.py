@@ -96,6 +96,7 @@ def cmd_coeff_dump(args) -> int:
 def cmd_selftest(args) -> int:
     from .conjugate import a_apply, a_inv_apply, kappa2
     from .operators import BlockAverage, CirculantBlur, Mask
+    from .oracles import GaussianModel, MixtureDiffusionOracle, MixtureModel
     from .schedules import DiffusionSchedule, GuidanceConfig
 
     rng = np.random.default_rng(0)
@@ -136,6 +137,33 @@ def cmd_selftest(args) -> int:
     zb = a_inv_apply(0.7, a_apply(0.7, xb, blur, cfg, sched), blur, cfg, sched)
     check("blur transform round trip", bool(np.max(np.abs(zb - xb)) < 1e-12))
     check("kappa2 sign (diffusion)", kappa2(0.9, cfg, sched) < 0)
+
+    # The mixture kernel's (chains, d) @ (d, K) products against a loop
+    # over components: eps = -sigma s and the JVP -sigma H v, with
+    # H v = sum_k r_k [s_k (s_k.v - s.v) - v / V_k].
+    comps = tuple(GaussianModel(mean=rng.uniform(-2, 2, 5), var=rng.uniform(0.2, 2.0, 5))
+                  for _ in range(3))
+    mix = MixtureModel(weights=np.array([0.2, 0.3, 0.5]), components=comps)
+    xm, vm = rng.standard_normal((4, 5)), rng.standard_normal((4, 5))
+    mu, sigma = float(sched.mu(0.4)), float(sched.sigma(0.4))
+    logits, scores, precs = [], [], []
+    for weight, comp in zip(mix.weights, comps):
+        var = mu * mu * comp.var + sigma * sigma
+        diff = xm - mu * comp.mean
+        logits.append(np.log(weight)
+                      - 0.5 * np.sum(diff * diff / var + np.log(2 * np.pi * var), axis=-1))
+        scores.append(-diff / var)
+        precs.append(1.0 / var)
+    resp = np.exp(logits - np.max(logits, axis=0))
+    resp /= resp.sum(axis=0)
+    score = sum(r[:, None] * s for r, s in zip(resp, scores))
+    hv = sum(r[:, None] * (s * np.sum((s - score) * vm, axis=-1, keepdims=True) - vm * p)
+             for r, s, p in zip(resp, scores, precs))
+    oracle = MixtureDiffusionOracle(mix, sched)
+    for name, got, want in (("eps", oracle.eps(xm, 0.4), -sigma * score),
+                            ("eps_jvp", oracle.eps_jvp(xm, 0.4, vm), -sigma * hv)):
+        check(f"mixture {name} = per-component loop (K = 3)",
+              bool(np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))))
     return 1 if failures else 0
 
 

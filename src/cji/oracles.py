@@ -84,57 +84,89 @@ def as_mixture(model) -> MixtureModel:
 
 
 def _mixture_parts(x, log_w, means, variances):
-    """Centred difference, precisions, responsibilities and log density of a
-    diagonal mixture.
+    """Centred state, responsibilities and log density of a diagonal mixture,
+    in precision form.
 
-    x: (..., d); means/variances: (K, d).  The centred difference x - means,
-    laid out component-major as (K, ..., d), is the only array of that size
-    built: the quadratic form sum_d diff^2 / var is a contraction against the
-    (K, d) precisions, and sum_d log(2 pi var) is one (K,) vector.  Returns
-    (diff, prec (K, d), resp (K, ...), log density (...)).
+    x: (..., d); means/variances: (K, d).  With P = 1/V, the centre c (the
+    mean of the component means), x_c = x - c and M = (means - c) P, the
+    quadratic form sum_d (x - m_k)^2 / V_k expands into (..., d) @ (d, K)
+    products: logits = x_c @ M^T - (x_c * x_c) @ P^T / 2 + const_k.  No
+    (K, ..., d) array is built.  Centring keeps the expansion as precise as
+    the direct difference when the means sit far from the origin: the
+    cancelling terms are O(|m_k - c|), not O(|m_k|).
+
+    Returns (x_c, work, resp, log density (...), coef, coef_t).  x_c and
+    work are fresh state-sized arrays the caller may overwrite.  resp is the
+    (..., K) transpose of a component-major array, so that reductions over
+    K run along its slow axis.  coef = [M; P], stacked as (2K, d), and its
+    (d, 2K) transpose coef_t are both C-contiguous, so that every product
+    against them is a plain GEMM.
     """
-    lead = tuple(range(1, x.ndim))  # chain axes, after the component axis
-    diff = x - np.expand_dims(means, lead)
-    prec = 1.0 / variances
-    log_norm = log_w - 0.5 * np.log(2.0 * np.pi * variances).sum(axis=-1)
-    logits = (np.expand_dims(log_norm, lead)
-              - 0.5 * np.einsum("k...d,kd,k...d->k...", diff, prec, diff))
-    peak = logits.max(axis=0)
-    resp = np.exp(logits - peak)
+    k = len(log_w)
+    centre = means.mean(axis=0)
+    coef = np.empty((2 * k, means.shape[-1]))
+    lin, prec = coef[:k], coef[k:]
+    np.divide(1.0, variances, out=prec)
+    shift = means - centre
+    np.multiply(shift, prec, out=lin)
+    const = log_w - 0.5 * (np.log(2.0 * np.pi * variances) + shift * lin).sum(axis=-1)
+    coef_t = np.ascontiguousarray(coef.T)
+    xc = x - centre
+    work = np.multiply(xc, xc)
+    logits = work @ coef_t[:, k:]
+    logits *= -0.5
+    logits += xc @ coef_t[:, :k]
+    logits += const
+    resp = logits.T.copy()  # component-major: (K, ...) with the chain axes reversed
+    peak = resp.max(axis=0)
+    resp -= peak
+    np.exp(resp, out=resp)
     total = resp.sum(axis=0)
     resp /= total
-    return diff, prec, resp, peak + np.log(total)
+    return xc, work, resp.T, (peak + np.log(total)).T, coef, coef_t
 
 
 def _mixture_score(x, log_w, means, variances):
-    """Score -sum_k r_k diff_k / var_k.  One component (r = 1) takes the
-    closed form (mean - x) / var, at about half the kernel's cost."""
-    if len(log_w) == 1:
+    """Score sum_k r_k (m_k - x) / V_k = r @ M - x_c * (r @ P).  One
+    component (r = 1) takes the closed form (mean - x) / var, at about half
+    the kernel's cost."""
+    k = len(log_w)
+    if k == 1:
         score = means[0] - x
         score /= variances[0]
         return score
-    diff, prec, resp, _ = _mixture_parts(x, log_w, means, variances)
-    return np.einsum("k...,kd,k...d->...d", resp, -prec, diff)
+    xc, work, resp, _, coef, _ = _mixture_parts(x, log_w, means, variances)
+    xc *= np.matmul(resp, coef[k:], out=work)
+    score = np.matmul(resp, coef[:k], out=work)
+    score -= xc
+    return score
 
 
 def _mixture_hessian_vec(x, v, log_w, means, variances):
     """(Hessian of log density) @ v for the diagonal mixture.
 
-    With component scores s_k = -diff_k / var_k and the score s = sum_k r_k
-    s_k, H v = sum_k r_k s_k (s_k.v - s.v) - v sum_k r_k / var_k, which is
-    -v / var for one component (r = 1).
+    With component scores s_k = M_k - x_c P_k, the score s = sum_k r_k s_k
+    and g_k = r_k (s_k.v - s.v), H v = sum_k g_k s_k - v sum_k r_k P_k
+    = g @ M - x_c * (g @ P) - v * (r @ P), which is -v / var for one
+    component (r = 1).  The two state-sized arrays of _mixture_parts hold
+    every intermediate, and the result is written into x_c's.
     """
-    if len(log_w) == 1:
+    k = len(log_w)
+    if k == 1:
         return v / -variances[0]
-    diff, prec, resp, _ = _mixture_parts(x, log_w, means, variances)
-    gv = np.einsum("k...d,kd,...d->k...", diff, -prec, v)  # s_k . v
-    gv -= np.einsum("k...,k...->...", resp, gv)  # minus s . v
-    hv = np.einsum("k...,kd,k...d->...d", resp * gv, -prec, diff)
-    # Free the (K, ..., d) array before the last (..., d) one is allocated,
-    # so at most one array of each size is alive: the smaller peak heap is
-    # less often handed back to the OS between calls and faulted in again.
-    del diff
-    hv -= np.einsum("k...,kd,...d->...d", resp, prec, v)
+    xc, work, resp, _, coef, coef_t = _mixture_parts(x, log_w, means, variances)
+    g = v @ coef_t[:, :k]
+    g -= np.multiply(xc, v, out=work) @ coef_t[:, k:]  # s_k . v
+    g_t = g.T  # component-major view, for the reduction over K
+    g_t -= (resp.T * g_t).sum(axis=0)  # minus s . v
+    g *= resp
+    np.matmul(g, coef[k:], out=work)
+    work *= xc
+    xc = np.matmul(resp, coef[k:], out=xc)  # x_c is not read again
+    xc *= v
+    work += xc
+    hv = np.matmul(g, coef[:k], out=xc)
+    hv -= work
     return hv
 
 
@@ -167,9 +199,11 @@ class _MixtureOracle:
         weighted per-component Gaussian conditional means of the data."""
         x = np.asarray(x, dtype=float)
         scale, noise, means, variances = self._coeffs(t)
-        _, prec, resp, _ = _mixture_parts(x, self._log_w, means, variances)
-        return (np.einsum("k...,kd->...d", resp, noise * noise * self._means * prec)
-                + scale * x * np.einsum("k...,kd->...d", resp, self._vars * prec))
+        _, mean, resp, _, coef, _ = _mixture_parts(x, self._log_w, means, variances)
+        prec = coef[len(self._log_w):]
+        np.matmul(resp, noise * noise * self._means * prec, out=mean)
+        mean += scale * x * (resp @ (self._vars * prec))
+        return mean
 
 
 class MixtureDiffusionOracle(_MixtureOracle):

@@ -1,10 +1,13 @@
 """Per-component reference for the diagonal-mixture oracles.
 
-The direct formulas: every per-component quantity (centred difference,
+The direct formulas: every per-component quantity (difference x - m_k,
 quadratic form, component score, Hessian term, conditional mean) is its own
 (..., K, d) array, reduced with np.sum.  Kept as an independent check on the
-contraction form in cji.oracles; it materialises several (..., K, d)
-temporaries per call and is not meant to be fast.
+precision form in cji.oracles, which expands the quadratic form about the
+mean of the component means into (..., d) @ (d, K) products: the direct
+difference here is exact wherever the means sit, so it shows whether that
+expansion loses digits.  It materialises several (..., K, d) temporaries per
+call and is not meant to be fast.
 """
 
 import numpy as np

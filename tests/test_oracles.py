@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -425,7 +426,7 @@ def assert_rel_close(got, ref, rel=1e-12):
 
 
 class TestContractionKernels:
-    """The contraction-form mixture kernels against the per-component
+    """The precision-form mixture kernels against the per-component
     reference in tests/mixture_reference.py."""
 
     @pytest.mark.parametrize("process", ["diffusion", "flow"])
@@ -485,6 +486,92 @@ class TestContractionKernels:
         else:
             gamma = np.sqrt(noise_sq)
             assert_rel_close(out["velocity_jvp"], v / scale - (gamma / scale) * v / var)
+
+    @pytest.mark.parametrize("offset", [1e2, 1e3])
+    @pytest.mark.parametrize("process", ["diffusion", "flow"])
+    @pytest.mark.parametrize("k", [2, 8])
+    def test_means_far_from_the_origin(self, k, process, offset):
+        # The kernel expands the quadratic form about the mean of the
+        # component means.  Expanded about the origin instead, the terms
+        # that cancel grow with |m_k|, and at an offset of 1e3 log_density
+        # and eps drift far past 1e-12 relative.
+        d = 16
+        rng = np.random.default_rng([k, int(offset), process == "flow"])
+        weights = rng.uniform(0.5, 1.5, k)
+        comps = tuple(GaussianModel(mean=offset + rng.uniform(-2, 2, d),
+                                    var=rng.uniform(0.1, 3.0, d)) for _ in range(k))
+        model = MixtureModel(weights=weights / weights.sum(), components=comps)
+        if process == "diffusion":
+            oracle, sched = MixtureDiffusionOracle(model, DIFF), DIFF
+            reference = mixture_reference.diffusion_methods
+        else:
+            oracle, sched = MixtureFlowOracle(model), FLOW
+            reference = mixture_reference.flow_methods
+        for t in (0.05, 0.4, 0.85):
+            scale = float(sched.scale_noise(t)[0])
+            near = np.stack([comps[j].mean for j in rng.integers(k, size=7)])
+            x = scale * near + 1.5 * rng.standard_normal((7, d))
+            v = rng.standard_normal((7, d))
+            for name, want in reference(model, sched, x, t, v).items():
+                method = getattr(oracle, name)
+                got = method(x, t, v) if name.endswith("_jvp") else method(x, t)
+                assert_rel_close(got, want)
+
+    @pytest.mark.parametrize("process", ["diffusion", "flow"])
+    def test_jvp_peak_allocation(self, process):
+        # The kernel's products are (chains, d) @ (d, K) and its state-sized
+        # temporaries are reused, so a K = 8 JVP holds a few state-sized
+        # arrays at once, not one per component.
+        k, d, chains = 8, 64, 500
+        rng = np.random.default_rng(8)
+        model = hetero_mixture(k, d, rng)
+        oracle = (MixtureDiffusionOracle(model, DIFF) if process == "diffusion"
+                  else MixtureFlowOracle(model))
+        jvp = oracle.eps_jvp if process == "diffusion" else oracle.velocity_jvp
+        x, v = rng.standard_normal((chains, d)), rng.standard_normal((chains, d))
+        jvp(x, 0.4, v)
+        tracemalloc.start()
+        try:
+            jvp(x, 0.4, v)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * x.nbytes, peak / x.nbytes
+
+
+class TestBatchComposition:
+    """What a mixture call's rows owe to the batch around them.  Reruns are
+    bitwise equal.  A row agrees with the same row called alone within
+    1e-13 relative, not bitwise: BLAS may sum a (chains, d) @ (d, K)
+    product in a different order for a different number of rows.  K = 1
+    takes elementwise closed forms, so its rows are bitwise equal."""
+
+    @staticmethod
+    def _oracle(k, process):
+        model = hetero_mixture(k, 16, np.random.default_rng([k, 3]))
+        if process == "diffusion":
+            oracle = MixtureDiffusionOracle(model, DIFF)
+            return oracle.eps, oracle.eps_jvp
+        oracle = MixtureFlowOracle(model)
+        return oracle.velocity, oracle.velocity_jvp
+
+    @pytest.mark.parametrize("process", ["diffusion", "flow"])
+    @pytest.mark.parametrize("k", [1, 3, 8])
+    def test_rows_and_reruns(self, k, process):
+        field, jvp = self._oracle(k, process)
+        rng = np.random.default_rng(k)
+        x, v = 1.5 * rng.standard_normal((72, 16)), rng.standard_normal((72, 16))
+        t = 0.4
+        batch = {"field": field(x, t), "jvp": jvp(x, t, v)}
+        np.testing.assert_array_equal(field(x, t), batch["field"])
+        np.testing.assert_array_equal(jvp(x, t, v), batch["jvp"])
+        for i in range(len(x)):
+            rows = {"field": field(x[i], t), "jvp": jvp(x[i], t, v[i])}
+            for name, row in rows.items():
+                if k == 1:
+                    np.testing.assert_array_equal(batch[name][i], row, err_msg=name)
+                else:
+                    assert_rel_close(batch[name][i], row, rel=1e-13)
 
 
 class TestArgumentsUntouched:
