@@ -67,7 +67,7 @@ def cmd_degrade(args) -> int:
     problem = harness._need(config, "problem", "config", dict)
     op = harness.build_operator(harness._need(problem, "operator", "problem", dict))
     sigma_y = harness._need(problem, "sigma_y", "problem", float, 0.0)
-    out_dir = config.get("output_dir", ".")
+    out_dir = harness._need(config, "output_dir", "config", str, ".")
     os.makedirs(out_dir, exist_ok=True)
     for seed in harness._seeds(config):
         x0 = harness._draw_x0(problem, seed)
@@ -80,8 +80,8 @@ def cmd_degrade(args) -> int:
 
 def cmd_coeff_dump(args) -> int:
     config = _load(args)
+    out_dir = harness._need(config, "output_dir", "config", str, None)
     text = harness.coeff_dump(config)
-    out_dir = config.get("output_dir")
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
         path = os.path.join(out_dir, "coefficients.csv")
@@ -96,7 +96,7 @@ def cmd_coeff_dump(args) -> int:
 def cmd_selftest(args) -> int:
     from .conjugate import a_apply, a_inv_apply, kappa2
     from .operators import BlockAverage, CirculantBlur, Mask
-    from .oracles import GaussianModel, MixtureDiffusionOracle, MixtureModel
+    from .oracles import GaussianModel, MixtureDiffusionOracle, MixtureFlowOracle, MixtureModel
     from .schedules import DiffusionSchedule, GuidanceConfig
 
     rng = np.random.default_rng(0)
@@ -138,32 +138,36 @@ def cmd_selftest(args) -> int:
     check("blur transform round trip", bool(np.max(np.abs(zb - xb)) < 1e-12))
     check("kappa2 sign (diffusion)", kappa2(0.9, cfg, sched) < 0)
 
-    # The mixture kernel's (chains, d) @ (d, K) products against a loop
-    # over components: eps = -sigma s and the JVP -sigma H v, with
-    # H v = sum_k r_k [s_k (s_k.v - s.v) - v / V_k].
+    # The mixture kernel's (chains, d) @ (d, K) products against a loop over
+    # components at each process's marginals.  A field is a x + b s and its JVP
+    # a v + b H v, with H v = sum_k r_k [s_k (s_k.v - s.v) - v / V_k] and
+    # (a, b) = (0, -sigma) for eps, (1 / alpha, gamma / alpha) for the velocity.
     comps = tuple(GaussianModel(mean=rng.uniform(-2, 2, 5), var=rng.uniform(0.2, 2.0, 5))
                   for _ in range(3))
     mix = MixtureModel(weights=np.array([0.2, 0.3, 0.5]), components=comps)
     xm, vm = rng.standard_normal((4, 5)), rng.standard_normal((4, 5))
-    mu, sigma = float(sched.mu(0.4)), float(sched.sigma(0.4))
-    logits, scores, precs = [], [], []
-    for weight, comp in zip(mix.weights, comps):
-        var = mu * mu * comp.var + sigma * sigma
-        diff = xm - mu * comp.mean
-        logits.append(np.log(weight)
-                      - 0.5 * np.sum(diff * diff / var + np.log(2 * np.pi * var), axis=-1))
-        scores.append(-diff / var)
-        precs.append(1.0 / var)
-    resp = np.exp(logits - np.max(logits, axis=0))
-    resp /= resp.sum(axis=0)
-    score = sum(r[:, None] * s for r, s in zip(resp, scores))
-    hv = sum(r[:, None] * (s * np.sum((s - score) * vm, axis=-1, keepdims=True) - vm * p)
-             for r, s, p in zip(resp, scores, precs))
-    oracle = MixtureDiffusionOracle(mix, sched)
-    for name, got, want in (("eps", oracle.eps(xm, 0.4), -sigma * score),
-                            ("eps_jvp", oracle.eps_jvp(xm, 0.4, vm), -sigma * hv)):
-        check(f"mixture {name} = per-component loop (K = 3)",
-              bool(np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))))
+    for oracle, names in ((MixtureDiffusionOracle(mix, sched), ("eps", "eps_jvp")),
+                          (MixtureFlowOracle(mix), ("velocity", "velocity_jvp"))):
+        scale, noise = map(float, oracle.sched.scale_noise(0.4))
+        logits, scores, precs = [], [], []
+        for weight, comp in zip(mix.weights, comps):
+            var = scale * scale * comp.var + noise * noise
+            diff = xm - scale * comp.mean
+            logits.append(np.log(weight)
+                          - 0.5 * np.sum(diff * diff / var + np.log(2 * np.pi * var), axis=-1))
+            scores.append(-diff / var)
+            precs.append(1.0 / var)
+        resp = np.exp(logits - np.max(logits, axis=0))
+        resp /= resp.sum(axis=0)
+        score = sum(r[:, None] * s for r, s in zip(resp, scores))
+        hv = sum(r[:, None] * (s * np.sum((s - score) * vm, axis=-1, keepdims=True) - vm * p)
+                 for r, s, p in zip(resp, scores, precs))
+        a, b = (1 / scale, noise / scale) if names[0] == "velocity" else (0.0, -noise)
+        field, jvp = (getattr(oracle, name) for name in names)
+        wants = (a * xm + b * score, a * vm + b * hv)
+        for name, got, want in zip(names, (field(xm, 0.4), jvp(xm, 0.4, vm)), wants):
+            check(f"mixture {name} = per-component loop (K = 3)",
+                  bool(np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))))
     return 1 if failures else 0
 
 

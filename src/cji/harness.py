@@ -121,22 +121,23 @@ def apply_overrides(config: dict, overrides) -> dict:
     return config
 
 
-_KINDS = {dict: "an object", list: "a list", float: "a number", int: "an integer"}
+_KINDS = {dict: "an object", list: "a list", float: "a number", int: "an integer",
+          str: "a string"}
 _REQUIRED = object()
 
 
 def _need(desc: dict, key: str, what: str, kind=None, default=_REQUIRED):
     """desc[key], or default when the key is absent or null.
 
-    ``kind`` (dict, list, float or int) is the type the value must have;
-    numbers are converted.  A missing required key or a value of another
-    kind is a ConfigError naming the key.
+    ``kind`` (dict, list, float, int or str) is the type the value must
+    have; numbers are converted.  A missing required key or a value of
+    another kind is a ConfigError naming the key.
     """
     value = desc.get(key)
     if value is None:
         if default is _REQUIRED:
             raise ConfigError(f"{what} needs {key!r}")
-        value = default
+        return default
     if kind in (float, int):
         try:
             return kind(value)
@@ -225,8 +226,10 @@ def build_data_model(desc: dict):
 
 
 def _seeds(config: dict) -> list:
-    """The config's seeds (default [0]), each a non-negative integer."""
+    """The config's seeds (default [0]): a non-empty list of non-negative integers."""
     seeds = _need(config, "seeds", "config", list, [0])
+    if not seeds:
+        raise ConfigError("config 'seeds' must not be empty")
     for seed in seeds:
         if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
             raise ConfigError(f"config 'seeds' must be non-negative integers, got {seed!r}")
@@ -246,6 +249,8 @@ def _draw_x0(problem: dict, seed: int) -> np.ndarray:
 
 def degrade(x0, op, sigma_y: float, seed: int) -> np.ndarray:
     """Forward model: y = H x0 + sigma_y * z with a seeded draw."""
+    if sigma_y < 0:
+        raise ConfigError("sigma_y must be >= 0")
     x0 = np.asarray(x0, dtype=float)
     y = op.apply(x0)
     if sigma_y > 0:
@@ -310,9 +315,9 @@ def sweep_points(config: dict):
     unknown = set(sweep) - set(defaults)
     if unknown:
         raise ConfigError(f"sweep keys {sorted(unknown)} not supported")
-    scalars = sorted(k for k, v in sweep.items() if not isinstance(v, (list, tuple)))
-    if scalars:
-        raise ConfigError(f"sweep keys {scalars} must map to lists")
+    bad = sorted(k for k, v in sweep.items() if not isinstance(v, (list, tuple)) or not v)
+    if bad:
+        raise ConfigError(f"sweep keys {bad} must map to non-empty lists")
     axes = [sweep.get(key, [sampler.get(key, d)]) for key, d in defaults.items()]
     return [dict(sampler, **dict(zip(defaults, p))) for p in itertools.product(*axes)]
 
@@ -330,6 +335,10 @@ def run(config: dict, *, threads: int = 1, output_dir=None) -> RunReport:
     if len(points) * len(seeds) > SWEEP_GUARD:
         raise ConfigError(
             f"sweep size {len(points) * len(seeds)} exceeds the guard {SWEEP_GUARD}")
+    peak = _need(config, "peak", "config", float, 1.0)
+    if not (math.isfinite(peak) and peak > 0):
+        raise ConfigError(f"config 'peak' must be a positive finite number, got {peak!r}")
+    out_dir = output_dir or _need(config, "output_dir", "config", str, None)
 
     sched = build_schedule(config)
     op = build_operator(_need(problem, "operator", "problem", dict))
@@ -341,8 +350,6 @@ def run(config: dict, *, threads: int = 1, output_dir=None) -> RunReport:
     for spec in specs:
         check_grid(spec.resolved_grid(), spec.kind, spec.guidance)
     oracle = build_oracle(_need(config, "model", "config", dict, {}), problem, sched)
-    peak = _need(config, "peak", "config", float, 1.0)
-    out_dir = output_dir or config.get("output_dir")
 
     jobs = [(pi, seed) for pi in range(len(points)) for seed in seeds]
     def one(job):

@@ -29,26 +29,20 @@ def _make_eval(kind: str, dim: int, mean: float, var: float,
         return eval_fn
     model = GaussianModel(mean=np.full(dim, mean), var=np.full(dim, var))
     if kind == "gaussian-diffusion":
-        oracle = GaussianDiffusionOracle(model, DiffusionSchedule(beta_min, beta_max))
+        sched = DiffusionSchedule(beta_min, beta_max)
+        oracle, field_op = GaussianDiffusionOracle(model, sched), "eps"
+    elif kind == "gaussian-flow":
+        oracle, field_op = GaussianFlowOracle(model), "vel"
+    else:
+        raise ValueError(f"unknown oracle kind {kind!r}")
 
-        def eval_fn(op, t, x, v):
-            if op == "eps":
-                return oracle.eps(x, t)
-            if op == "jvp":
-                return oracle.eps_jvp(x, t, v)
-            raise ValueError(f"unsupported op {op!r} for a diffusion oracle")
-        return eval_fn
-    if kind == "gaussian-flow":
-        oracle = GaussianFlowOracle(model)
-
-        def eval_fn(op, t, x, v):
-            if op == "vel":
-                return oracle.velocity(x, t)
-            if op == "jvp":
-                return oracle.velocity_jvp(x, t, v)
-            raise ValueError(f"unsupported op {op!r} for a flow oracle")
-        return eval_fn
-    raise ValueError(f"unknown oracle kind {kind!r}")
+    def eval_fn(op, t, x, v):
+        if op == field_op:
+            return oracle._field(x, t)
+        if op == "jvp":
+            return oracle._field_jvp(x, t, v)
+        raise ValueError(f"unsupported op {op!r} for a {kind} oracle")
+    return eval_fn
 
 
 def main(argv=None):

@@ -171,12 +171,14 @@ def _mixture_hessian_vec(x, v, log_w, means, variances):
 
 
 class _MixtureOracle:
-    """Shared part of the oracles: log-weights and the component means and
-    variances, stacked once as (K, d) arrays; a Gaussian model is the mixture
-    of one component.  Each process class checks t in _scale_noise(t), the
-    schedule's (scale, noise) of x_t = scale * x + noise * z, and defines its
-    public methods itself, so that perfbench/tracing.py names each span after
-    its own process class."""
+    """The oracle of both processes, every method written once: log-weights
+    and the component means and variances, stacked once as (K, d) arrays (a
+    Gaussian model is the mixture of one component).  A process class states
+    its time domain in _scale_noise(t), the schedule's (scale, noise) of
+    x_t = scale * x + noise * z, and _to_field(s, x, scale, noise), an
+    in-place map from the score s to the field; with H v for s and v for x
+    it gives the field's JVP.  Each process class binds the public names in
+    its own body, so perfbench/tracing.py names each span after its class."""
 
     def __init__(self, model, sched):
         self.model = as_mixture(model)
@@ -194,9 +196,29 @@ class _MixtureOracle:
         scale, noise = self._scale_noise(float(t))
         return scale, noise, scale * self._means, scale * scale * self._vars + noise * noise
 
+    def _score(self, x, t):
+        _, _, means, variances = self._coeffs(t)
+        return _mixture_score(np.asarray(x, dtype=float), self._log_w, means, variances)
+
+    def _log_density(self, x, t):
+        _, _, means, variances = self._coeffs(t)
+        return _mixture_parts(np.asarray(x, dtype=float), self._log_w, means, variances)[3]
+
+    def _field(self, x, t):
+        x = np.asarray(x, dtype=float)
+        scale, noise, means, variances = self._coeffs(t)
+        return self._to_field(_mixture_score(x, self._log_w, means, variances),
+                              x, scale, noise)
+
+    def _field_jvp(self, x, t, v):
+        v = np.asarray(v, dtype=float)
+        scale, noise, means, variances = self._coeffs(t)
+        hv = _mixture_hessian_vec(np.asarray(x, dtype=float), v, self._log_w, means, variances)
+        return self._to_field(hv, v, scale, noise)
+
     def _endpoint_mean(self, x, t):
-        """sum_k r_k (noise^2 m_k + scale v_k x) / V_k: the responsibility-
-        weighted per-component Gaussian conditional means of the data."""
+        """Exact E[data | x_t] = sum_k r_k (noise^2 m_k + scale v_k x) / V_k,
+        the responsibility-weighted per-component conditional means."""
         x = np.asarray(x, dtype=float)
         scale, noise, means, variances = self._coeffs(t)
         _, mean, resp, _, coef, _ = _mixture_parts(x, self._log_w, means, variances)
@@ -208,37 +230,23 @@ class _MixtureOracle:
 
 class MixtureDiffusionOracle(_MixtureOracle):
     """Noise-prediction oracle for mixture data under the diffusion kernel,
-    defined from the time floor on."""
+    defined from the time floor on: eps = -sigma * score."""
 
     def _scale_noise(self, t):
         if t < DEFAULT_T_FLOOR:
             raise ValueError(f"eps is undefined below the time floor {DEFAULT_T_FLOOR}")
         return tuple(map(float, self.sched.scale_noise(t)))
 
-    def score(self, x, t):
-        _, _, means, variances = self._coeffs(t)
-        return _mixture_score(np.asarray(x, dtype=float), self._log_w, means, variances)
+    @staticmethod
+    def _to_field(s, x, mu, sigma):
+        s *= -sigma
+        return s
 
-    def log_density(self, x, t):
-        _, _, means, variances = self._coeffs(t)
-        return _mixture_parts(np.asarray(x, dtype=float), self._log_w, means, variances)[3]
-
-    def eps(self, x, t):
-        _, sigma, means, variances = self._coeffs(t)
-        eps = _mixture_score(np.asarray(x, dtype=float), self._log_w, means, variances)
-        eps *= -sigma
-        return eps
-
-    def eps_jvp(self, x, t, v):
-        _, sigma, means, variances = self._coeffs(t)
-        hv = _mixture_hessian_vec(np.asarray(x, dtype=float), np.asarray(v, dtype=float),
-                                  self._log_w, means, variances)
-        hv *= -sigma
-        return hv
-
-    def x0_mean(self, x, t):
-        """Exact conditional mean E[x0 | x_t] (responsibility-weighted)."""
-        return self._endpoint_mean(x, t)
+    score = _MixtureOracle._score
+    log_density = _MixtureOracle._log_density
+    eps = _MixtureOracle._field
+    eps_jvp = _MixtureOracle._field_jvp
+    x0_mean = _MixtureOracle._endpoint_mean
 
 
 class GaussianDiffusionOracle(MixtureDiffusionOracle):
@@ -247,7 +255,8 @@ class GaussianDiffusionOracle(MixtureDiffusionOracle):
 
 class MixtureFlowOracle(_MixtureOracle):
     """Velocity oracle for mixture data under the straight-line interpolant,
-    defined for t > 0."""
+    defined for t > 0: velocity = (gamma * score + x) / alpha, since
+    gamma * alpha_dot - gamma_dot * alpha = 1 on that path."""
 
     def __init__(self, model, sched: FlowSchedule | None = None):
         super().__init__(model, sched or FlowSchedule())
@@ -257,35 +266,18 @@ class MixtureFlowOracle(_MixtureOracle):
             raise ValueError("velocity is undefined at t = 0 (alpha_t = 0)")
         return tuple(map(float, self.sched.scale_noise(t)))
 
-    def score(self, x, t):
-        _, _, means, variances = self._coeffs(t)
-        return _mixture_score(np.asarray(x, dtype=float), self._log_w, means, variances)
+    @staticmethod
+    def _to_field(s, x, alpha, gamma):
+        s *= gamma
+        s += x
+        s /= alpha
+        return s
 
-    def log_density(self, x, t):
-        _, _, means, variances = self._coeffs(t)
-        return _mixture_parts(np.asarray(x, dtype=float), self._log_w, means, variances)[3]
-
-    def velocity(self, x, t):
-        x = np.asarray(x, dtype=float)
-        alpha, gamma, means, variances = self._coeffs(t)
-        velocity = _mixture_score(x, self._log_w, means, variances)
-        # gamma*alpha_dot - gamma_dot*alpha = 1 for the straight-line path:
-        # x / alpha + (gamma / alpha) * score
-        velocity *= gamma / alpha
-        velocity += x / alpha
-        return velocity
-
-    def velocity_jvp(self, x, t, v):
-        alpha, gamma, means, variances = self._coeffs(t)
-        v = np.asarray(v, dtype=float)
-        hv = _mixture_hessian_vec(np.asarray(x, dtype=float), v, self._log_w, means, variances)
-        hv *= gamma / alpha  # v / alpha + (gamma / alpha) * hv
-        hv += v / alpha
-        return hv
-
-    def x1_mean(self, x, t):
-        """Exact conditional mean E[x1 | x_t]."""
-        return self._endpoint_mean(x, t)
+    score = _MixtureOracle._score
+    log_density = _MixtureOracle._log_density
+    velocity = _MixtureOracle._field
+    velocity_jvp = _MixtureOracle._field_jvp
+    x1_mean = _MixtureOracle._endpoint_mean
 
 
 class GaussianFlowOracle(MixtureFlowOracle):

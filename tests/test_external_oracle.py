@@ -14,7 +14,7 @@ from cji.errors import (
     OracleTimeoutError,
 )
 from cji.external import ExternalOracle
-from cji.oracles import GaussianDiffusionOracle, GaussianModel
+from cji.oracles import GaussianDiffusionOracle, GaussianFlowOracle, GaussianModel
 from cji.schedules import DiffusionSchedule
 
 
@@ -180,3 +180,23 @@ class TestProtocolViolations:
         with ExternalOracle(argv) as oracle:
             with pytest.raises(OracleProtocolError):
                 oracle.eps(np.zeros(2), 0.1)
+
+
+class TestGaussianFlowServer:
+    def test_matches_in_process(self):
+        model = GaussianModel(mean=np.full(5, -0.5), var=np.full(5, 1.5))
+        local = GaussianFlowOracle(model)
+        argv = server_argv("--kind", "gaussian-flow", "--dim", "5",
+                           "--mean", "-0.5", "--var", "1.5")
+        rng = np.random.default_rng(2)
+        with ExternalOracle(argv) as remote:
+            for _ in range(5):
+                x = rng.standard_normal(5)
+                v = rng.standard_normal(5)
+                t = rng.uniform(0.05, 1.0)
+                np.testing.assert_allclose(remote.velocity(x, t), local.velocity(x, t),
+                                           atol=1e-9)
+                np.testing.assert_allclose(remote.velocity_jvp(x, t, v),
+                                           local.velocity_jvp(x, t, v), atol=1e-9)
+            with pytest.raises(OracleRemoteError):
+                remote.eps(np.zeros(5), 0.5)

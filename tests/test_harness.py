@@ -514,11 +514,13 @@ class TestCLI:
         ("run", "model", {"kind": "external", "argv": ["no-such-oracle-binary"]},
          "no-such-oracle-binary"),
         ("degrade", "seeds", [-1], "'seeds'"),
+        ("degrade", "seeds", [], "'seeds'"),
+        ("degrade", "problem.sigma_y", -0.1, "sigma_y"),
     ], ids=["run-no-operator", "degrade-no-operator", "no-data", "tensor-file-no-path",
             "external-no-argv", "coeff-dump-no-sampler", "coeff-dump-no-method",
             "coeff-dump-list-method",
             "top-level-list", "mask-index-range", "blur-threshold", "argv-not-spawned",
-            "degrade-negative-seed"])
+            "degrade-negative-seed", "degrade-no-seeds", "degrade-negative-sigma-y"])
     def test_malformed_config_exits_one(self, tmp_path, capsys, command, path, value, named):
         # value None deletes the key; the empty path replaces the whole config
         cfg = base_config()
@@ -557,9 +559,14 @@ class TestCLI:
          '"means":[1,-1],"vars":[1,1]}', "'weights'"),
         ("sampler.method=[1]", "sampler.method"),
         ("problem.operator.indices=[0.5]", "indices"),
+        ("peak=0", "'peak'"),
+        ("peak=-1", "'peak'"),
+        ("seeds=[]", "'seeds'"),
+        ("sweep.nfe=[]", "'nfe'"),
     ], ids=["problem", "operator", "model", "seeds", "sweep", "data-dim", "sampler-w",
             "sigma-y", "data-mean", "mixture-means", "seed-string", "seed-float",
-            "seed-negative", "mixture-weights", "sampler-method", "mask-index-fraction"])
+            "seed-negative", "mixture-weights", "sampler-method", "mask-index-fraction",
+            "peak-zero", "peak-negative", "no-seeds", "empty-sweep-list"])
     def test_mistyped_config_is_a_config_error(self, tmp_path, capsys, override, named):
         # a block that is not an object, a list that is not a list, a number
         # that does not parse, or a seed that is not a non-negative integer
@@ -571,6 +578,21 @@ class TestCLI:
         assert cli.main(self.shipped_mask_argv(tmp_path / "out") + ["--seeds", "x"]) == 1
         err = capsys.readouterr().err
         assert "configuration error" in err and "--seeds" in err
+
+    def test_empty_seeds_flag_is_a_config_error(self, tmp_path, capsys):
+        assert cli.main(self.shipped_mask_argv(tmp_path / "out") + ["--seeds", ""]) == 1
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "'seeds'" in err
+
+    @pytest.mark.parametrize("command", ["run", "degrade", "coeff-dump"])
+    @pytest.mark.parametrize("value", ["5", "[1]"])
+    def test_mistyped_output_dir_is_a_config_error(self, tmp_path, capsys, command, value):
+        # no --output-dir flag: it would replace the config's value
+        argv = [command, self.write_config(tmp_path, base_config()),
+                "--override", f"output_dir={value}"]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "'output_dir'" in err
 
     def test_rank_deficient_dense_is_a_config_error(self, tmp_path, capsys):
         override = 'problem.operator={"kind":"dense","matrix":[[1,0,0],[2,0,0]]}'

@@ -538,6 +538,30 @@ class TestContractionKernels:
             tracemalloc.stop()
         assert peak < 4 * x.nbytes, peak / x.nbytes
 
+    @pytest.mark.parametrize("process,name", [
+        ("flow", "velocity"), ("flow", "velocity_jvp"),
+        ("diffusion", "eps"), ("diffusion", "eps_jvp"),
+    ])
+    def test_closed_form_peak_allocation(self, process, name):
+        # K = 1: the score (or H v) is mapped to the field (or its JVP) in
+        # place, so a warm call holds one state-sized array, its result.
+        chains, d = 2000, 32
+        model = GaussianModel(mean=np.linspace(-1, 1, d), var=np.linspace(0.5, 2, d))
+        oracle = (MixtureDiffusionOracle(model, DIFF) if process == "diffusion"
+                  else MixtureFlowOracle(model))
+        rng = np.random.default_rng(9)
+        x, v = rng.standard_normal((chains, d)), rng.standard_normal((chains, d))
+        method = getattr(oracle, name)
+        args = (x, 0.4, v) if name.endswith("_jvp") else (x, 0.4)
+        method(*args)
+        tracemalloc.start()
+        try:
+            method(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * x.nbytes, peak / x.nbytes
+
 
 class TestBatchComposition:
     """What a mixture call's rows owe to the batch around them.  Reruns are

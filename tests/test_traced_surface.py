@@ -21,7 +21,8 @@ import pytest
 from cji.conjugate import precompute_table
 from cji.external import ExternalOracle
 from cji.operators import CirculantBlur, Mask
-from cji.oracles import GaussianDiffusionOracle, GaussianFlowOracle, GaussianModel
+from cji.oracles import (GaussianDiffusionOracle, GaussianFlowOracle, GaussianModel,
+                         MixtureDiffusionOracle, MixtureFlowOracle, MixtureModel)
 from cji.samplers import SamplerSpec, sample
 from cji.schedules import (DiffusionSchedule, FlowSchedule, GuidanceConfig, process_kind,
                            sampling_grid)
@@ -147,3 +148,28 @@ def test_oracle_counters_see_gaussian_oracles(oracle_cls, method):
     metrics = tracer.layer_metrics()
     assert metrics["oracles.field.calls"] == metrics["oracles.jvp.calls"] == 3
     assert metrics["oracles.field.rows"] == metrics["oracles.jvp.rows"] == 6
+
+
+@pytest.mark.parametrize("cls,names", [
+    (MixtureDiffusionOracle, ("score", "log_density", "eps", "eps_jvp", "x0_mean")),
+    (MixtureFlowOracle, ("score", "log_density", "velocity", "velocity_jvp", "x1_mean")),
+], ids=["diffusion", "flow"])
+def test_oracle_spans_name_their_process(cls, names):
+    # Both processes share one implementation of every method; each class
+    # binds the public names itself, so each span names the class called.
+    model = MixtureModel(weights=np.array([0.4, 0.6]), components=(
+        GaussianModel(mean=np.zeros(3), var=np.ones(3)),
+        GaussianModel(mean=np.ones(3), var=np.full(3, 0.5))))
+    oracle = cls(model, DiffusionSchedule() if cls is MixtureDiffusionOracle else FlowSchedule())
+    x = np.random.default_rng(4).standard_normal((2, 3))
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        for name in names:
+            method = getattr(oracle, name)
+            method(x, 0.4, x) if name.endswith("_jvp") else method(x, 0.4)
+    finally:
+        tracer.uninstall()
+    layer = tracing.LAYERS.index("oracles")
+    recorded = [tracer._names[n] for n, lay in zip(tracer.name, tracer.layer) if lay == layer]
+    assert recorded == [f"{cls.__name__}.{name}" for name in names]
