@@ -2,58 +2,8 @@
 
 Matrix-free degradation operators, analytic score/velocity oracles, and
 exponential-integrator samplers whose measurement-consistency drift is
-absorbed into a projector-valued transform.
+absorbed into a projector-valued transform.  Each name is imported from its
+module (``from cji.samplers import sample``); the package itself loads none.
 """
 
 __version__ = "0.1.0"
-
-from .schedules import (  # noqa: F401
-    DiffusionSchedule,
-    FlowSchedule,
-    GuidanceConfig,
-    diffusion_eval,
-    flow_eval,
-    guidance_weight,
-    sampling_grid,
-    timestep_grid,
-)
-from .operators import (  # noqa: F401
-    BlockAverage,
-    CirculantBlur,
-    DenseOperator,
-    LinearDegradation,
-    Mask,
-    dense_materialize,
-)
-from .conjugate import (  # noqa: F401
-    CoefficientTable,
-    PhiValues,
-    ScalarPair,
-    a_apply,
-    a_inv_apply,
-    a_noisy_apply,
-    a_noisy_inv_apply,
-    kappa1,
-    kappa2,
-    kappa3,
-    phi_diffusion,
-    phi_flow,
-    precompute_table,
-    table_from_csv,
-    table_to_csv,
-)
-from .oracles import (  # noqa: F401
-    FiniteDifferenceJVP,
-    GaussianDiffusionOracle,
-    GaussianFlowOracle,
-    GaussianModel,
-    MixtureDiffusionOracle,
-    MixtureFlowOracle,
-    MixtureModel,
-    exact_posterior,
-    finite_difference_jvp,
-    tweedie_diffusion,
-    tweedie_flow,
-)
-from .samplers import SampleResult, SamplerSpec, sample  # noqa: F401
-from .tensorio import read_tensor, write_tensor  # noqa: F401

@@ -130,8 +130,9 @@ def _need(desc: dict, key: str, what: str, kind=None, default=_REQUIRED):
     """desc[key], or default when the key is absent or null.
 
     ``kind`` (dict, list, float, int or str) is the type the value must
-    have; numbers are converted.  A missing required key or a value of
-    another kind is a ConfigError naming the key.
+    have; numbers are converted, but a boolean is no number and an int is
+    never truncated.  A missing required key or a value of another kind is
+    a ConfigError naming the key.
     """
     value = desc.get(key)
     if value is None:
@@ -139,13 +140,25 @@ def _need(desc: dict, key: str, what: str, kind=None, default=_REQUIRED):
             raise ConfigError(f"{what} needs {key!r}")
         return default
     if kind in (float, int):
-        try:
-            return kind(value)
-        except (TypeError, ValueError, OverflowError):
-            pass
+        truncated = kind is int and isinstance(value, float) and not value.is_integer()
+        if not (isinstance(value, bool) or truncated):
+            try:
+                return kind(value)
+            except (TypeError, ValueError, OverflowError):
+                pass
     elif kind is None or isinstance(value, kind):
         return value
     raise ConfigError(f"{what} {key!r} must be {_KINDS[kind]}, got {value!r}")
+
+
+def _read_file(desc: dict, key: str, what: str) -> np.ndarray:
+    """The tensor in the file desc[key] names; a key that is not a string,
+    or a file that is missing or malformed, is a ConfigError naming it."""
+    path = _need(desc, key, what, str)
+    try:
+        return read_tensor(path)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"{what} {key!r}: {exc}") from exc
 
 
 def build_operator(desc: dict):
@@ -156,11 +169,11 @@ def build_operator(desc: dict):
     try:
         if kind == "mask":
             if "bitmap_file" in desc:
-                bitmap = read_tensor(desc["bitmap_file"])
+                bitmap = _read_file(desc, "bitmap_file", what)
                 indices = np.flatnonzero(bitmap != 0.0)
                 return Mask(indices, bitmap.size)
             if "indices_file" in desc:
-                indices = read_tensor(desc["indices_file"])
+                indices = _read_file(desc, "indices_file", what)
             else:
                 indices = desc.get("indices")
             if indices is None:
@@ -171,7 +184,7 @@ def build_operator(desc: dict):
             return BlockAverage(*(_need(desc, k, what, int)
                                   for k in ("factor", "height", "width")))
         if kind == "circulant_blur":
-            kernel = (read_tensor(desc["kernel_file"]) if "kernel_file" in desc
+            kernel = (_read_file(desc, "kernel_file", what) if "kernel_file" in desc
                       else np.asarray(_need(desc, "kernel", what), dtype=float))
             threshold = _need(desc, "threshold", what, float, 1e-8)
             if kernel.ndim == 2:
@@ -180,7 +193,7 @@ def build_operator(desc: dict):
             return CirculantBlur(kernel, in_dim=_need(desc, "in_dim", what, int),
                                  threshold=threshold)
         if kind == "dense":
-            matrix = (read_tensor(desc["matrix_file"]) if "matrix_file" in desc
+            matrix = (_read_file(desc, "matrix_file", what) if "matrix_file" in desc
                       else np.asarray(_need(desc, "matrix", what), dtype=float))
             return DenseOperator(matrix)
         raise ConfigError(f"unknown operator kind {kind!r}")
@@ -239,7 +252,7 @@ def _seeds(config: dict) -> list:
 def _draw_x0(problem: dict, seed: int) -> np.ndarray:
     data = _need(problem, "data", "problem", dict)
     if data.get("source") == "tensor_file":
-        return read_tensor(_need(data, "path", "tensor_file data")).reshape(-1)
+        return _read_file(data, "path", "tensor_file data").reshape(-1)
     model = build_data_model(data)
     rng = np.random.default_rng([seed, _X0_SALT])
     if isinstance(model, MixtureModel):

@@ -61,19 +61,14 @@ class LinearDegradation:
     complete_basis = False
 
     def _set_singular_values(self, s, keep=True):
-        """Store s and the actions' diagonal factors.  A scalar factor of 1
-        is stored as None, and the actions skip its multiply."""
-        def diag(factor):
-            return None if np.ndim(factor) == 0 and factor == 1 else factor
-
+        """Store s and the actions' diagonal factors."""
         self.s = s
         self._s_conj = np.conj(s)
         self._power = np.abs(s) ** 2
-        inv_power = np.where(keep, 1.0 / np.where(keep, self._power, 1.0), 0.0)
-        self._apply, self._adjoint = diag(s), diag(self._s_conj)
+        self._inv_power = np.where(keep, 1.0 / np.where(keep, self._power, 1.0), 0.0)
+        self._pinv = self._s_conj * self._inv_power
         self._kept = np.asarray(keep, dtype=bool)
-        self._keep = diag(self._kept.astype(float))
-        self._inv_power, self._pinv = diag(inv_power), diag(self._s_conj * inv_power)
+        self._keep = self._kept.astype(float)
 
     def to_basis(self, x):
         return x
@@ -97,8 +92,6 @@ class LinearDegradation:
     @staticmethod
     def _scaled(modes, z, factor):
         """factor * modes, in place unless modes is the analysed array z."""
-        if factor is None:
-            return modes
         if modes is z:  # identity analysis: never scale the caller's array
             return modes * factor
         modes *= factor
@@ -110,10 +103,10 @@ class LinearDegradation:
         return synthesise(self._scaled(analyse(z), z, factor))
 
     def apply(self, x):
-        return self._act(x, self.in_dim, self.to_basis, self._apply, self.to_data)
+        return self._act(x, self.in_dim, self.to_basis, self.s, self.to_data)
 
     def adjoint(self, y):
-        return self._act(y, self.out_dim, self.from_data, self._adjoint, self.from_basis)
+        return self._act(y, self.out_dim, self.from_data, self._s_conj, self.from_basis)
 
     def gram_solve(self, y):
         return self._act(y, self.out_dim, self.from_data, self._inv_power, self.to_data)
@@ -151,11 +144,11 @@ class LinearDegradation:
         if self.complete_basis:
             factor = np.where(self._kept, b, a)
             if c != 0.0:
-                factor = factor + c * (1.0 if self._inv_power is None else self._inv_power)
+                factor = factor + c * self._inv_power
             return self.from_basis(self._scaled(modes, x, factor))
 
         def synthesise(factor):  # never in place: modes is synthesised twice
-            return self.from_basis(modes if factor is None else modes * factor)
+            return self.from_basis(modes * factor)
 
         px = synthesise(self._keep)
         out = x - px
@@ -169,17 +162,15 @@ class LinearDegradation:
         """H^T (H H^T + c I)^{-1} (y - H x) from y_modes = from_data(y) and one
         analysis of x; reg_pinv_apply(y - apply(x), c) in one pass."""
         x = self._checked(x, self.in_dim)
-        hx = self._scaled(self.to_basis(x), x, self._apply)
-        # s V^T x is a new array unless both are identities; the residual
-        # reuses it when y_modes's shape is a suffix of its shape.
+        hx = self._scaled(self.to_basis(x), x, self.s)
+        # s V^T x is a new array; the residual reuses it when y_modes's shape
+        # is a suffix of its shape.
         shape = np.shape(y_modes)
-        if hx is x or hx.shape[hx.ndim - len(shape):] != shape:
+        if hx.shape[hx.ndim - len(shape):] != shape:
             resid = y_modes - hx
         else:
             resid = np.subtract(y_modes, hx, out=hx)
-        factor = self._reg_pinv(c)
-        if factor is not None:
-            resid *= factor
+        resid *= self._reg_pinv(c)
         return self.from_basis(resid)
 
     # -- dense materializers (test oracles; small dimensions only) ---------

@@ -70,11 +70,9 @@ class MixtureModel:
 
     def sample(self, rng, n: int) -> np.ndarray:
         ks = rng.choice(len(self.components), size=n, p=self.weights)
-        out = np.empty((n, self.dim))
-        for i, k in enumerate(ks):
-            c = self.components[k]
-            out[i] = c.mean + np.sqrt(c.var) * rng.standard_normal(self.dim)
-        return out
+        means = np.stack([c.mean for c in self.components])
+        stds = np.sqrt(np.stack([c.var for c in self.components]))
+        return means[ks] + stds[ks] * rng.standard_normal((n, self.dim))
 
 
 def as_mixture(model) -> MixtureModel:

@@ -9,6 +9,7 @@ Gaussian path once: scale_noise, endpoint_map and field_rate.
 from __future__ import annotations
 
 import copy
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +45,15 @@ def _unit_time(t):
     return t
 
 
+def _require_finite(obj, *names):
+    """ConfigError unless each named field of obj is a finite number: the
+    range checks below pass NaN, and an infinite field overflows later."""
+    for name in names:
+        value = getattr(obj, name)
+        if not math.isfinite(value):
+            raise ConfigError(f"{name} must be finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class DiffusionSchedule:
     """Variance-preserving diffusion with beta(t) = beta_min + t*(beta_max - beta_min).
@@ -56,6 +66,7 @@ class DiffusionSchedule:
     beta_max: float = 20.0
 
     def __post_init__(self):
+        _require_finite(self, "beta_min", "beta_max")
         if self.beta_min <= 0 or self.beta_max < self.beta_min:
             raise ConfigError("need 0 < beta_min <= beta_max")
 
@@ -206,6 +217,7 @@ class GuidanceConfig:
     t_floor: float = DEFAULT_T_FLOOR
 
     def __post_init__(self):
+        _require_finite(self, "w", "lam", "sigma_y")
         if self.nfe < 1:
             raise ConfigError("nfe must be >= 1")
         if not 0 < self.tau <= 1.0:

@@ -516,11 +516,26 @@ class TestCLI:
         ("degrade", "seeds", [-1], "'seeds'"),
         ("degrade", "seeds", [], "'seeds'"),
         ("degrade", "problem.sigma_y", -0.1, "sigma_y"),
+        ("degrade", "problem.data", {"source": "tensor_file", "path": 9999}, "'path'"),
+        ("degrade", "problem.data", {"source": "tensor_file", "path": "missing.cji"},
+         "'path'"),
+        ("degrade", "problem.data", {"source": "tensor_file", "path": __file__}, "'path'"),
+        ("run", "problem.operator", {"kind": "mask", "bitmap_file": "missing.cji"},
+         "'bitmap_file'"),
+        ("run", "problem.operator", {"kind": "mask", "indices_file": 9999, "dim": 8},
+         "'indices_file'"),
+        ("run", "problem.operator", {"kind": "circulant_blur", "kernel_file": "missing.cji",
+                                     "in_dim": 8}, "'kernel_file'"),
+        ("run", "problem.operator", {"kind": "dense", "matrix_file": __file__},
+         "'matrix_file'"),
     ], ids=["run-no-operator", "degrade-no-operator", "no-data", "tensor-file-no-path",
             "external-no-argv", "coeff-dump-no-sampler", "coeff-dump-no-method",
             "coeff-dump-list-method",
             "top-level-list", "mask-index-range", "blur-threshold", "argv-not-spawned",
-            "degrade-negative-seed", "degrade-no-seeds", "degrade-negative-sigma-y"])
+            "degrade-negative-seed", "degrade-no-seeds", "degrade-negative-sigma-y",
+            "tensor-file-path-number", "tensor-file-missing", "tensor-file-malformed",
+            "bitmap-file-missing", "indices-file-number", "kernel-file-missing",
+            "matrix-file-malformed"])
     def test_malformed_config_exits_one(self, tmp_path, capsys, command, path, value, named):
         # value None deletes the key; the empty path replaces the whole config
         cfg = base_config()
@@ -563,10 +578,19 @@ class TestCLI:
         ("peak=-1", "'peak'"),
         ("seeds=[]", "'seeds'"),
         ("sweep.nfe=[]", "'nfe'"),
+        ("sweep.nfe=[2.5]", "'nfe'"),
+        ("sweep.nfe=[true]", "'nfe'"),
+        ("sampler.w=Infinity", "w must be finite"),
+        ("sampler.w=NaN", "w must be finite"),
+        ("sampler.lambda=NaN", "lam must be finite"),
+        ("problem.sigma_y=NaN", "sigma_y must be finite"),
+        ("schedule.beta_max=Infinity", "beta_max must be finite"),
     ], ids=["problem", "operator", "model", "seeds", "sweep", "data-dim", "sampler-w",
             "sigma-y", "data-mean", "mixture-means", "seed-string", "seed-float",
             "seed-negative", "mixture-weights", "sampler-method", "mask-index-fraction",
-            "peak-zero", "peak-negative", "no-seeds", "empty-sweep-list"])
+            "peak-zero", "peak-negative", "no-seeds", "empty-sweep-list", "nfe-fraction",
+            "nfe-boolean", "w-infinite", "w-nan", "lambda-nan", "sigma-y-nan",
+            "beta-max-infinite"])
     def test_mistyped_config_is_a_config_error(self, tmp_path, capsys, override, named):
         # a block that is not an object, a list that is not a list, a number
         # that does not parse, or a seed that is not a non-negative integer

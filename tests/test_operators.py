@@ -522,6 +522,36 @@ class TestConstruction:
             DenseOperator(matrix)
 
 
+class TestNoAliasing:
+    def test_actions_return_new_arrays(self):
+        # A caller may overwrite an action's result: none returns its
+        # argument or a view of it, even where every factor is 1.
+        rng = np.random.default_rng(7)
+        for op in operator_zoo() + [BlockAverage(1, 2, 2)]:
+            x = rng.standard_normal((2, op.in_dim))
+            y = rng.standard_normal((2, op.out_dim))
+            y_modes = op.from_data(y.copy())
+            actions = {
+                "apply": (op.apply, x), "adjoint": (op.adjoint, y),
+                "gram_solve": (op.gram_solve, y), "pinv_apply": (op.pinv_apply, y),
+                "proj_apply": (op.proj_apply, x), "pinv_outer_apply": (op.pinv_outer_apply, x),
+            }
+            for c in (0.0, 0.5):
+                actions[f"gram_reg_solve c={c}"] = (lambda v, c=c: op.gram_reg_solve(v, c), y)
+                actions[f"reg_pinv_apply c={c}"] = (lambda v, c=c: op.reg_pinv_apply(v, c), y)
+                actions[f"split_apply c={c}"] = (
+                    lambda v, c=c: op.split_apply(v, 1.0, 1.0, c), x)
+                actions[f"guidance_residual c={c}"] = (
+                    lambda v, c=c: op.guidance_residual(y_modes, v, c), x)
+            for name, (action, arg) in actions.items():
+                before = arg.copy()
+                out = action(arg)
+                label = f"{type(op).__name__} {name}"
+                assert out is not arg and not np.shares_memory(out, arg), label
+                assert not np.shares_memory(out, y_modes), label
+                np.testing.assert_array_equal(arg, before, err_msg=label)
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(min_value=2, max_value=10), st.integers(min_value=1, max_value=9),
        st.integers(min_value=0, max_value=2 ** 30))

@@ -63,6 +63,19 @@ class TestModels:
         expected = 0.3 * mix.components[0].mean + 0.7 * mix.components[1].mean
         np.testing.assert_allclose(xs.mean(axis=0), expected, atol=0.02)
 
+    def test_mixture_sampling_matches_per_row_draws(self):
+        rng = np.random.default_rng(3)
+        mix = MixtureModel(weights=np.array([0.2, 0.3, 0.5]), components=tuple(
+            GaussianModel(mean=rng.uniform(-2, 2, 7), var=rng.uniform(0.2, 2.0, 7))
+            for _ in range(3)))
+        xs = mix.sample(np.random.default_rng(11), 1000)
+        rows = np.random.default_rng(11)
+        ks = rows.choice(3, size=1000, p=mix.weights)
+        want = np.array([mix.components[k].mean
+                         + np.sqrt(mix.components[k].var) * rows.standard_normal(7)
+                         for k in ks])
+        np.testing.assert_array_equal(xs, want)
+
 
 class TestEps:
     def test_standard_normal_identity(self):

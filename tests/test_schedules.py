@@ -232,6 +232,20 @@ class TestTimestepGrid:
 
 
 class TestGuidanceConfig:
+    @pytest.mark.parametrize("make,field", [
+        (lambda v: GuidanceConfig(w=v), "w"),
+        (lambda v: GuidanceConfig(lam=v), "lam"),
+        (lambda v: GuidanceConfig(sigma_y=v), "sigma_y"),
+        (lambda v: DiffusionSchedule(beta_min=v), "beta_min"),
+        (lambda v: DiffusionSchedule(beta_max=v), "beta_max"),
+    ], ids=["w", "lam", "sigma_y", "beta_min", "beta_max"])
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_non_finite_field_is_refused(self, make, field, value):
+        # NaN passes every range check, and an infinite w or beta_max
+        # overflows in the coefficients instead of being refused
+        with pytest.raises(ConfigError, match=f"{field} must be finite"):
+            make(value)
+
     def test_validation(self):
         with pytest.raises(ConfigError):
             GuidanceConfig(nfe=0)
