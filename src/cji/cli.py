@@ -3,7 +3,6 @@
     cji run <config.json>        run the configured sweep, write reports
     cji degrade <config.json>    write degraded observations y = H x0 + noise
     cji coeff-dump <config.json> write the per-timestep coefficient table CSV
-    cji selftest                 quick numerical self-checks
 
 Exit codes: 0 on success, 1 on configuration errors, 2 if any sweep run
 diverged (non-finite state or squared error, overflowing transform
@@ -15,8 +14,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-
-import numpy as np
 
 from . import harness
 from .errors import ConfigError
@@ -67,11 +64,10 @@ def cmd_degrade(args) -> int:
     problem = harness._need(config, "problem", "config", dict)
     op = harness.build_operator(harness._need(problem, "operator", "problem", dict))
     sigma_y = harness._need(problem, "sigma_y", "problem", float, 0.0)
+    inputs = harness.draw_inputs(problem, op, sigma_y, harness._seeds(config))
     out_dir = harness._need(config, "output_dir", "config", str, ".")
     os.makedirs(out_dir, exist_ok=True)
-    for seed in harness._seeds(config):
-        x0 = harness._draw_x0(problem, seed)
-        y = harness.degrade(x0, op, sigma_y, seed)
+    for seed, (x0, y) in inputs.items():
         write_tensor(os.path.join(out_dir, f"x0_{seed}.cji"), x0)
         write_tensor(os.path.join(out_dir, f"y_{seed}.cji"), y)
         print(f"seed {seed}: wrote x0_{seed}.cji ({x0.size}) and y_{seed}.cji ({y.size})")
@@ -93,84 +89,6 @@ def cmd_coeff_dump(args) -> int:
     return 0
 
 
-def cmd_selftest(args) -> int:
-    from .conjugate import a_apply, a_inv_apply, kappa2
-    from .operators import BlockAverage, CirculantBlur, Mask
-    from .oracles import GaussianModel, MixtureDiffusionOracle, MixtureFlowOracle, MixtureModel
-    from .schedules import DiffusionSchedule, GuidanceConfig
-
-    rng = np.random.default_rng(0)
-    failures = 0
-
-    def check(name, ok):
-        nonlocal failures
-        print(f"{'PASS' if ok else 'FAIL'}  {name}")
-        failures += 0 if ok else 1
-
-    sched = DiffusionSchedule()
-    t = rng.uniform(0.01, 1.0, size=64)
-    check("variance preservation mu^2 + sigma^2 = 1",
-          bool(np.max(np.abs(sched.mu(t) ** 2 + sched.sigma_sq(t) - 1)) < 1e-12))
-
-    op = Mask([0, 3, 5], 8)
-    x = rng.standard_normal(8)
-    px = op.proj_apply(x)
-    check("projector idempotence", bool(np.max(np.abs(op.proj_apply(px) - px)) < 1e-12))
-
-    ba = BlockAverage(2, 4, 4)
-    g = ba.apply(ba.adjoint(np.eye(4)))
-    check("block-average Gram = (1/k^2) I",
-          bool(np.max(np.abs(g - 0.25 * np.eye(4))) < 1e-12))
-
-    # The mask's coordinate basis is complete: with c = 0 its split is one
-    # multiply, bitwise the composed a (x - P x) + b P x.
-    a, b = 1.3, 0.2
-    check("mask split = a (x - Px) + b Px",
-          bool(np.array_equal(op.split_apply(x, a, b), a * (x - px) + b * px)))
-    cfg = GuidanceConfig(w=3.0, lam=-0.3)
-    z = a_inv_apply(0.7, a_apply(0.7, x, op, cfg, sched), op, cfg, sched)
-    check("transform round trip", bool(np.max(np.abs(z - x)) < 1e-12))
-    # The blur's basis is complete too: its transform is one diagonal in it.
-    taps = np.array([0.25, 0.5, 0.25])
-    blur = CirculantBlur(np.outer(taps, taps), shape=(8, 8), threshold=0.1)
-    xb = rng.standard_normal(64)
-    zb = a_inv_apply(0.7, a_apply(0.7, xb, blur, cfg, sched), blur, cfg, sched)
-    check("blur transform round trip", bool(np.max(np.abs(zb - xb)) < 1e-12))
-    check("kappa2 sign (diffusion)", kappa2(0.9, cfg, sched) < 0)
-
-    # The mixture kernel's (chains, d) @ (d, K) products against a loop over
-    # components at each process's marginals.  A field is a x + b s and its JVP
-    # a v + b H v, with H v = sum_k r_k [s_k (s_k.v - s.v) - v / V_k] and
-    # (a, b) = (0, -sigma) for eps, (1 / alpha, gamma / alpha) for the velocity.
-    comps = tuple(GaussianModel(mean=rng.uniform(-2, 2, 5), var=rng.uniform(0.2, 2.0, 5))
-                  for _ in range(3))
-    mix = MixtureModel(weights=np.array([0.2, 0.3, 0.5]), components=comps)
-    xm, vm = rng.standard_normal((4, 5)), rng.standard_normal((4, 5))
-    for oracle, names in ((MixtureDiffusionOracle(mix, sched), ("eps", "eps_jvp")),
-                          (MixtureFlowOracle(mix), ("velocity", "velocity_jvp"))):
-        scale, noise = map(float, oracle.sched.scale_noise(0.4))
-        logits, scores, precs = [], [], []
-        for weight, comp in zip(mix.weights, comps):
-            var = scale * scale * comp.var + noise * noise
-            diff = xm - scale * comp.mean
-            logits.append(np.log(weight)
-                          - 0.5 * np.sum(diff * diff / var + np.log(2 * np.pi * var), axis=-1))
-            scores.append(-diff / var)
-            precs.append(1.0 / var)
-        resp = np.exp(logits - np.max(logits, axis=0))
-        resp /= resp.sum(axis=0)
-        score = sum(r[:, None] * s for r, s in zip(resp, scores))
-        hv = sum(r[:, None] * (s * np.sum((s - score) * vm, axis=-1, keepdims=True) - vm * p)
-                 for r, s, p in zip(resp, scores, precs))
-        a, b = (1 / scale, noise / scale) if names[0] == "velocity" else (0.0, -noise)
-        field, jvp = (getattr(oracle, name) for name in names)
-        wants = (a * xm + b * score, a * vm + b * hv)
-        for name, got, want in zip(names, (field(xm, 0.4), jvp(xm, 0.4, vm)), wants):
-            check(f"mixture {name} = per-component loop (K = 3)",
-                  bool(np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))))
-    return 1 if failures else 0
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="cji", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -184,8 +102,6 @@ def main(argv=None) -> int:
     p_cd = sub.add_parser("coeff-dump", help="write the coefficient table")
     _add_config(p_cd, seeds=False)
     p_cd.set_defaults(fn=cmd_coeff_dump)
-    p_st = sub.add_parser("selftest", help="quick numerical self-checks")
-    p_st.set_defaults(fn=cmd_selftest)
     args = parser.parse_args(argv)
     try:
         return args.fn(args)

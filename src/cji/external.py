@@ -39,6 +39,8 @@ class ExternalOracle:
     def __init__(self, argv, *, timeout: float = DEFAULT_TIMEOUT, jvp_mode: str = "remote"):
         if jvp_mode not in ("remote", "finite_difference"):
             raise ValueError("jvp_mode must be 'remote' or 'finite_difference'")
+        if not 0 < timeout < float("inf"):  # NaN fails both comparisons
+            raise ValueError(f"timeout must be a positive finite number, got {timeout!r}")
         self.timeout = timeout
         self.jvp_mode = jvp_mode
         self._next_id = 0

@@ -22,7 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .conjugate import precompute_table, table_to_csv
-from .errors import CoefficientOverflowError, ConfigError, DivergenceError, QuadratureError
+from .errors import (CoefficientOverflowError, ConfigError, DivergenceError, OracleError,
+                     QuadratureError)
 from .operators import BlockAverage, CirculantBlur, DenseOperator, Mask
 from .oracles import (
     GaussianModel,
@@ -249,15 +250,34 @@ def _seeds(config: dict) -> list:
     return seeds
 
 
-def _draw_x0(problem: dict, seed: int) -> np.ndarray:
+def draw_inputs(problem: dict, op, sigma_y: float, seeds) -> dict:
+    """Each seed's (x0, y = H x0 + noise), drawn once before any job.
+
+    A tensor_file source is read once and is every seed's x0; a Gaussian or
+    mixture data model is built once and draws x0 from the seed's stream.
+    An x0 whose size is not the operator's in_dim is a ConfigError.
+    """
     data = _need(problem, "data", "problem", dict)
     if data.get("source") == "tensor_file":
-        return _read_file(data, "path", "tensor_file data").reshape(-1)
-    model = build_data_model(data)
-    rng = np.random.default_rng([seed, _X0_SALT])
-    if isinstance(model, MixtureModel):
-        return model.sample(rng, 1)[0]
-    return model.mean + np.sqrt(model.var) * rng.standard_normal(model.dim)
+        fixed = _read_file(data, "path", "tensor_file data").reshape(-1)
+    else:
+        fixed, model = None, build_data_model(data)
+    def draw(seed):
+        if fixed is not None:
+            return fixed
+        rng = np.random.default_rng([seed, _X0_SALT])
+        if isinstance(model, MixtureModel):
+            return model.sample(rng, 1)[0]
+        return model.mean + np.sqrt(model.var) * rng.standard_normal(model.dim)
+
+    inputs = {}
+    for seed in seeds:
+        x0 = draw(seed)
+        if x0.size != op.in_dim:
+            raise ConfigError(f"problem.data gives x0 of size {x0.size}, "
+                              f"but the operator's in_dim is {op.in_dim}")
+        inputs[seed] = (x0, degrade(x0, op, sigma_y, seed))
+    return inputs
 
 
 def degrade(x0, op, sigma_y: float, seed: int) -> np.ndarray:
@@ -298,8 +318,9 @@ def build_oracle(model_desc: dict, problem: dict, sched):
             return ExternalOracle(argv, timeout=_need(model_desc, "timeout", "external model",
                                                       float, 30.0),
                                   jvp_mode=model_desc.get("jvp_mode", "remote"))
-        except (OSError, ValueError) as exc:  # unspawnable argv, bad jvp_mode or timeout
-            raise ConfigError(f"external model {argv!r}: {exc}") from exc
+        except (OSError, ValueError, OracleError) as exc:
+            # unspawnable argv, bad jvp_mode or timeout, or a failed handshake
+            raise ConfigError(f"external model.argv {argv!r}: {exc}") from exc
     data_desc = model_desc if "dim" in model_desc else _need(problem, "data", "problem", dict)
     oracle = MixtureDiffusionOracle if isinstance(sched, DiffusionSchedule) else MixtureFlowOracle
     return oracle(build_data_model(data_desc), sched)
@@ -358,18 +379,16 @@ def run(config: dict, *, threads: int = 1, output_dir=None) -> RunReport:
     sigma_y = _need(problem, "sigma_y", "problem", float, 0.0)
     specs = [SamplerSpec(method=desc["method"], guidance=guidance_from_sampler(desc, sigma_y))
              for desc in points]
-    # A grid that sample would refuse aborts the sweep before any job runs
-    # (and before an external oracle is spawned).
+    # A grid that sample would refuse, or an input error, aborts the sweep
+    # before any job runs and before an external oracle is spawned.
     for spec in specs:
         check_grid(spec.resolved_grid(), spec.kind, spec.guidance)
-    oracle = build_oracle(_need(config, "model", "config", dict, {}), problem, sched)
-
+    inputs = draw_inputs(problem, op, sigma_y, seeds)
     jobs = [(pi, seed) for pi in range(len(points)) for seed in seeds]
     def one(job):
         pi, seed = job
         desc = points[pi]
-        x0 = _draw_x0(problem, seed)
-        y = degrade(x0, op, sigma_y, seed)
+        x0, y = inputs[seed]
         spec = specs[pi]
         rng = np.random.default_rng([seed, _CHAIN_SALT])
         z = rng.standard_normal(op.in_dim)
@@ -395,23 +414,34 @@ def run(config: dict, *, threads: int = 1, output_dir=None) -> RunReport:
         )
         return rec, x
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(one, jobs))
-    else:
-        outcomes = [one(job) for job in jobs]
+    oracle = build_oracle(_need(config, "model", "config", dict, {}), problem, sched)
+    try:
+        if oracle.dim != op.in_dim:
+            raise ConfigError(f"the model's dim {oracle.dim} does not match "
+                              f"the operator's in_dim {op.in_dim}")
+        if threads > 1:
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                outcomes = list(pool.map(one, jobs))
+        else:
+            outcomes = [one(job) for job in jobs]
 
-    records = [rec for rec, _ in outcomes]
-    report = RunReport(records=records, aggregates=_aggregate(records))
-    if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        for (pi, seed), (_, x) in zip(jobs, outcomes):
-            if x is not None:
-                write_tensor(os.path.join(out_dir, f"recon_{pi:04d}_{seed}.cji"), x)
-        with open(os.path.join(out_dir, "report.csv"), "w", encoding="utf-8") as fh:
-            fh.write(report_to_csv(report))
-        with open(os.path.join(out_dir, "summary.json"), "w", encoding="utf-8") as fh:
-            json.dump(report.aggregates, fh, indent=2, sort_keys=True)
+        records = [rec for rec, _ in outcomes]
+        report = RunReport(records=records, aggregates=_aggregate(records))
+        if out_dir is not None:
+            os.makedirs(out_dir, exist_ok=True)
+            for (pi, seed), (_, x) in zip(jobs, outcomes):
+                if x is not None:
+                    write_tensor(os.path.join(out_dir, f"recon_{pi:04d}_{seed}.cji"), x)
+            with open(os.path.join(out_dir, "report.csv"), "w", encoding="utf-8") as fh:
+                fh.write(report_to_csv(report))
+            with open(os.path.join(out_dir, "summary.json"), "w", encoding="utf-8") as fh:
+                json.dump(report.aggregates, fh, indent=2, sort_keys=True)
+    except BaseException:
+        # A run that raises leaves no child behind; one that returns leaves
+        # its oracle open to the caller.
+        if hasattr(oracle, "close"):
+            oracle.close()
+        raise
     return report
 
 

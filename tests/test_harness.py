@@ -9,7 +9,7 @@ import pytest
 
 import cji.conjugate
 from cji import cli, harness
-from cji.errors import ConfigError
+from cji.errors import ConfigError, OracleRemoteError, OracleTimeoutError
 from cji.operators import BlockAverage, Mask
 from cji.oracles import GaussianModel, exact_posterior
 from cji.samplers import SamplerSpec, sample
@@ -17,6 +17,7 @@ from cji.tensorio import read_tensor, write_tensor
 
 RNG = np.random.default_rng(23)
 CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
+ORACLE_SERVER = [sys.executable, "-m", "cji.oracle_server", "--kind", "gaussian-diffusion"]
 
 
 def base_config(**sampler_overrides):
@@ -253,8 +254,7 @@ def direct_reconstruction(config, point, seed):
     op = harness.build_operator(problem["operator"])
     sigma_y = float(problem.get("sigma_y", 0.0))
     oracle = harness.build_oracle(config.get("model", {}), problem, sched)
-    x0 = harness._draw_x0(problem, seed)
-    y = harness.degrade(x0, op, sigma_y, seed)
+    x0, y = harness.draw_inputs(problem, op, sigma_y, [seed])[seed]
     spec = SamplerSpec(method=point["method"],
                        guidance=harness.guidance_from_sampler(point, sigma_y))
     z = np.random.default_rng([seed, harness._CHAIN_SALT]).standard_normal(op.in_dim)
@@ -313,6 +313,66 @@ class TestTableCache:
         with np.errstate(over="ignore", invalid="ignore"):
             report = harness.run(cfg, output_dir=tmp_path)
         assert report.diverged_count == 3 and len(builds) == 3
+
+
+@pytest.fixture
+def spawned(monkeypatch):
+    """Every ExternalOracle started while the test runs; all are closed at teardown."""
+    import cji.external
+
+    opened = []
+
+    class Tracked(cji.external.ExternalOracle):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            opened.append(self)
+
+    monkeypatch.setattr(cji.external, "ExternalOracle", Tracked)
+    yield opened
+    for oracle in opened:
+        oracle.close()
+
+
+class TestInputs:
+    def test_tensor_file_read_once_per_run(self, monkeypatch, tmp_path):
+        reads = []
+
+        def counting(path):
+            reads.append(path)
+            return read_tensor(path)
+
+        monkeypatch.setattr(harness, "read_tensor", counting)
+        write_tensor(tmp_path / "x0.cji", RNG.standard_normal(8))
+        cfg = base_config()
+        cfg["problem"]["data"] = {"source": "tensor_file", "path": str(tmp_path / "x0.cji")}
+        cfg["model"] = {"kind": "auto", "dim": 8}
+        cfg["sweep"] = {"nfe": [3, 4, 5]}
+        report = harness.run(cfg)
+        assert len(report.records) == 9 and len(reads) == 1
+
+    def test_missing_data_file_spawns_no_child(self, spawned):
+        cfg = base_config()
+        cfg["problem"]["data"] = {"source": "tensor_file", "path": "/nonexistent.cji"}
+        cfg["model"] = {"kind": "external", "argv": ORACLE_SERVER + ["--dim", "8"]}
+        with pytest.raises(ConfigError, match="'path'"):
+            harness.run(cfg)
+        assert spawned == []
+
+    @pytest.mark.parametrize("argv,timeout,error", [
+        (ORACLE_SERVER + ["--dim", "6"], 30.0, ConfigError),
+        ([sys.executable, "-m", "cji.oracle_server", "--kind", "gaussian-flow", "--dim", "8"],
+         30.0, OracleRemoteError),
+        ([sys.executable, "-c", "import time; print('{\"protocol\": \"score-oracle/1\", "
+          "\"d\": 8}', flush=True); time.sleep(30)"], 0.5, OracleTimeoutError),
+    ], ids=["dim-mismatch", "remote-error", "request-timeout"])
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_failed_run_reaps_the_child(self, spawned, argv, timeout, error, threads):
+        cfg = base_config()
+        cfg["model"] = {"kind": "external", "argv": argv, "timeout": timeout}
+        with pytest.raises(error):
+            harness.run(cfg, threads=threads)
+        assert len(spawned) == 1
+        assert spawned[0]._proc.returncode is not None
 
 
 class TestDegrade:
@@ -528,6 +588,19 @@ class TestCLI:
                                      "in_dim": 8}, "'kernel_file'"),
         ("run", "problem.operator", {"kind": "dense", "matrix_file": __file__},
          "'matrix_file'"),
+        ("run", "model", {"kind": "external", "argv": ["true"]}, "model.argv"),
+        ("run", "model", {"kind": "external", "argv": ["echo", "hi"]}, "model.argv"),
+        ("run", "model", {"kind": "external", "argv": ["sleep", "5"], "timeout": 0.2},
+         "model.argv"),
+        ("run", "model", {"kind": "external", "argv": ["true"], "timeout": 0}, "timeout"),
+        ("run", "model", {"kind": "external", "argv": ["true"], "timeout": math.nan},
+         "timeout"),
+        ("run", "problem.data.dim", 6, "x0 of size 6, but the operator's in_dim is 8"),
+        ("degrade", "problem.data.dim", 6, "x0 of size 6, but the operator's in_dim is 8"),
+        ("run", "model", {"kind": "auto", "dim": 6},
+         "model's dim 6 does not match the operator's in_dim 8"),
+        ("run", "model", {"kind": "external", "argv": ORACLE_SERVER + ["--dim", "6"]},
+         "model's dim 6 does not match the operator's in_dim 8"),
     ], ids=["run-no-operator", "degrade-no-operator", "no-data", "tensor-file-no-path",
             "external-no-argv", "coeff-dump-no-sampler", "coeff-dump-no-method",
             "coeff-dump-list-method",
@@ -535,7 +608,9 @@ class TestCLI:
             "degrade-negative-seed", "degrade-no-seeds", "degrade-negative-sigma-y",
             "tensor-file-path-number", "tensor-file-missing", "tensor-file-malformed",
             "bitmap-file-missing", "indices-file-number", "kernel-file-missing",
-            "matrix-file-malformed"])
+            "matrix-file-malformed", "argv-exits", "argv-not-protocol", "handshake-timeout",
+            "timeout-zero", "timeout-nan", "data-dim-mismatch", "degrade-data-dim-mismatch",
+            "model-dim-mismatch", "external-dim-mismatch"])
     def test_malformed_config_exits_one(self, tmp_path, capsys, command, path, value, named):
         # value None deletes the key; the empty path replaces the whole config
         cfg = base_config()
@@ -639,6 +714,13 @@ class TestCLI:
         assert out.splitlines()[0] == \
             "t,kappa1,kappa2,kappa3,phi_y,phi_main_id,phi_main_p,phi_j_id,phi_j_p"
 
+    def test_refused_degrade_writes_nothing(self, tmp_path):
+        cfg = base_config()
+        cfg["problem"]["data"] = {"source": "tensor_file", "path": "missing.cji"}
+        argv = ["degrade", self.write_config(tmp_path, cfg), "--output-dir", str(tmp_path / "o")]
+        assert cli.main(argv) == 1
+        assert not (tmp_path / "o").exists()
+
     def test_degrade_writes_files(self, tmp_path):
         path = self.write_config(tmp_path, base_config())
         rc = cli.main(["degrade", path, "--output-dir", str(tmp_path / "deg"),
@@ -646,6 +728,3 @@ class TestCLI:
         assert rc == 0
         assert sorted(os.listdir(tmp_path / "deg")) == [
             "x0_0.cji", "x0_1.cji", "y_0.cji", "y_1.cji"]
-
-    def test_selftest(self):
-        assert cli.main(["selftest"]) == 0
