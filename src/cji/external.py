@@ -1,16 +1,7 @@
-"""Wire protocol for out-of-process score/velocity oracles.
+"""Host side of the wire protocol for out-of-process score/velocity oracles.
 
-A child process speaks line-delimited JSON over its standard streams:
-
-    handshake (child -> host):  {"protocol": "score-oracle/1", "d": <int>}
-    request   (host -> child):  {"id": <int>, "op": "eps"|"vel"|"jvp",
-                                 "t": <float>, "x": [..], "v": [..]?}
-    response  (child -> host):  {"id": <int>, "y": [..]}
-                                or {"id": <int>, "error": "<msg>"}
-
-Numbers are serialized with Python's shortest round-trip repr.  One request
-is in flight at a time per child; parallel throughput needs one child per
-worker.
+``ExternalOracle`` starts a child process and speaks the line-delimited JSON
+protocol that ``cji.oracle_server`` documents and serves.
 """
 
 from __future__ import annotations
@@ -18,7 +9,6 @@ from __future__ import annotations
 import json
 import queue
 import subprocess
-import sys
 import threading
 
 import numpy as np
@@ -28,8 +18,8 @@ from .errors import (
     OracleRemoteError,
     OracleTimeoutError,
 )
+from .oracle_server import PROTOCOL
 
-PROTOCOL = "score-oracle/1"
 DEFAULT_TIMEOUT = 30.0
 
 
@@ -95,6 +85,8 @@ class ExternalOracle:
             req["v"] = v.tolist()
         # One request in flight: threads sharing this client take turns.
         with self._lock:
+            if self._stalled:  # a late answer would only mismatch the id
+                raise OracleTimeoutError("oracle already timed out on an earlier request")
             self._next_id += 1
             rid = self._next_id
             self._proc.stdin.write(json.dumps({"id": rid, **req}) + "\n")
@@ -171,34 +163,3 @@ class ExternalOracle:
 
     def __exit__(self, *exc):
         self.close()
-
-
-def serve(eval_fn, d: int, stdin=None, stdout=None):
-    """Serve an oracle over the wire protocol until stdin closes.
-
-    eval_fn(op, t, x, v) -> length-d vector; op is "eps", "vel", or "jvp".
-    """
-    stdin = stdin or sys.stdin
-    stdout = stdout or sys.stdout
-    stdout.write(json.dumps({"protocol": PROTOCOL, "d": d}) + "\n")
-    stdout.flush()
-    for line in stdin:
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            req = json.loads(line)
-            rid = req["id"]
-        except (json.JSONDecodeError, KeyError):
-            stdout.write(json.dumps({"id": -1, "error": "malformed request"}) + "\n")
-            stdout.flush()
-            continue
-        try:
-            x = np.asarray(req["x"], dtype=float)
-            v = np.asarray(req["v"], dtype=float) if "v" in req else None
-            y = eval_fn(req["op"], float(req["t"]), x, v)
-            resp = {"id": rid, "y": np.asarray(y, dtype=float).tolist()}
-        except Exception as exc:  # noqa: BLE001 - report the failure to the host
-            resp = {"id": rid, "error": f"{type(exc).__name__}: {exc}"}
-        stdout.write(json.dumps(resp) + "\n")
-        stdout.flush()

@@ -421,7 +421,12 @@ def run(config: dict, *, threads: int = 1, output_dir=None) -> RunReport:
                               f"the operator's in_dim {op.in_dim}")
         if threads > 1:
             with ThreadPoolExecutor(max_workers=threads) as pool:
-                outcomes = list(pool.map(one, jobs))
+                try:
+                    outcomes = list(pool.map(one, jobs))
+                except BaseException:
+                    # A queued job would only wait on the failed oracle.
+                    pool.shutdown(cancel_futures=True)
+                    raise
         else:
             outcomes = [one(job) for job in jobs]
 

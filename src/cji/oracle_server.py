@@ -1,24 +1,74 @@
-"""Stdio oracle server: run analytic oracles as a child process.
+"""Stdio oracle server: the wire protocol's child side, serving the analytic
+oracles from a child process.
 
-Used to exercise the wire protocol against an out-of-process oracle:
+A child process speaks line-delimited JSON over its standard streams:
+
+    handshake (child -> host):  {"protocol": "score-oracle/1", "d": <int>}
+    request   (host -> child):  {"id": <int>, "op": "eps"|"vel"|"jvp",
+                                 "t": <float>, "x": [..], "v": [..]?}
+    response  (child -> host):  {"id": <int>, "y": [..]}
+                                or {"id": <int>, "error": "<msg>"}
+
+Numbers are serialized with Python's shortest round-trip repr.  One request
+is in flight at a time per child; parallel throughput needs one child per
+worker.  The host side is ``cji.external.ExternalOracle``; this module
+imports none of it, so a child loads no client code.
 
     python -m cji.oracle_server --kind echo --dim 4
     python -m cji.oracle_server --kind gaussian-diffusion --dim 8 --mean 0.5 --var 2.0
+
+Run as a script, the server exits without interpreter teardown once stdin
+closes: it holds no state that needs it.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
+import os
+import sys
 
 import numpy as np
 
-from .external import serve
 from .oracles import (
     GaussianDiffusionOracle,
     GaussianFlowOracle,
     GaussianModel,
 )
 from .schedules import DiffusionSchedule
+
+PROTOCOL = "score-oracle/1"
+
+
+def serve(eval_fn, d: int, stdin=None, stdout=None):
+    """Serve an oracle over the wire protocol until stdin closes.
+
+    eval_fn(op, t, x, v) -> length-d vector; op is "eps", "vel", or "jvp".
+    """
+    stdin = stdin or sys.stdin
+    stdout = stdout or sys.stdout
+    stdout.write(json.dumps({"protocol": PROTOCOL, "d": d}) + "\n")
+    stdout.flush()
+    for line in stdin:
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            req = json.loads(line)
+            rid = req["id"]
+        except (json.JSONDecodeError, KeyError):
+            stdout.write(json.dumps({"id": -1, "error": "malformed request"}) + "\n")
+            stdout.flush()
+            continue
+        try:
+            x = np.asarray(req["x"], dtype=float)
+            v = np.asarray(req["v"], dtype=float) if "v" in req else None
+            y = eval_fn(req["op"], float(req["t"]), x, v)
+            resp = {"id": rid, "y": np.asarray(y, dtype=float).tolist()}
+        except Exception as exc:  # noqa: BLE001 - report the failure to the host
+            resp = {"id": rid, "error": f"{type(exc).__name__}: {exc}"}
+        stdout.write(json.dumps(resp) + "\n")
+        stdout.flush()
 
 
 def _make_eval(kind: str, dim: int, mean: float, var: float,
@@ -61,3 +111,9 @@ def main(argv=None):
 
 if __name__ == "__main__":
     main()
+    # stdin closed: flush what serve wrote and skip interpreter teardown,
+    # which the host's close would wait on.  Only here, so that an
+    # in-process main(argv) call never ends its caller.
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(0)

@@ -1,3 +1,4 @@
+import io
 import json
 import subprocess
 import sys
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 import cji.external
+import cji.oracle_server
 from cji.errors import (
     OracleProtocolError,
     OracleRemoteError,
@@ -53,6 +55,37 @@ class TestEchoProtocol:
         with ExternalOracle(server_argv("--kind", "echo", "--dim", "3")) as oracle:
             with pytest.raises(ValueError):
                 oracle.eps(np.zeros(5), 0.1)
+
+    def test_close_twice(self):
+        oracle = ExternalOracle(server_argv("--kind", "echo", "--dim", "2"))
+        oracle.close()
+        oracle.close()
+        assert oracle._proc.returncode == 0
+
+
+class TestServerExit:
+    def test_every_response_arrives_before_a_clean_exit(self):
+        # The child skips interpreter teardown on stdin EOF; what it wrote
+        # before must still reach the host.
+        proc = subprocess.Popen(server_argv("--kind", "echo", "--dim", "2"),
+                                stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
+        requests = [{"id": i, "op": "eps", "t": 0.5, "x": [float(i), -0.5]}
+                    for i in range(1, 51)]
+        out, _ = proc.communicate(
+            "".join(json.dumps(req) + "\n" for req in requests), timeout=30)
+        hello, *responses = [json.loads(line) for line in out.splitlines()]
+        assert hello == {"protocol": "score-oracle/1", "d": 2}
+        assert responses == [{"id": req["id"], "y": req["x"]} for req in requests]
+        assert proc.returncode == 0
+
+    def test_in_process_main_returns(self, monkeypatch):
+        stdout = io.StringIO()
+        monkeypatch.setattr(sys, "stdin", io.StringIO(
+            json.dumps({"id": 1, "op": "eps", "t": 0.5, "x": [1.0, 2.0]}) + "\n"))
+        monkeypatch.setattr(sys, "stdout", stdout)
+        cji.oracle_server.main(["--kind", "echo", "--dim", "2"])
+        assert [json.loads(line) for line in stdout.getvalue().splitlines()] == [
+            {"protocol": "score-oracle/1", "d": 2}, {"id": 1, "y": [1.0, 2.0]}]
 
 
 class TestGaussianCrossImplementation:
@@ -165,6 +198,12 @@ class TestProtocolViolations:
         try:
             with pytest.raises(OracleTimeoutError):
                 oracle.eps(np.zeros(2), 0.1)
+            # A stalled child gets no further request: the next call fails
+            # at once rather than waiting out another timeout.
+            start = time.perf_counter()
+            with pytest.raises(OracleTimeoutError):
+                oracle.eps(np.zeros(2), 0.1)
+            assert time.perf_counter() - start < 0.2
         finally:
             start = time.perf_counter()
             oracle.close()

@@ -2,6 +2,7 @@ import json
 import math
 import os
 import sys
+import time
 import warnings
 
 import numpy as np
@@ -18,6 +19,9 @@ from cji.tensorio import read_tensor, write_tensor
 RNG = np.random.default_rng(23)
 CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
 ORACLE_SERVER = [sys.executable, "-m", "cji.oracle_server", "--kind", "gaussian-diffusion"]
+# Completes the handshake for d = 8, then never answers.
+SILENT_CHILD = [sys.executable, "-c", "import time; print('{\"protocol\": \"score-oracle/1\", "
+                "\"d\": 8}', flush=True); time.sleep(30)"]
 
 
 def base_config(**sampler_overrides):
@@ -362,8 +366,7 @@ class TestInputs:
         (ORACLE_SERVER + ["--dim", "6"], 30.0, ConfigError),
         ([sys.executable, "-m", "cji.oracle_server", "--kind", "gaussian-flow", "--dim", "8"],
          30.0, OracleRemoteError),
-        ([sys.executable, "-c", "import time; print('{\"protocol\": \"score-oracle/1\", "
-          "\"d\": 8}', flush=True); time.sleep(30)"], 0.5, OracleTimeoutError),
+        (SILENT_CHILD, 0.5, OracleTimeoutError),
     ], ids=["dim-mismatch", "remote-error", "request-timeout"])
     @pytest.mark.parametrize("threads", [1, 2])
     def test_failed_run_reaps_the_child(self, spawned, argv, timeout, error, threads):
@@ -373,6 +376,17 @@ class TestInputs:
             harness.run(cfg, threads=threads)
         assert len(spawned) == 1
         assert spawned[0]._proc.returncode is not None
+
+    def test_stalled_child_fails_a_threaded_run_within_one_timeout(self, spawned):
+        # The first timeout marks the child stalled: the other worker's
+        # request fails at once and no queued record runs.
+        timeout = 0.5
+        cfg = base_config()
+        cfg["model"] = {"kind": "external", "argv": SILENT_CHILD, "timeout": timeout}
+        start = time.perf_counter()
+        with pytest.raises(OracleTimeoutError):
+            harness.run(cfg, threads=2)
+        assert time.perf_counter() - start < 2 * timeout
 
 
 class TestDegrade:
