@@ -264,7 +264,9 @@ def _phi_integrands(s, cfg, sched):
     term puts -g q c on J; each is weighted by the transform, e^{kappa1} on
     I and e^{kappa1 + kappa2} on P.
     """
-    e1 = np.exp(kappa1(s, cfg.lam, sched))
+    k1 = kappa1(s, cfg.lam, sched)
+    _exp_guard(float(np.max(k1, initial=-np.inf)), "kappa1")
+    e1 = np.exp(k1)
     me1 = sched.field_rate(s) * e1
     if cfg.w == 0.0:
         return me1
@@ -272,7 +274,10 @@ def _phi_integrands(s, cfg, sched):
     rate, _, _ = _closed_forms(cfg, sched)
     v = _path_variables(s, sched)
     g = cfg.w * rate(*v)
-    ek2 = np.exp(_kappa2(v, cfg, sched))
+    k2 = _kappa2(v, cfg, sched)
+    _exp_guard(float(np.max(k2, initial=-np.inf)), "kappa2")
+    _exp_guard(float(np.max(k1 + k2, initial=-np.inf)), "kappa1 + kappa2")
+    ek2 = np.exp(k2)
     e12 = e1 * ek2
     j_id = -g * q * c * e1
     return np.stack([

@@ -32,6 +32,8 @@ class GaussianModel:
         var = np.asarray(self.var, dtype=float)
         if mean.shape != var.shape or mean.ndim != 1:
             raise ConfigError("mean and var must be 1-d arrays of equal length")
+        if not (np.all(np.isfinite(mean)) and np.all(np.isfinite(var))):
+            raise ConfigError("mean and var must be finite")
         if np.any(var <= 0):
             raise ConfigError("variances must be strictly positive")
         object.__setattr__(self, "mean", mean)
@@ -54,8 +56,8 @@ class MixtureModel:
         comps = tuple(self.components)
         if weights.ndim != 1 or weights.size != len(comps):
             raise ConfigError("one weight per component required")
-        if np.any(weights <= 0):
-            raise ConfigError("weights must be positive")
+        if not np.all(np.isfinite(weights)) or np.any(weights <= 0):
+            raise ConfigError("weights must be finite and positive")
         if abs(weights.sum() - 1.0) > 1e-12:
             raise ConfigError("weights must sum to 1 within 1e-12")
         dims = {c.dim for c in comps}
@@ -141,17 +143,16 @@ def _mixture_score(x, log_w, means, variances):
 
 
 def _mixture_hessian_vec(x, v, log_w, means, variances):
-    """(Hessian of log density) @ v for the diagonal mixture.
+    """(Hessian of log density) @ v for the diagonal mixture of K > 1
+    components.
 
     With component scores s_k = M_k - x_c P_k, the score s = sum_k r_k s_k
     and g_k = r_k (s_k.v - s.v), H v = sum_k g_k s_k - v sum_k r_k P_k
-    = g @ M - x_c * (g @ P) - v * (r @ P), which is -v / var for one
-    component (r = 1).  The two state-sized arrays of _mixture_parts hold
-    every intermediate, and the result is written into x_c's.
+    = g @ M - x_c * (g @ P) - v * (r @ P).  The two state-sized arrays of
+    _mixture_parts hold every intermediate, and the result is written into
+    x_c's.
     """
     k = len(log_w)
-    if k == 1:
-        return v / -variances[0]
     xc, work, resp, _, coef, coef_t = _mixture_parts(x, log_w, means, variances)
     g = v @ coef_t[:, :k]
     g -= np.multiply(xc, v, out=work) @ coef_t[:, k:]  # s_k . v
@@ -174,9 +175,17 @@ class _MixtureOracle:
     Gaussian model is the mixture of one component).  A process class states
     its time domain in _scale_noise(t), the schedule's (scale, noise) of
     x_t = scale * x + noise * z, and _to_field(s, x, scale, noise), an
-    in-place map from the score s to the field; with H v for s and v for x
-    it gives the field's JVP.  Each process class binds the public names in
-    its own body, so perfbench/tracing.py names each span after its class."""
+    in-place map from the score s to the field p s + r x; with H v for s and
+    v for x it gives the field's JVP.  Each process class binds the public
+    names in its own body, so perfbench/tracing.py names each span after its
+    class.
+
+    One component (K = 1) has the score (m_t - x) / V_t, so its field is one
+    affine map of the state, a x + b with a = r - p / V_t and b = p m_t / V_t,
+    and its JVP is a v.  p and r are _to_field's values at (s, x) = (1, 0)
+    and (0, 1).  a is a 0-d scalar when the variance is the same on every
+    coordinate, and b is skipped when the mean is zero; both are decided
+    here, once."""
 
     def __init__(self, model, sched):
         self.model = as_mixture(model)
@@ -184,6 +193,10 @@ class _MixtureOracle:
         self._log_w = np.log(self.model.weights)
         self._means = np.stack([c.mean for c in self.model.components])
         self._vars = np.stack([c.var for c in self.model.components])
+        if len(self._log_w) == 1:
+            var, mean = self._vars[0], self._means[0]
+            self._var1 = float(var[0]) if np.all(var == var[0]) else var
+            self._mean1 = mean if np.any(mean) else None
 
     @property
     def dim(self):
@@ -194,6 +207,22 @@ class _MixtureOracle:
         scale, noise = self._scale_noise(float(t))
         return scale, noise, scale * self._means, scale * scale * self._vars + noise * noise
 
+    def _state(self, x):
+        """x as a float array, refused unless its last axis is dim: a 0-d
+        slope would broadcast against any other length."""
+        x = np.asarray(x, dtype=float)
+        if x.shape[-1:] != self._means.shape[1:]:
+            raise ValueError(f"state has shape {x.shape}; its last axis must be {self.dim}")
+        return x
+
+    def _affine(self, t):
+        """(a, c) of the K = 1 field a x + b at t, with b = c m: a = r - p / V_t
+        and c = p scale / V_t."""
+        scale, noise = self._scale_noise(float(t))
+        p = self._to_field(1.0, 0.0, scale, noise)
+        gain = p / (scale * scale * self._var1 + noise * noise)
+        return self._to_field(0.0, 1.0, scale, noise) - gain, gain * scale
+
     def _score(self, x, t):
         _, _, means, variances = self._coeffs(t)
         return _mixture_score(np.asarray(x, dtype=float), self._log_w, means, variances)
@@ -203,15 +232,23 @@ class _MixtureOracle:
         return _mixture_parts(np.asarray(x, dtype=float), self._log_w, means, variances)[3]
 
     def _field(self, x, t):
-        x = np.asarray(x, dtype=float)
+        x = self._state(x)
+        if len(self._log_w) == 1:
+            a, c = self._affine(t)
+            field = np.multiply(x, a)
+            if self._mean1 is not None:
+                field += c * self._mean1
+            return field
         scale, noise, means, variances = self._coeffs(t)
         return self._to_field(_mixture_score(x, self._log_w, means, variances),
                               x, scale, noise)
 
     def _field_jvp(self, x, t, v):
-        v = np.asarray(v, dtype=float)
+        x, v = self._state(x), self._state(v)
+        if len(self._log_w) == 1:
+            return np.multiply(v, self._affine(t)[0])
         scale, noise, means, variances = self._coeffs(t)
-        hv = _mixture_hessian_vec(np.asarray(x, dtype=float), v, self._log_w, means, variances)
+        hv = _mixture_hessian_vec(x, v, self._log_w, means, variances)
         return self._to_field(hv, v, scale, noise)
 
     def _endpoint_mean(self, x, t):

@@ -33,7 +33,7 @@ from cji.errors import CoefficientOverflowError, ConfigError
 from cji.operators import BlockAverage, CirculantBlur, DenseOperator, Mask
 from cji.quadrature import adaptive_simpson
 from cji.schedules import (SCHEDULE_KINDS, DiffusionSchedule, FlowSchedule, GuidanceConfig,
-                           ScheduleDomainError, validated)
+                           ScheduleDomainError, sampling_grid, validated)
 
 DIFF = DiffusionSchedule()
 FLOW = FlowSchedule()
@@ -613,6 +613,21 @@ class TestCoefficientTable:
         flow_table = precompute_table(np.linspace(0.05, 0.9, 7),
                                       GuidanceConfig(w=2.0), FLOW)
         assert np.all(flow_table.kappa2 >= 0)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("kind,w,lam,named", [
+        ("constant", 50.0, 0.0, "kappa2 = 821"),
+        ("constant_r2", 120.0, 0.0, "kappa2 = 985"),
+        ("adaptive_paper", 2.0, 800.0, "kappa1 = 800"),
+        ("constant", 30.0, 300.0, r"kappa1 \+ kappa2 = 793"),
+    ])
+    def test_phi_integrand_overflow_is_typed(self, kind, w, lam, named, cold_table_memo):
+        # An exponent of a flow table passes 700 inside the Phi integrands
+        # (each column before dphi stays finite): the build raises the typed
+        # error before exp() is taken, so no RuntimeWarning escapes.
+        cfg = GuidanceConfig(w=w, lam=lam, tau=0.3, nfe=5, schedule_kind=kind)
+        with pytest.raises(CoefficientOverflowError, match=named):
+            precompute_table(sampling_grid(cfg, "flow"), cfg, FLOW)
 
     def test_csv_round_trip_exact(self):
         cfg = GuidanceConfig(w=2.3, lam=-0.37, sigma_y=0.05)

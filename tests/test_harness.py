@@ -674,12 +674,17 @@ class TestCLI:
         ("sampler.lambda=NaN", "lam must be finite"),
         ("problem.sigma_y=NaN", "sigma_y must be finite"),
         ("schedule.beta_max=Infinity", "beta_max must be finite"),
+        ("problem.data.mean=NaN", "must be finite"),
+        ("problem.data.var=1e400", "must be finite"),
+        ('problem.data={"source":"mixture","dim":16,"weights":[NaN,0.4],'
+         '"means":[1,-1],"vars":[0.3,0.5]}', "must be finite"),
     ], ids=["problem", "operator", "model", "seeds", "sweep", "data-dim", "sampler-w",
             "sigma-y", "data-mean", "mixture-means", "seed-string", "seed-float",
             "seed-negative", "mixture-weights", "sampler-method", "mask-index-fraction",
             "peak-zero", "peak-negative", "no-seeds", "empty-sweep-list", "nfe-fraction",
             "nfe-boolean", "w-infinite", "w-nan", "lambda-nan", "sigma-y-nan",
-            "beta-max-infinite"])
+            "beta-max-infinite", "data-mean-nan", "data-var-overflow",
+            "mixture-weight-nan"])
     def test_mistyped_config_is_a_config_error(self, tmp_path, capsys, override, named):
         # a block that is not an object, a list that is not a list, a number
         # that does not parse, or a seed that is not a non-negative integer

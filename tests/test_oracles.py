@@ -57,6 +57,23 @@ class TestModels:
             MixtureModel(weights=np.array([1.0]), components=(
                 g, GaussianModel(mean=np.zeros(3), var=np.ones(3))))
 
+    @pytest.mark.parametrize("mean,var", [
+        ([0.0, np.nan], [1.0, 1.0]), ([np.inf, 0.0], [1.0, 1.0]),
+        ([0.0, 0.0], [np.nan, 1.0]), ([0.0, 0.0], [1.0, np.inf]),
+    ], ids=["mean-nan", "mean-inf", "var-nan", "var-inf"])
+    def test_gaussian_refuses_non_finite(self, mean, var):
+        # NaN passes both var <= 0 and the shape check
+        with pytest.raises(ConfigError, match="finite"):
+            GaussianModel(mean=np.array(mean), var=np.array(var))
+
+    @pytest.mark.parametrize("weights", [[np.nan, 1.0], [0.5, np.nan], [np.inf, 0.5]],
+                             ids=["nan-first", "nan-second", "inf"])
+    def test_mixture_refuses_non_finite_weights(self, weights):
+        # NaN passes both weights <= 0 and the 1e-12 sum check
+        g = GaussianModel(mean=np.zeros(2), var=np.ones(2))
+        with pytest.raises(ConfigError, match="finite"):
+            MixtureModel(weights=np.array(weights), components=(g, g))
+
     def test_mixture_sampling_moments(self):
         mix = small_mixture()
         xs = mix.sample(np.random.default_rng(0), 200_000)
@@ -181,6 +198,79 @@ def test_one_component_takes_the_closed_form(monkeypatch):
     for oracle in (GaussianFlowOracle(model), MixtureFlowOracle(model)):
         oracle.velocity(x, 0.4)
         oracle.velocity_jvp(x, 0.4, v)
+
+
+class TestAffinePath:
+    """One component: the field is a x + b and the JVP a v, with a 0-d a on
+    a variance that is the same on every coordinate and no b on a zero
+    mean.  Each of the four cases against the Gaussian closed forms of
+    test_one_component_mixture_equals_gaussian and
+    test_one_component_matches_gaussian."""
+
+    @pytest.mark.parametrize("lead", [(), (5,), (2, 3)])
+    @pytest.mark.parametrize("zero_mean", [True, False], ids=["zero-mean", "mean"])
+    @pytest.mark.parametrize("uniform", [True, False], ids=["uniform-var", "coordinate-var"])
+    @pytest.mark.parametrize("process", ["diffusion", "flow"])
+    def test_matches_closed_forms(self, process, uniform, zero_mean, lead):
+        d = 6
+        rng = np.random.default_rng([uniform, zero_mean, len(lead), process == "flow"])
+        model = GaussianModel(mean=np.zeros(d) if zero_mean else rng.standard_normal(d),
+                              var=np.full(d, 0.7) if uniform else rng.uniform(0.2, 2.0, d))
+        if process == "diffusion":
+            oracle = MixtureDiffusionOracle(model, DIFF)
+            field, jvp = oracle.eps, oracle.eps_jvp
+        else:
+            oracle = MixtureFlowOracle(model)
+            field, jvp = oracle.velocity, oracle.velocity_jvp
+        assert (oracle._mean1 is None) == zero_mean
+        for t in (0.05, 0.4, 0.85):
+            x = rng.standard_normal(lead + (d,))
+            v = rng.standard_normal(lead + (d,))
+            if process == "diffusion":
+                mu, sigma = float(DIFF.mu(t)), float(DIFF.sigma(t))
+                var = mu * mu * model.var + sigma * sigma
+                want_field = sigma * (x - mu * model.mean) / var
+                want_jvp = sigma * v / var
+            else:
+                alpha, gamma = float(FLOW.alpha(t)), float(FLOW.gamma(t))
+                var = alpha * alpha * model.var + gamma * gamma
+                want_field = x / alpha - (gamma / alpha) * (x - alpha * model.mean) / var
+                want_jvp = v / alpha - (gamma / alpha) * v / var
+            assert np.ndim(oracle._affine(t)[0]) == (0 if uniform else 1)
+            got_field, got_jvp = field(x, t), jvp(x, t, v)
+            assert got_field.shape == got_jvp.shape == x.shape
+            np.testing.assert_allclose(got_field, want_field, atol=1e-14)
+            np.testing.assert_allclose(got_jvp, want_jvp, atol=1e-14)
+
+
+class TestDimensionGuard:
+    """A 0-d slope broadcasts against any last axis, so the field and the
+    JVP refuse a state or direction whose last axis is not dim, on every
+    path."""
+
+    @pytest.mark.parametrize("prior", ["isotropic", "coordinate-var", "two-components"])
+    @pytest.mark.parametrize("process", ["diffusion", "flow"])
+    def test_wrong_last_axis_raises(self, process, prior):
+        d = 4
+        rng = np.random.default_rng(13)
+        model = {"isotropic": GaussianModel(mean=np.zeros(d), var=np.ones(d)),
+                 "coordinate-var": hetero_mixture(1, d, rng).components[0],
+                 "two-components": hetero_mixture(2, d, rng)}[prior]
+        if process == "diffusion":
+            oracle = MixtureDiffusionOracle(model, DIFF)
+            field, jvp = oracle.eps, oracle.eps_jvp
+        else:
+            oracle = MixtureFlowOracle(model)
+            field, jvp = oracle.velocity, oracle.velocity_jvp
+        good = rng.standard_normal((3, d))
+        for bad in (rng.standard_normal((3, d - 1)), rng.standard_normal((3, 1)),
+                    rng.standard_normal(d + 2), np.float64(1.0)):
+            with pytest.raises(ValueError, match="last axis"):
+                field(bad, 0.4)
+            with pytest.raises(ValueError, match="last axis"):
+                jvp(bad, 0.4, good)
+            with pytest.raises(ValueError, match="last axis"):
+                jvp(good, 0.4, bad)
 
 
 class TestJVP:
@@ -556,24 +646,26 @@ class TestContractionKernels:
         ("diffusion", "eps"), ("diffusion", "eps_jvp"),
     ])
     def test_closed_form_peak_allocation(self, process, name):
-        # K = 1: the score (or H v) is mapped to the field (or its JVP) in
-        # place, so a warm call holds one state-sized array, its result.
+        # K = 1: the field is a x + b and the JVP a v, each written into one
+        # fresh array, so a warm call holds one state-sized array, its
+        # result, whether a is a row (per-coordinate variances) or 0-d (N(0, I)).
         chains, d = 2000, 32
-        model = GaussianModel(mean=np.linspace(-1, 1, d), var=np.linspace(0.5, 2, d))
-        oracle = (MixtureDiffusionOracle(model, DIFF) if process == "diffusion"
-                  else MixtureFlowOracle(model))
         rng = np.random.default_rng(9)
         x, v = rng.standard_normal((chains, d)), rng.standard_normal((chains, d))
-        method = getattr(oracle, name)
-        args = (x, 0.4, v) if name.endswith("_jvp") else (x, 0.4)
-        method(*args)
-        tracemalloc.start()
-        try:
+        for model in (GaussianModel(mean=np.linspace(-1, 1, d), var=np.linspace(0.5, 2, d)),
+                      GaussianModel(mean=np.zeros(d), var=np.ones(d))):
+            oracle = (MixtureDiffusionOracle(model, DIFF) if process == "diffusion"
+                      else MixtureFlowOracle(model))
+            method = getattr(oracle, name)
+            args = (x, 0.4, v) if name.endswith("_jvp") else (x, 0.4)
             method(*args)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1.5 * x.nbytes, peak / x.nbytes
+            tracemalloc.start()
+            try:
+                method(*args)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1.5 * x.nbytes, peak / x.nbytes
 
 
 class TestBatchComposition:
@@ -581,11 +673,15 @@ class TestBatchComposition:
     bitwise equal.  A row agrees with the same row called alone within
     1e-13 relative, not bitwise: BLAS may sum a (chains, d) @ (d, K)
     product in a different order for a different number of rows.  K = 1
-    takes elementwise closed forms, so its rows are bitwise equal."""
+    takes an elementwise affine map, so its rows are bitwise equal, with
+    per-coordinate variances or N(0, I)."""
 
     @staticmethod
     def _oracle(k, process):
-        model = hetero_mixture(k, 16, np.random.default_rng([k, 3]))
+        if k == "normal":
+            model = GaussianModel(mean=np.zeros(16), var=np.ones(16))
+        else:
+            model = hetero_mixture(k, 16, np.random.default_rng([k, 3]))
         if process == "diffusion":
             oracle = MixtureDiffusionOracle(model, DIFF)
             return oracle.eps, oracle.eps_jvp
@@ -593,10 +689,10 @@ class TestBatchComposition:
         return oracle.velocity, oracle.velocity_jvp
 
     @pytest.mark.parametrize("process", ["diffusion", "flow"])
-    @pytest.mark.parametrize("k", [1, 3, 8])
+    @pytest.mark.parametrize("k", [1, 3, 8, "normal"])
     def test_rows_and_reruns(self, k, process):
         field, jvp = self._oracle(k, process)
-        rng = np.random.default_rng(k)
+        rng = np.random.default_rng(0 if k == "normal" else k)
         x, v = 1.5 * rng.standard_normal((72, 16)), rng.standard_normal((72, 16))
         t = 0.4
         batch = {"field": field(x, t), "jvp": jvp(x, t, v)}
@@ -605,7 +701,7 @@ class TestBatchComposition:
         for i in range(len(x)):
             rows = {"field": field(x[i], t), "jvp": jvp(x[i], t, v[i])}
             for name, row in rows.items():
-                if k == 1:
+                if k in (1, "normal"):
                     np.testing.assert_array_equal(batch[name][i], row, err_msg=name)
                 else:
                     assert_rel_close(batch[name][i], row, rel=1e-13)
@@ -617,12 +713,15 @@ class TestArgumentsUntouched:
     them or with the oracle's stacked component means and variances."""
 
     @pytest.mark.parametrize("wrap", [False, True], ids=["analytic", "finite-difference"])
-    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("k", [1, 2, "normal"])
     @pytest.mark.parametrize("process", ["diffusion", "flow"])
     def test_methods_leave_arguments_alone(self, process, k, wrap):
         d, t = 5, 0.4
         rng = np.random.default_rng(21)
-        model = hetero_mixture(k, d, rng)
+        if k == "normal":
+            model = GaussianModel(mean=np.zeros(d), var=np.ones(d))
+        else:
+            model = hetero_mixture(k, d, rng)
         if k == 1:
             model = model.components[0]
         inner = (MixtureDiffusionOracle(model, DIFF) if process == "diffusion"

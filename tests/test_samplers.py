@@ -519,6 +519,19 @@ class TestErrors:
                    Y, OP, GaussianDiffusionOracle(GAUSS, DIFF), DIFF,
                    RNG.standard_normal(D))
 
+    @pytest.mark.parametrize("method,sched,oracle_cls", [
+        ("conjugate_diffusion", DIFF, GaussianDiffusionOracle),
+        ("explicit_flow", FLOW, GaussianFlowOracle),
+    ], ids=["diffusion", "flow"])
+    def test_oracle_of_another_dimension_raises(self, method, sched, oracle_cls):
+        # an N(0, I) oracle on 2 D coordinates under an operator on D: its
+        # field's slope is 0-d, so only the oracle's own check stops the run
+        prior = GaussianModel(mean=np.zeros(2 * D), var=np.ones(2 * D))
+        cfg = GuidanceConfig(w=1.0, tau=0.6, nfe=3)
+        with pytest.raises(ValueError, match="last axis"):
+            sample(SamplerSpec(method=method, guidance=cfg), Y, OP, oracle_cls(prior, sched),
+                   sched, RNG.standard_normal((3, D)))
+
     def test_method_schedule_mismatch(self):
         cfg = GuidanceConfig(w=1.0, tau=0.5, nfe=5)
         with pytest.raises(ConfigError):
