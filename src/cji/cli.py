@@ -47,8 +47,9 @@ def _load(args) -> dict:
 
 
 def cmd_run(args) -> int:
-    config = _load(args)
-    report = harness.run(config, threads=max(1, args.threads))
+    if args.threads < 1:
+        raise ConfigError(f"--threads must be at least 1, got {args.threads}")
+    report = harness.run(_load(args), threads=args.threads)
     ok = [r for r in report.records if not r.diverged]
     print(f"completed {len(report.records)} runs "
           f"({report.diverged_count} diverged)")
@@ -60,12 +61,11 @@ def cmd_run(args) -> int:
 
 
 def cmd_degrade(args) -> int:
-    config = _load(args)
-    problem = harness._need(config, "problem", "config", dict)
-    op = harness.build_operator(harness._need(problem, "operator", "problem", dict))
-    sigma_y = harness._need(problem, "sigma_y", "problem", float, 0.0)
-    inputs = harness.draw_inputs(problem, op, sigma_y, harness._seeds(config))
-    out_dir = harness._need(config, "output_dir", "config", str, ".")
+    config = harness.validate(_load(args))
+    problem = config["problem"]
+    op = harness.build_operator(problem["operator"])
+    inputs = harness.draw_inputs(problem, op, problem["sigma_y"], config["seeds"])
+    out_dir = config["output_dir"] or "."
     os.makedirs(out_dir, exist_ok=True)
     for seed, (x0, y) in inputs.items():
         write_tensor(os.path.join(out_dir, f"x0_{seed}.cji"), x0)
@@ -76,8 +76,8 @@ def cmd_degrade(args) -> int:
 
 def cmd_coeff_dump(args) -> int:
     config = _load(args)
-    out_dir = harness._need(config, "output_dir", "config", str, None)
-    text = harness.coeff_dump(config)
+    text = harness.coeff_dump(config)  # which refuses an output_dir that is not a string
+    out_dir = config.get("output_dir")
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
         path = os.path.join(out_dir, "coefficients.csv")

@@ -15,16 +15,18 @@ import itertools
 import json
 import math
 import os
+import platform
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import __version__
 from .conjugate import precompute_table, table_to_csv
 from .errors import (CoefficientOverflowError, ConfigError, DivergenceError, OracleError,
                      QuadratureError)
-from .operators import BlockAverage, CirculantBlur, DenseOperator, Mask
+from .operators import DEFAULT_THRESHOLD, BlockAverage, CirculantBlur, DenseOperator, Mask
 from .oracles import (
     GaussianModel,
     MixtureDiffusionOracle,
@@ -33,7 +35,7 @@ from .oracles import (
     exact_posterior,
 )
 from .samplers import METHODS, SamplerSpec, check_grid, sample
-from .schedules import DEFAULT_T_FLOOR, DiffusionSchedule, FlowSchedule, GuidanceConfig
+from .schedules import DiffusionSchedule, FlowSchedule, GuidanceConfig
 from .tensorio import read_tensor, write_tensor
 
 SWEEP_GUARD = 10_000
@@ -122,132 +124,216 @@ def apply_overrides(config: dict, overrides) -> dict:
     return config
 
 
-_KINDS = {dict: "an object", list: "a list", float: "a number", int: "an integer",
-          str: "a string"}
-_REQUIRED = object()
+# Every config key, declared once.  A dict is a block; a key is its kind
+# alone (optional, no default) or (kind, default, check), with default ...
+# when the key is required.  Kinds are "number", "integer", "string", "list",
+# "profile" (a number, or a list of numbers) and [kind], a non-empty list of
+# them; None takes what the check allows.  A check is a _CHECKS name (applied
+# to each element of a list kind) or the allowed values; a dict of them maps
+# each value to the keys it adds to the block.  Ranges that a built object
+# checks itself (GuidanceConfig, DiffusionSchedule, the operators, the data
+# models, ExternalOracle) are left to it.
+_SIZE, _REQUIRED_SIZE = ("integer", None, "positive"), ("integer", ..., "positive")
+_GAUSSIAN = {"mean": ("profile", 0.0), "var": ("profile", 1.0)}
+_MIXTURE = {"weights": (["number"], ...), "means": (["profile"], ...), "vars": (["profile"], ...)}
+SCHEMA = {
+    "problem": {
+        "operator": {"kind": (None, ..., {
+            "mask": {"indices": "list", "indices_file": "string", "bitmap_file": "string",
+                     "dim": _SIZE, "in_dim": _SIZE},
+            "block_average": {"factor": _REQUIRED_SIZE, "height": _REQUIRED_SIZE,
+                              "width": _REQUIRED_SIZE},
+            "circulant_blur": {"kernel": "list", "kernel_file": "string", "in_dim": _SIZE,
+                               "height": _SIZE, "width": _SIZE,
+                               "threshold": ("number", DEFAULT_THRESHOLD)},
+            "dense": {"matrix": "list", "matrix_file": "string"}})},
+        "data": {"source": (None, "gaussian", {
+            "gaussian": {"dim": _REQUIRED_SIZE, **_GAUSSIAN},
+            "mixture": {"dim": _REQUIRED_SIZE, **_MIXTURE},
+            "tensor_file": {"path": ("string", ...)}})},
+        "sigma_y": ("number", GuidanceConfig.sigma_y)},
+    "model": {"kind": (None, "auto", {  # an auto model without a dim takes problem.data
+        "auto": {"dim": _SIZE,
+                 "source": (None, "gaussian", {"gaussian": _GAUSSIAN, "mixture": _MIXTURE})},
+        "external": {"argv": (["string"], ...), "timeout": ("number", 30.0),
+                     "jvp_mode": ("string", "remote")}})},
+    "schedule": {"beta_min": ("number", DiffusionSchedule.beta_min),
+                 "beta_max": ("number", DiffusionSchedule.beta_max)},
+    "sampler": {"method": (None, ..., tuple(METHODS)), "w": ("number", GuidanceConfig.w),
+                "lambda": ("number", GuidanceConfig.lam), "tau": ("number", GuidanceConfig.tau),
+                "nfe": ("integer", GuidanceConfig.nfe),
+                "schedule_kind": ("string", GuidanceConfig.schedule_kind),
+                "t_floor": ("number", GuidanceConfig.t_floor)},
+    # a list replaces the sampler key of its name in the sweep's cross product
+    "sweep": {"w": ["number"], "lambda": ["number"], "tau": ["number"], "nfe": ["integer"]},
+    "seeds": (["integer"], [0], "non-negative"),
+    "peak": ("number", 1.0, "positive and finite"),
+    "output_dir": "string",
+}
+_CHECKS = {"positive": lambda v: v > 0, "positive and finite": lambda v: 0 < v < math.inf,
+           "non-negative": lambda v: v >= 0}
 
 
-def _need(desc: dict, key: str, what: str, kind=None, default=_REQUIRED):
-    """desc[key], or default when the key is absent or null.
+def declared_paths(spec: dict = SCHEMA, path: str = ""):
+    """Every dotted key path the schema declares."""
+    for key, leaf in spec.items():
+        yield (full := f"{path}.{key}" if path else key)
+        if isinstance(leaf, dict):
+            yield from declared_paths(leaf, full)
+        elif isinstance(leaf, tuple) and isinstance(leaf[-1], dict):
+            for keys in leaf[-1].values():
+                yield from declared_paths(keys, path)
 
-    ``kind`` (dict, list, float, int or str) is the type the value must
-    have; numbers are converted, but a boolean is no number and an int is
-    never truncated.  A missing required key or a value of another kind is
-    a ConfigError naming the key.
+
+def validate(config: dict) -> dict:
+    """The config checked against SCHEMA, every default filled in (an auto
+    model without a dim takes problem.data's Gaussian or mixture keys).  One
+    ConfigError names every unknown key, missing key, value of the wrong kind
+    and failed check.
     """
-    value = desc.get(key)
-    if value is None:
-        if default is _REQUIRED:
-            raise ConfigError(f"{what} needs {key!r}")
-        return default
-    if kind in (float, int):
-        truncated = kind is int and isinstance(value, float) and not value.is_integer()
-        if not (isinstance(value, bool) or truncated):
-            try:
-                return kind(value)
-            except (TypeError, ValueError, OverflowError):
-                pass
-    elif kind is None or isinstance(value, kind):
-        return value
-    raise ConfigError(f"{what} {key!r} must be {_KINDS[kind]}, got {value!r}")
+    errors = []
+    resolved = _walk(config, SCHEMA, (), errors)
+    if errors:
+        raise ConfigError("; ".join(errors))
+    model, data = resolved["model"], resolved["problem"]["data"]
+    if model["kind"] == "auto" and model["dim"] is None and data["source"] != "tensor_file":
+        resolved["model"] = {"kind": "auto", **data}
+    return resolved
 
 
-def _read_file(desc: dict, key: str, what: str) -> np.ndarray:
-    """The tensor in the file desc[key] names; a key that is not a string,
-    or a file that is missing or malformed, is a ConfigError naming it."""
-    path = _need(desc, key, what, str)
+def _walk(config: dict, spec: dict, keys: tuple, errors: list) -> dict:
+    """config resolved against the block spec at keys; a fault names its
+    value as config['block']['key'], or an unknown key by its dotted path."""
+    where = "config" + "".join(f"[{k!r}]" for k in keys)
+    out, todo, known = {}, [*spec.items()], set(spec)
+    for key, leaf in todo:
+        value = config.get(key)
+        if isinstance(leaf, dict):
+            if isinstance(value, (dict, type(None))):
+                out[key] = _walk(value or {}, leaf, (*keys, key), errors)
+            else:
+                errors.append(f"{where}[{key!r}] must be an object, got {value!r}")
+            continue
+        kind, default, check = (*leaf, None, None)[:3] if isinstance(leaf, tuple) else (
+            leaf, None, None)
+        got = default if value is None else value
+        if kind and got is not None and got is not ...:
+            got = _coerce(got, kind)
+        if got is ...:
+            errors.append(f"{where} needs {key!r}")
+        elif got is None and value is not None:
+            kinds = (f"a non-empty list of {kind[0]}s" if isinstance(kind, list)
+                     else ("an " if kind[0] in "aeiou" else "a ") + kind)
+            errors.append(f"{where}[{key!r}] must be {kinds}, got {value!r}")
+        elif isinstance(check, str) and got is not None and not all(
+                map(_CHECKS[check], got if isinstance(kind, list) else [got])):
+            errors.append(f"{where}[{key!r}] must be {check}, got {value!r}")
+        elif check and not isinstance(check, str) and got not in tuple(check):
+            *rest, last = map(repr, check)
+            errors.append(f"{'.'.join((*keys, key))} {got!r} must be {', '.join(rest)} or {last}")
+        else:
+            out[key] = got
+            if isinstance(check, dict):
+                todo += check[got].items()
+                known.update(check[got])
+            continue
+        if isinstance(check, dict):  # no kind chosen: every kind's keys are known
+            known.update(k for variant in check.values() for k in variant)
+    for key in [k for k in config if k not in known]:
+        import difflib  # only a refused config pays for it
+
+        full = ".".join((*keys, key))
+        near = difflib.get_close_matches(full, set(declared_paths()) - {full}, 1)
+        errors.append(f"unknown key {full!r}" + (f"; did you mean {near[0]!r}?" if near else ""))
+    return out
+
+
+def _coerce(value, kind):
+    """value as the kind, or None if it is not one: a boolean is no number,
+    and an integer is never truncated."""
+    if isinstance(kind, list):
+        items = [_coerce(v, kind[0]) for v in value] if isinstance(value, (list, tuple)) else []
+        return items if items and None not in items else None
+    if isinstance(value, (list, tuple)):
+        if kind == "profile":
+            return _coerce(value, ["number"])
+        return list(value) if kind == "list" else None
+    if isinstance(value, str) or kind in ("string", "list"):
+        return value if kind == "string" and isinstance(value, str) else None
+    if isinstance(value, (bool, np.bool_)) or not isinstance(
+            value, (int, float, np.integer, np.floating)):
+        return None
+    if kind == "integer":
+        return int(value) if isinstance(value, (int, np.integer)) or value.is_integer() else None
     try:
-        return read_tensor(path)
+        return float(value)
+    except OverflowError:  # an integer beyond the float range
+        return None
+
+
+def _read_file(desc: dict, key: str, what: str, inline: str = ""):
+    """The tensor in the file desc[key] names, else the list desc[inline]; a
+    missing or malformed file is a ConfigError naming its key."""
+    if desc[key] is None:
+        if desc[inline] is None:
+            raise ConfigError(f"{what} needs {inline!r} or {key!r}")
+        return desc[inline]
+    try:
+        return read_tensor(desc[key])
     except (OSError, ValueError) as exc:
         raise ConfigError(f"{what} {key!r}: {exc}") from exc
 
 
 def build_operator(desc: dict):
-    """The operator a problem.operator block describes; a constructor's
-    ValueError is a ConfigError."""
-    kind = desc.get("kind")
+    """The operator a resolved problem.operator block describes; a
+    constructor's ValueError is a ConfigError."""
+    kind = desc["kind"]
     what = f"{kind} operator"
     try:
         if kind == "mask":
-            if "bitmap_file" in desc:
+            if desc["bitmap_file"] is not None:
                 bitmap = _read_file(desc, "bitmap_file", what)
-                indices = np.flatnonzero(bitmap != 0.0)
-                return Mask(indices, bitmap.size)
-            if "indices_file" in desc:
-                indices = _read_file(desc, "indices_file", what)
-            else:
-                indices = desc.get("indices")
-            if indices is None:
-                raise ConfigError("mask operator needs indices, indices_file, or bitmap_file")
-            return Mask(indices, _need(desc, "in_dim" if "in_dim" in desc else "dim",
-                                       what, int))
+                return Mask(np.flatnonzero(bitmap != 0.0), bitmap.size)
+            indices = _read_file(desc, "indices_file", what, "indices")
+            dim = desc["in_dim"] if desc["in_dim"] is not None else desc["dim"]
+            if dim is None:
+                raise ConfigError("mask operator needs 'dim' or 'in_dim'")
+            return Mask(indices, dim)
         if kind == "block_average":
-            return BlockAverage(*(_need(desc, k, what, int)
-                                  for k in ("factor", "height", "width")))
+            return BlockAverage(desc["factor"], desc["height"], desc["width"])
         if kind == "circulant_blur":
-            kernel = (_read_file(desc, "kernel_file", what) if "kernel_file" in desc
-                      else np.asarray(_need(desc, "kernel", what), dtype=float))
-            threshold = _need(desc, "threshold", what, float, 1e-8)
-            if kernel.ndim == 2:
-                shape = tuple(_need(desc, k, what, int) for k in ("height", "width"))
-                return CirculantBlur(kernel, shape=shape, threshold=threshold)
-            return CirculantBlur(kernel, in_dim=_need(desc, "in_dim", what, int),
-                                 threshold=threshold)
-        if kind == "dense":
-            matrix = (_read_file(desc, "matrix_file", what) if "matrix_file" in desc
-                      else np.asarray(_need(desc, "matrix", what), dtype=float))
-            return DenseOperator(matrix)
-        raise ConfigError(f"unknown operator kind {kind!r}")
+            kernel = np.asarray(_read_file(desc, "kernel_file", what, "kernel"), dtype=float)
+            shape = (desc["height"], desc["width"])
+            return CirculantBlur(kernel, in_dim=desc["in_dim"], threshold=desc["threshold"],
+                                 shape=None if None in shape else shape)
+        return DenseOperator(np.asarray(_read_file(desc, "matrix_file", what, "matrix"),
+                                        dtype=float))
     except ValueError as exc:
         raise ConfigError(f"{what}: {exc}") from exc
 
 
 def _coerce_profile(value, size: int, key: str) -> np.ndarray:
-    """``size`` values (per coordinate or per component): a number, or a
-    list of ``size`` numbers."""
-    try:
-        arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
-        raise ConfigError(f"data {key!r} must be a number or a list of numbers, "
-                          f"got {value!r}") from None
-    if arr.ndim == 0:
-        return np.full(size, float(arr))
+    """``size`` values (per coordinate or per component) from a profile."""
+    arr = np.asarray(value, dtype=float)
+    arr = np.full(size, float(arr)) if arr.ndim == 0 else arr
     if arr.shape != (size,):
-        raise ConfigError(f"data {key!r}: expected scalar or length-{size} list, "
-                          f"got shape {arr.shape}")
+        raise ConfigError(f"data {key!r} must be one number or {size} numbers, got {value!r}")
     return arr
 
 
 def build_data_model(desc: dict):
-    """Gaussian or mixture data distribution from a config block."""
-    source = desc.get("source", "gaussian")
-    if source not in ("gaussian", "mixture"):
-        raise ConfigError(f"unknown data source {source!r}")
-    what = f"{source} data"
-    dim = _need(desc, "dim", what, int)
-    if source == "gaussian":
-        return GaussianModel(
-            mean=_coerce_profile(desc.get("mean", 0.0), dim, "mean"),
-            var=_coerce_profile(desc.get("var", 1.0), dim, "var"),
-        )
+    """Gaussian or mixture data distribution from a resolved data block."""
+    dim = desc["dim"]
+    if desc["source"] == "gaussian":
+        return GaussianModel(mean=_coerce_profile(desc["mean"], dim, "mean"),
+                             var=_coerce_profile(desc["var"], dim, "var"))
     comps = tuple(
         GaussianModel(mean=_coerce_profile(m, dim, "means"),
                       var=_coerce_profile(v, dim, "vars"))
-        for m, v in zip(_need(desc, "means", what, list), _need(desc, "vars", what, list))
+        for m, v in zip(desc["means"], desc["vars"])
     )
-    weights = _coerce_profile(_need(desc, "weights", what, list), len(comps), "weights")
+    weights = _coerce_profile(desc["weights"], len(comps), "weights")
     return MixtureModel(weights=weights, components=comps)
-
-
-def _seeds(config: dict) -> list:
-    """The config's seeds (default [0]): a non-empty list of non-negative integers."""
-    seeds = _need(config, "seeds", "config", list, [0])
-    if not seeds:
-        raise ConfigError("config 'seeds' must not be empty")
-    for seed in seeds:
-        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-            raise ConfigError(f"config 'seeds' must be non-negative integers, got {seed!r}")
-    return seeds
 
 
 def draw_inputs(problem: dict, op, sigma_y: float, seeds) -> dict:
@@ -257,8 +343,8 @@ def draw_inputs(problem: dict, op, sigma_y: float, seeds) -> dict:
     mixture data model is built once and draws x0 from the seed's stream.
     An x0 whose size is not the operator's in_dim is a ConfigError.
     """
-    data = _need(problem, "data", "problem", dict)
-    if data.get("source") == "tensor_file":
+    data = problem["data"]
+    if data["source"] == "tensor_file":
         fixed = _read_file(data, "path", "tensor_file data").reshape(-1)
     else:
         fixed, model = None, build_data_model(data)
@@ -282,8 +368,8 @@ def draw_inputs(problem: dict, op, sigma_y: float, seeds) -> dict:
 
 def degrade(x0, op, sigma_y: float, seed: int) -> np.ndarray:
     """Forward model: y = H x0 + sigma_y * z with a seeded draw."""
-    if sigma_y < 0:
-        raise ConfigError("sigma_y must be >= 0")
+    if not 0 <= sigma_y < math.inf:
+        raise ConfigError(f"sigma_y must be finite and >= 0, got {sigma_y!r}")
     x0 = np.asarray(x0, dtype=float)
     y = op.apply(x0)
     if sigma_y > 0:
@@ -293,67 +379,46 @@ def degrade(x0, op, sigma_y: float, seed: int) -> np.ndarray:
 
 
 def build_schedule(config: dict):
-    """Diffusion schedule from the config's schedule block, or the flow
-    interpolant, whichever the (validated) sampler method needs."""
+    """Diffusion schedule from the resolved config's schedule block, or the
+    flow interpolant, whichever the sampler method needs."""
     if METHODS[config["sampler"]["method"]][1] == "flow":
         return FlowSchedule()
-    desc = _need(config, "schedule", "config", dict, {})
-    return DiffusionSchedule(
-        beta_min=_need(desc, "beta_min", "schedule", float, 0.1),
-        beta_max=_need(desc, "beta_max", "schedule", float, 20.0),
-    )
+    return DiffusionSchedule(**config["schedule"])
 
 
-def build_oracle(model_desc: dict, problem: dict, sched):
+def build_oracle(model: dict, sched):
     """The external oracle, or the analytic one of the schedule's process
     (diffusion or flow); a Gaussian data model is a one-component mixture."""
-    kind = model_desc.get("kind", "auto")
-    if kind not in ("auto", "external"):
-        raise ConfigError(f"model.kind {kind!r} must be 'auto' or 'external'")
-    if kind == "external":
+    if model["kind"] == "external":
         from .external import ExternalOracle
 
-        argv = _need(model_desc, "argv", "external model")
         try:
-            return ExternalOracle(argv, timeout=_need(model_desc, "timeout", "external model",
-                                                      float, 30.0),
-                                  jvp_mode=model_desc.get("jvp_mode", "remote"))
+            return ExternalOracle(model["argv"], timeout=model["timeout"],
+                                  jvp_mode=model["jvp_mode"])
         except (OSError, ValueError, OracleError) as exc:
             # unspawnable argv, bad jvp_mode or timeout, or a failed handshake
-            raise ConfigError(f"external model.argv {argv!r}: {exc}") from exc
-    data_desc = model_desc if "dim" in model_desc else _need(problem, "data", "problem", dict)
+            raise ConfigError(f"external model.argv {model['argv']!r}: {exc}") from exc
+    if model["dim"] is None:
+        raise ConfigError("model.kind 'auto' needs a model.dim of its own with tensor_file data")
     oracle = MixtureDiffusionOracle if isinstance(sched, DiffusionSchedule) else MixtureFlowOracle
-    return oracle(build_data_model(data_desc), sched)
+    return oracle(build_data_model(model), sched)
 
 
 def guidance_from_sampler(desc: dict, sigma_y: float) -> GuidanceConfig:
-    return GuidanceConfig(
-        w=_need(desc, "w", "sampler", float, 1.0),
-        lam=_need(desc, "lambda", "sampler", float, 0.0),
-        tau=_need(desc, "tau", "sampler", float, 0.6),
-        nfe=_need(desc, "nfe", "sampler", int, 20),
-        sigma_y=sigma_y,
-        schedule_kind=desc.get("schedule_kind", "adaptive_paper"),
-        t_floor=_need(desc, "t_floor", "sampler", float, DEFAULT_T_FLOOR),
-    )
+    return GuidanceConfig(w=desc["w"], lam=desc["lambda"], tau=desc["tau"], nfe=desc["nfe"],
+                          sigma_y=sigma_y, schedule_kind=desc["schedule_kind"],
+                          t_floor=desc["t_floor"])
 
 
 def sweep_points(config: dict):
     """Cross-product of the sweep lists over the base sampler block."""
-    sampler = _need(config, "sampler", "config", dict)
-    method = sampler.get("method")
-    if not isinstance(method, str) or method not in METHODS:
-        raise ConfigError(f"sampler.method must be one of {tuple(METHODS)}")
-    sweep = _need(config, "sweep", "config", dict, {})
-    defaults = {"w": 1.0, "lambda": 0.0, "tau": 0.6, "nfe": 20}
-    unknown = set(sweep) - set(defaults)
-    if unknown:
-        raise ConfigError(f"sweep keys {sorted(unknown)} not supported")
-    bad = sorted(k for k, v in sweep.items() if not isinstance(v, (list, tuple)) or not v)
-    if bad:
-        raise ConfigError(f"sweep keys {bad} must map to non-empty lists")
-    axes = [sweep.get(key, [sampler.get(key, d)]) for key, d in defaults.items()]
-    return [dict(sampler, **dict(zip(defaults, p))) for p in itertools.product(*axes)]
+    return _points(validate(config))
+
+
+def _points(config: dict):
+    sampler, sweep = config["sampler"], config["sweep"]
+    axes = [sweep[key] or [sampler[key]] for key in sweep]
+    return [dict(sampler, **dict(zip(sweep, p))) for p in itertools.product(*axes)]
 
 
 def run(config: dict, *, threads: int = 1, output_dir=None) -> RunReport:
@@ -363,20 +428,19 @@ def run(config: dict, *, threads: int = 1, output_dir=None) -> RunReport:
     coefficient table fails to integrate, and runs whose squared error
     overflows are recorded with empty metrics rather than aborting the sweep.
     """
-    problem = _need(config, "problem", "config", dict)
-    seeds = _seeds(config)
-    points = sweep_points(config)
+    config = validate(config)
+    problem, seeds, peak = config["problem"], config["seeds"], config["peak"]
+    points = _points(config)
     if len(points) * len(seeds) > SWEEP_GUARD:
         raise ConfigError(
             f"sweep size {len(points) * len(seeds)} exceeds the guard {SWEEP_GUARD}")
-    peak = _need(config, "peak", "config", float, 1.0)
-    if not (math.isfinite(peak) and peak > 0):
-        raise ConfigError(f"config 'peak' must be a positive finite number, got {peak!r}")
-    out_dir = output_dir or _need(config, "output_dir", "config", str, None)
+    if output_dir:
+        config["output_dir"] = os.fspath(output_dir)
+    out_dir = config["output_dir"]
 
     sched = build_schedule(config)
-    op = build_operator(_need(problem, "operator", "problem", dict))
-    sigma_y = _need(problem, "sigma_y", "problem", float, 0.0)
+    op = build_operator(problem["operator"])
+    sigma_y = problem["sigma_y"]
     specs = [SamplerSpec(method=desc["method"], guidance=guidance_from_sampler(desc, sigma_y))
              for desc in points]
     # A grid that sample would refuse, or an input error, aborts the sweep
@@ -408,13 +472,13 @@ def run(config: dict, *, threads: int = 1, output_dir=None) -> RunReport:
             else:  # a finite state so large that its squared error overflows
                 mse = x = None
         rec = RunRecord(
-            method=desc["method"], w=float(desc["w"]), lam=float(desc["lambda"]),
-            tau=float(desc["tau"]), nfe=int(desc["nfe"]), seed=int(seed),
-            mse=mse, psnr=psnr, observed_residual=resid, wall_time_ms=elapsed,
+            method=desc["method"], w=desc["w"], lam=desc["lambda"], tau=desc["tau"],
+            nfe=desc["nfe"], seed=seed, mse=mse, psnr=psnr, observed_residual=resid,
+            wall_time_ms=elapsed,
         )
         return rec, x
 
-    oracle = build_oracle(_need(config, "model", "config", dict, {}), problem, sched)
+    oracle = build_oracle(config["model"], sched)
     try:
         if oracle.dim != op.in_dim:
             raise ConfigError(f"the model's dim {oracle.dim} does not match "
@@ -441,6 +505,9 @@ def run(config: dict, *, threads: int = 1, output_dir=None) -> RunReport:
                 fh.write(report_to_csv(report))
             with open(os.path.join(out_dir, "summary.json"), "w", encoding="utf-8") as fh:
                 json.dump(report.aggregates, fh, indent=2, sort_keys=True)
+            with open(os.path.join(out_dir, "config.resolved.json"), "w", encoding="utf-8") as fh:
+                json.dump({"config": config, "cji": __version__, "numpy": np.__version__,
+                           "python": platform.python_version()}, fh, indent=2)
     except BaseException:
         # A run that raises leaves no child behind; one that returns leaves
         # its oracle open to the caller.
@@ -500,11 +567,10 @@ def report_from_csv(text: str) -> RunReport:
 
 def coeff_dump(config: dict) -> str:
     """Coefficient table CSV for the configured sampler grid."""
-    problem = _need(config, "problem", "config", dict, {})
-    sigma_y = _need(problem, "sigma_y", "problem", float, 0.0)
-    sampler = _need(config, "sampler", "config", dict)
-    spec = SamplerSpec(method=_need(sampler, "method", "sampler"),
-                       guidance=guidance_from_sampler(sampler, sigma_y))
+    config = validate(config)
+    sampler = config["sampler"]
+    spec = SamplerSpec(method=sampler["method"],
+                       guidance=guidance_from_sampler(sampler, config["problem"]["sigma_y"]))
     table = precompute_table(spec.resolved_grid(), spec.table_guidance,
                              build_schedule(config))
     return table_to_csv(table)

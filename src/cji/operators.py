@@ -36,6 +36,8 @@ from __future__ import annotations
 import numpy as np
 
 DENSE_GUARD = 4096
+# CirculantBlur's relative spectral cutoff: magnitudes below it count as zero.
+DEFAULT_THRESHOLD = 1e-8
 
 
 class LinearDegradation:
@@ -305,7 +307,7 @@ class CirculantBlur(LinearDegradation):
     and s is the half spectrum.
     """
 
-    def __init__(self, kernel, in_dim=None, shape=None, threshold=1e-8):
+    def __init__(self, kernel, in_dim=None, shape=None, threshold=DEFAULT_THRESHOLD):
         kernel = np.asarray(kernel, dtype=float)
         if not np.isclose(kernel.sum(), 1.0, atol=1e-12):
             raise ValueError("kernel taps must sum to 1")

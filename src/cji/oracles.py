@@ -208,8 +208,9 @@ class _MixtureOracle:
         return scale, noise, scale * self._means, scale * scale * self._vars + noise * noise
 
     def _state(self, x):
-        """x as a float array, refused unless its last axis is dim: a 0-d
-        slope would broadcast against any other length."""
+        """x as a float array, refused unless its last axis is dim: the
+        component rows and a 0-d slope would broadcast against any other
+        length."""
         x = np.asarray(x, dtype=float)
         if x.shape[-1:] != self._means.shape[1:]:
             raise ValueError(f"state has shape {x.shape}; its last axis must be {self.dim}")
@@ -225,11 +226,11 @@ class _MixtureOracle:
 
     def _score(self, x, t):
         _, _, means, variances = self._coeffs(t)
-        return _mixture_score(np.asarray(x, dtype=float), self._log_w, means, variances)
+        return _mixture_score(self._state(x), self._log_w, means, variances)
 
     def _log_density(self, x, t):
         _, _, means, variances = self._coeffs(t)
-        return _mixture_parts(np.asarray(x, dtype=float), self._log_w, means, variances)[3]
+        return _mixture_parts(self._state(x), self._log_w, means, variances)[3]
 
     def _field(self, x, t):
         x = self._state(x)
@@ -254,7 +255,7 @@ class _MixtureOracle:
     def _endpoint_mean(self, x, t):
         """Exact E[data | x_t] = sum_k r_k (noise^2 m_k + scale v_k x) / V_k,
         the responsibility-weighted per-component conditional means."""
-        x = np.asarray(x, dtype=float)
+        x = self._state(x)
         scale, noise, means, variances = self._coeffs(t)
         _, mean, resp, _, coef, _ = _mixture_parts(x, self._log_w, means, variances)
         prec = coef[len(self._log_w):]

@@ -1,13 +1,19 @@
+import contextlib
+import io
 import json
 import math
 import os
+import platform
 import sys
+import tempfile
 import time
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, seed, settings, strategies as st
 
+import cji
 import cji.conjugate
 from cji import cli, harness
 from cji.errors import ConfigError, OracleRemoteError, OracleTimeoutError
@@ -18,6 +24,7 @@ from cji.tensorio import read_tensor, write_tensor
 
 RNG = np.random.default_rng(23)
 CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
+README = os.path.join(os.path.dirname(__file__), "..", "README.md")
 ORACLE_SERVER = [sys.executable, "-m", "cji.oracle_server", "--kind", "gaussian-diffusion"]
 # Completes the handshake for d = 8, then never answers.
 SILENT_CHILD = [sys.executable, "-c", "import time; print('{\"protocol\": \"score-oracle/1\", "
@@ -39,6 +46,13 @@ def base_config(**sampler_overrides):
         "sampler": sampler,
         "seeds": [0, 1, 2],
     }
+
+
+def build_operator(desc):
+    """The operator of base_config with desc as its problem.operator block."""
+    cfg = base_config()
+    cfg["problem"]["operator"] = desc
+    return harness.build_operator(harness.validate(cfg)["problem"]["operator"])
 
 
 def diverging_configs():
@@ -128,38 +142,36 @@ class TestConfig:
             harness.run(cfg)
 
     def test_operator_builders(self, tmp_path):
-        op = harness.build_operator({"kind": "mask", "indices": [1, 3], "dim": 6})
+        op = build_operator({"kind": "mask", "indices": [1, 3], "dim": 6})
         assert isinstance(op, Mask)
         bpath = tmp_path / "bitmap.cji"
         write_tensor(bpath, np.array([0.0, 1.0, 0.0, 1.0, 1.0]))
-        op = harness.build_operator({"kind": "mask", "bitmap_file": str(bpath)})
+        op = build_operator({"kind": "mask", "bitmap_file": str(bpath)})
         np.testing.assert_array_equal(op.indices, [1, 3, 4])
         assert op.in_dim == 5
-        op = harness.build_operator({"kind": "block_average", "factor": 2,
-                                     "height": 4, "width": 4})
+        op = build_operator({"kind": "block_average", "factor": 2, "height": 4, "width": 4})
         assert isinstance(op, BlockAverage)
         kpath = tmp_path / "k.cji"
         write_tensor(kpath, np.array([0.25, 0.5, 0.25]))
-        op = harness.build_operator({"kind": "circulant_blur",
-                                     "kernel_file": str(kpath), "in_dim": 12})
+        op = build_operator({"kind": "circulant_blur", "kernel_file": str(kpath), "in_dim": 12})
         assert op.in_dim == 12
         hpath = tmp_path / "H.cji"
         write_tensor(hpath, RNG.standard_normal((2, 5)))
-        op = harness.build_operator({"kind": "dense", "matrix_file": str(hpath)})
+        op = build_operator({"kind": "dense", "matrix_file": str(hpath)})
         assert op.out_dim == 2 and op.in_dim == 5
         with pytest.raises(ConfigError):
-            harness.build_operator({"kind": "wavelet"})
+            build_operator({"kind": "wavelet"})
 
     def test_mask_indices_file(self, tmp_path):
         # A tensor file stores floats: integral values are indices, and a
         # fraction is a configuration error rather than a truncated index.
         ipath = tmp_path / "idx.cji"
         write_tensor(ipath, np.array([1.0, 4.0]))
-        op = harness.build_operator({"kind": "mask", "indices_file": str(ipath), "dim": 6})
+        op = build_operator({"kind": "mask", "indices_file": str(ipath), "dim": 6})
         np.testing.assert_array_equal(op.indices, [1, 4])
         write_tensor(ipath, np.array([1.0, 4.5]))
         with pytest.raises(ConfigError, match="indices"):
-            harness.build_operator({"kind": "mask", "indices_file": str(ipath), "dim": 6})
+            build_operator({"kind": "mask", "indices_file": str(ipath), "dim": 6})
 
 
 class TestRun:
@@ -253,11 +265,12 @@ class TestRun:
 
 def direct_reconstruction(config, point, seed):
     """One harness.run record recomputed by a sample() call without table=."""
+    config = harness.validate(config)
     problem = config["problem"]
     sched = harness.build_schedule(config)
     op = harness.build_operator(problem["operator"])
-    sigma_y = float(problem.get("sigma_y", 0.0))
-    oracle = harness.build_oracle(config.get("model", {}), problem, sched)
+    sigma_y = problem["sigma_y"]
+    oracle = harness.build_oracle(config["model"], sched)
     x0, y = harness.draw_inputs(problem, op, sigma_y, [seed])[seed]
     spec = SamplerSpec(method=point["method"],
                        guidance=harness.guidance_from_sampler(point, sigma_y))
@@ -590,6 +603,7 @@ class TestCLI:
         ("degrade", "seeds", [-1], "'seeds'"),
         ("degrade", "seeds", [], "'seeds'"),
         ("degrade", "problem.sigma_y", -0.1, "sigma_y"),
+        ("degrade", "problem.sigma_y", math.nan, "sigma_y must be finite"),
         ("degrade", "problem.data", {"source": "tensor_file", "path": 9999}, "'path'"),
         ("degrade", "problem.data", {"source": "tensor_file", "path": "missing.cji"},
          "'path'"),
@@ -620,6 +634,7 @@ class TestCLI:
             "coeff-dump-list-method",
             "top-level-list", "mask-index-range", "blur-threshold", "argv-not-spawned",
             "degrade-negative-seed", "degrade-no-seeds", "degrade-negative-sigma-y",
+            "degrade-nan-sigma-y",
             "tensor-file-path-number", "tensor-file-missing", "tensor-file-malformed",
             "bitmap-file-missing", "indices-file-number", "kernel-file-missing",
             "matrix-file-malformed", "argv-exits", "argv-not-protocol", "handshake-timeout",
@@ -678,13 +693,19 @@ class TestCLI:
         ("problem.data.var=1e400", "must be finite"),
         ('problem.data={"source":"mixture","dim":16,"weights":[NaN,0.4],'
          '"means":[1,-1],"vars":[0.3,0.5]}', "must be finite"),
+        ('problem.operator={"kind":"block_average","factor":0,"height":4,"width":4}',
+         "'factor'"),
+        ("problem.data.dim=-1", "'dim'"),
+        ('model={"kind":"external","argv":[1]}', "'argv'"),
+        ("sampler.w=1" + "0" * 400, "'w'"),
     ], ids=["problem", "operator", "model", "seeds", "sweep", "data-dim", "sampler-w",
             "sigma-y", "data-mean", "mixture-means", "seed-string", "seed-float",
             "seed-negative", "mixture-weights", "sampler-method", "mask-index-fraction",
             "peak-zero", "peak-negative", "no-seeds", "empty-sweep-list", "nfe-fraction",
             "nfe-boolean", "w-infinite", "w-nan", "lambda-nan", "sigma-y-nan",
             "beta-max-infinite", "data-mean-nan", "data-var-overflow",
-            "mixture-weight-nan"])
+            "mixture-weight-nan", "block-factor-zero", "data-dim-negative", "argv-number",
+            "w-huge-integer"])
     def test_mistyped_config_is_a_config_error(self, tmp_path, capsys, override, named):
         # a block that is not an object, a list that is not a list, a number
         # that does not parse, or a seed that is not a non-negative integer
@@ -701,6 +722,13 @@ class TestCLI:
         assert cli.main(self.shipped_mask_argv(tmp_path / "out") + ["--seeds", ""]) == 1
         err = capsys.readouterr().err
         assert "configuration error" in err and "'seeds'" in err
+
+    @pytest.mark.parametrize("threads", ["--threads=0", "--threads=-4"])
+    def test_threads_below_one_is_a_config_error(self, tmp_path, capsys, threads):
+        assert cli.main(self.shipped_mask_argv(tmp_path / "out") + [threads]) == 1
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "--threads" in err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["run", "degrade", "coeff-dump"])
     @pytest.mark.parametrize("value", ["5", "[1]"])
@@ -747,3 +775,148 @@ class TestCLI:
         assert rc == 0
         assert sorted(os.listdir(tmp_path / "deg")) == [
             "x0_0.cji", "x0_1.cji", "y_0.cji", "y_1.cji"]
+
+
+def shipped(name):
+    return harness.load_config(os.path.join(CONFIGS, name))
+
+
+def key_paths(node, parent=()):
+    """(parent path, key) of every key of a config block, at any depth."""
+    for key, value in node.items():
+        yield parent, key
+        if isinstance(value, dict):
+            yield from key_paths(value, (*parent, key))
+
+
+@st.composite
+def misplaced_keys(draw):
+    """A shipped config with one key, at any depth, given a one-character
+    edit or moved into a sibling block; and that key's dotted path."""
+    config = shipped(draw(st.sampled_from(["gaussian_mask.json", "mixture_blur.json"])))
+    parent, key = draw(st.sampled_from(list(key_paths(config))))
+    node = config
+    for part in parent:
+        node = node[part]
+    siblings = [k for k, v in node.items() if isinstance(v, dict) and k != key]
+    if siblings and draw(st.booleans()):
+        block = draw(st.sampled_from(siblings))
+        node[block][key] = node.pop(key)
+        path = (*parent, block, key)
+    else:
+        i = draw(st.integers(0, len(key)))
+        char = draw(st.sampled_from("abdeiklmnorstwy_.0"))
+        edited = draw(st.sampled_from([key[:i] + char + key[i:], key[:i] + key[i + 1:],
+                                       key[:i] + char + key[i + 1:]]))
+        assume(edited and edited not in node)
+        node[edited] = node.pop(key)
+        path = (*parent, edited)
+    assume(".".join(path) not in set(harness.declared_paths()))
+    return config, ".".join(path)
+
+
+class TestSchema:
+    @pytest.mark.parametrize("command", ["run", "degrade", "coeff-dump"])
+    @pytest.mark.parametrize("override,path,near", [
+        ("sampler.lamda=0.5", "sampler.lamda", "sampler.lambda"),
+        ("sampler.sigma_y=0.05", "sampler.sigma_y", "problem.sigma_y"),
+        ("model.knd=external", "model.knd", "model.kind"),
+        ("sampler.schedule=constant", "sampler.schedule", "sampler.schedule_kind"),
+        ("problem.operator.indicies=[1]", "problem.operator.indicies",
+         "problem.operator.indices"),
+    ], ids=["lamda", "sampler-sigma-y", "model-knd", "sampler-schedule", "indicies"])
+    def test_unknown_key_is_a_config_error(self, tmp_path, capsys, command, override, path,
+                                           near):
+        # each of these used to run without the setting
+        argv = [command, os.path.join(CONFIGS, "gaussian_mask.json"),
+                "--output-dir", str(tmp_path / "o"), "--override", override]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert "configuration error" in err
+        assert f"unknown key {path!r}; did you mean {near!r}?" in err
+        assert not (tmp_path / "o").exists()
+
+    def test_key_of_another_kind_is_unknown(self):
+        cfg = base_config()
+        cfg["problem"]["operator"]["factor"] = 2  # a block_average key on a mask
+        with pytest.raises(ConfigError, match="unknown key 'problem.operator.factor'"):
+            harness.validate(cfg)
+
+    def test_auto_model_of_tensor_file_data_needs_its_own_dim(self, tmp_path):
+        write_tensor(tmp_path / "x0.cji", np.zeros(8))
+        cfg = base_config()
+        cfg["problem"]["data"] = {"source": "tensor_file", "path": str(tmp_path / "x0.cji")}
+        with pytest.raises(ConfigError, match="model.dim"):
+            harness.run(cfg)
+
+    @settings(max_examples=60, deadline=2000)
+    @seed(20261020)
+    @given(misplaced_keys())
+    def test_misplaced_keys_are_refused_by_every_command(self, case):
+        config, path = case
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg_path = os.path.join(tmp, "cfg.json")
+            with open(cfg_path, "w") as fh:
+                json.dump(config, fh)
+            for command in ("run", "degrade", "coeff-dump"):
+                err = io.StringIO()
+                with contextlib.redirect_stderr(err):
+                    rc = cli.main([command, cfg_path, "--output-dir", os.path.join(tmp, "o")])
+                assert rc == 1 and "configuration error" in err.getvalue()
+                assert repr(path) in err.getvalue()
+            assert not os.path.exists(os.path.join(tmp, "o"))
+
+    def test_shipped_configs_resolve(self):
+        common = {
+            "model": {"kind": "auto"},
+            "schedule": {"beta_min": 0.1, "beta_max": 20.0},
+            "peak": 1.0,
+        }
+        sampler = {"method": "conjugate_diffusion", "lambda": 0.0, "tau": 0.6,
+                   "schedule_kind": "adaptive_paper", "t_floor": 1e-4}
+        gaussian = {"source": "gaussian", "dim": 16, "mean": 0.0, "var": 1.0}
+        mixture = {"source": "mixture", "dim": 32, "weights": [0.6, 0.4],
+                   "means": [1.2, -1.0], "vars": [0.3, 0.5]}
+        assert harness.validate(shipped("gaussian_mask.json")) == {
+            **common,
+            "problem": {"operator": {"kind": "mask", "indices": [0, 2, 4, 6, 8, 10, 12, 14],
+                                     "indices_file": None, "bitmap_file": None, "dim": 16,
+                                     "in_dim": None},
+                        "data": gaussian, "sigma_y": 0.0},
+            "model": {"kind": "auto", **gaussian},
+            "sampler": {**sampler, "w": 2.0, "nfe": 20},
+            "sweep": {"w": None, "lambda": None, "tau": None, "nfe": [5, 10, 20]},
+            "seeds": [0, 1, 2],
+            "output_dir": "out/gaussian_mask",
+        }
+        assert harness.validate(shipped("mixture_blur.json")) == {
+            **common,
+            "problem": {"operator": {"kind": "circulant_blur", "kernel": [0.2, 0.6, 0.2],
+                                     "kernel_file": None, "in_dim": 32, "height": None,
+                                     "width": None, "threshold": 1e-8},
+                        "data": mixture, "sigma_y": 0.05},
+            "model": {"kind": "auto", **mixture},
+            "sampler": {**sampler, "w": 4.0, "nfe": 10},
+            "sweep": {"w": [2.0, 4.0, 8.0], "lambda": None, "tau": None, "nfe": None},
+            "seeds": [0, 1],
+            "output_dir": "out/mixture_blur",
+        }
+
+    @pytest.mark.parametrize("name", ["gaussian_mask.json", "mixture_blur.json"])
+    def test_run_records_the_resolved_config(self, tmp_path, name):
+        out = tmp_path / "out"
+        assert cli.main(["run", os.path.join(CONFIGS, name), "--output-dir", str(out)]) == 0
+        record = json.loads((out / "config.resolved.json").read_text())
+        resolved = harness.validate(shipped(name))
+        assert record == {"config": {**resolved, "output_dir": str(out)},
+                          "cji": cji.__version__, "numpy": np.__version__,
+                          "python": platform.python_version()}
+        for block, key in (("problem", "sigma_y"), ("problem", "operator"),
+                           ("sampler", "schedule_kind")):
+            assert record["config"][block][key] == resolved[block][key]
+        assert (out / "report.csv").read_text().splitlines()[0] == ",".join(harness.CSV_HEADER)
+
+    def test_readme_lists_every_config_key(self):
+        with open(README, encoding="utf-8") as fh:
+            readme = fh.read()
+        assert [p for p in harness.declared_paths() if f"`{p}`" not in readme] == []

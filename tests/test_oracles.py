@@ -272,6 +272,25 @@ class TestDimensionGuard:
             with pytest.raises(ValueError, match="last axis"):
                 jvp(good, 0.4, bad)
 
+    @pytest.mark.parametrize("method", ["score", "log_density", "endpoint_mean"])
+    @pytest.mark.parametrize("process", ["diffusion", "flow"])
+    def test_other_methods_refuse_wrong_last_axis(self, process, method):
+        # a (3, 1) state used to broadcast against the d-long component rows
+        d = 4
+        model = GaussianModel(mean=np.zeros(d), var=np.ones(d))
+        if process == "diffusion":
+            oracle = MixtureDiffusionOracle(model, DIFF)
+            fn = {"score": oracle.score, "log_density": oracle.log_density,
+                  "endpoint_mean": oracle.x0_mean}[method]
+        else:
+            oracle = MixtureFlowOracle(model)
+            fn = {"score": oracle.score, "log_density": oracle.log_density,
+                  "endpoint_mean": oracle.x1_mean}[method]
+        assert np.shape(fn(np.zeros((3, d)), 0.4))[0] == 3
+        for bad in (np.zeros((3, 1)), np.zeros((3, d + 2)), np.float64(1.0)):
+            with pytest.raises(ValueError, match="last axis"):
+                fn(bad, 0.4)
+
 
 class TestJVP:
     def test_zero_direction(self):
