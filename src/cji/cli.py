@@ -62,9 +62,7 @@ def cmd_run(args) -> int:
 
 def cmd_degrade(args) -> int:
     config = harness.validate(_load(args))
-    problem = config["problem"]
-    op = harness.build_operator(problem["operator"])
-    inputs = harness.draw_inputs(problem, op, problem["sigma_y"], config["seeds"])
+    _, inputs = harness.draw_inputs(config["problem"], config["seeds"])
     out_dir = config["output_dir"] or "."
     os.makedirs(out_dir, exist_ok=True)
     for seed, (x0, y) in inputs.items():

@@ -126,39 +126,38 @@ def apply_overrides(config: dict, overrides) -> dict:
 
 # Every config key, declared once.  A dict is a block; a key is its kind
 # alone (optional, no default) or (kind, default, check), with default ...
-# when the key is required.  Kinds are "number", "integer", "string", "list",
-# "profile" (a number, or a list of numbers) and [kind], a non-empty list of
-# them; None takes what the check allows.  A check is a _CHECKS name (applied
-# to each element of a list kind) or the allowed values; a dict of them maps
-# each value to the keys it adds to the block.  Ranges that a built object
-# checks itself (GuidanceConfig, DiffusionSchedule, the operators, the data
-# models, ExternalOracle) are left to it.
+# when the key is required.  Kinds are "number", "integer", "string", "list
+# or path" (an inline list, or a string naming a tensor file), "profile" (a
+# number, or a list of numbers) and [kind], a non-empty list of them; None
+# takes what the check allows.  A check is a _CHECKS name (applied to each
+# element of a list kind) or the allowed values; a dict of them maps each
+# value to the keys it adds to the block.  Ranges that a built object checks
+# itself (GuidanceConfig, DiffusionSchedule, the operators, the data models,
+# ExternalOracle) are left to it.  problem.data alone states the signal size
+# n: its dim, or the size of its tensor file.
 _SIZE, _REQUIRED_SIZE = ("integer", None, "positive"), ("integer", ..., "positive")
 _GAUSSIAN = {"mean": ("profile", 0.0), "var": ("profile", 1.0)}
 _MIXTURE = {"weights": (["number"], ...), "means": (["profile"], ...), "vars": (["profile"], ...)}
 SCHEMA = {
     "problem": {
         "operator": {"kind": (None, ..., {
-            "mask": {"indices": "list", "indices_file": "string", "bitmap_file": "string",
-                     "dim": _SIZE, "in_dim": _SIZE},
+            "mask": {"indices": "list or path", "bitmap": "list or path"},
             "block_average": {"factor": _REQUIRED_SIZE, "height": _REQUIRED_SIZE,
                               "width": _REQUIRED_SIZE},
-            "circulant_blur": {"kernel": "list", "kernel_file": "string", "in_dim": _SIZE,
-                               "height": _SIZE, "width": _SIZE,
-                               "threshold": ("number", DEFAULT_THRESHOLD)},
-            "dense": {"matrix": "list", "matrix_file": "string"}})},
+            "circulant_blur": {"kernel": ("list or path", ...), "height": _SIZE,
+                               "width": _SIZE, "threshold": ("number", DEFAULT_THRESHOLD)},
+            "dense": {"matrix": ("list or path", ...)}})},
         "data": {"source": (None, "gaussian", {
             "gaussian": {"dim": _REQUIRED_SIZE, **_GAUSSIAN},
             "mixture": {"dim": _REQUIRED_SIZE, **_MIXTURE},
             "tensor_file": {"path": ("string", ...)}})},
         "sigma_y": ("number", GuidanceConfig.sigma_y)},
-    "model": {"kind": (None, "auto", {  # an auto model without a dim takes problem.data
-        "auto": {"dim": _SIZE,
-                 "source": (None, "gaussian", {"gaussian": _GAUSSIAN, "mixture": _MIXTURE})},
+    "model": {"kind": (None, "auto", {  # an auto model without a source takes problem.data
+        "auto": {"source": (None, None, {"gaussian": _GAUSSIAN, "mixture": _MIXTURE})},
         "external": {"argv": (["string"], ...), "timeout": ("number", 30.0),
                      "jvp_mode": ("string", "remote")}})},
-    "schedule": {"beta_min": ("number", DiffusionSchedule.beta_min),
-                 "beta_max": ("number", DiffusionSchedule.beta_max)},
+    "schedule": {"beta_min": ("number", DiffusionSchedule.beta_min, "positive and finite"),
+                 "beta_max": ("number", DiffusionSchedule.beta_max, "positive and finite")},
     "sampler": {"method": (None, ..., tuple(METHODS)), "w": ("number", GuidanceConfig.w),
                 "lambda": ("number", GuidanceConfig.lam), "tau": ("number", GuidanceConfig.tau),
                 "nfe": ("integer", GuidanceConfig.nfe),
@@ -187,17 +186,17 @@ def declared_paths(spec: dict = SCHEMA, path: str = ""):
 
 def validate(config: dict) -> dict:
     """The config checked against SCHEMA, every default filled in (an auto
-    model without a dim takes problem.data's Gaussian or mixture keys).  One
-    ConfigError names every unknown key, missing key, value of the wrong kind
-    and failed check.
+    model without a source takes problem.data's Gaussian or mixture prior).
+    One ConfigError names every unknown key, missing key, value of the wrong
+    kind and failed check.
     """
     errors = []
     resolved = _walk(config, SCHEMA, (), errors)
     if errors:
         raise ConfigError("; ".join(errors))
     model, data = resolved["model"], resolved["problem"]["data"]
-    if model["kind"] == "auto" and model["dim"] is None and data["source"] != "tensor_file":
-        resolved["model"] = {"kind": "auto", **data}
+    if model["kind"] == "auto" and model["source"] is None and data["source"] != "tensor_file":
+        resolved["model"] = {"kind": "auto", **{k: v for k, v in data.items() if k != "dim"}}
     return resolved
 
 
@@ -228,12 +227,12 @@ def _walk(config: dict, spec: dict, keys: tuple, errors: list) -> dict:
         elif isinstance(check, str) and got is not None and not all(
                 map(_CHECKS[check], got if isinstance(kind, list) else [got])):
             errors.append(f"{where}[{key!r}] must be {check}, got {value!r}")
-        elif check and not isinstance(check, str) and got not in tuple(check):
+        elif check and not isinstance(check, str) and got not in (None, *check):
             *rest, last = map(repr, check)
             errors.append(f"{'.'.join((*keys, key))} {got!r} must be {', '.join(rest)} or {last}")
         else:
             out[key] = got
-            if isinstance(check, dict):
+            if isinstance(check, dict) and got is not None:
                 todo += check[got].items()
                 known.update(check[got])
             continue
@@ -243,7 +242,10 @@ def _walk(config: dict, spec: dict, keys: tuple, errors: list) -> dict:
         import difflib  # only a refused config pays for it
 
         full = ".".join((*keys, key))
-        near = difflib.get_close_matches(full, set(declared_paths()) - {full}, 1)
+        paths = set(declared_paths()) - {full}
+        same = [p for p in paths if p.endswith("." + key)]  # a moved key names its place
+        near = (difflib.get_close_matches(full, same, 1, 0)
+                or difflib.get_close_matches(full, paths, 1))
         errors.append(f"unknown key {full!r}" + (f"; did you mean {near[0]!r}?" if near else ""))
     return out
 
@@ -257,9 +259,9 @@ def _coerce(value, kind):
     if isinstance(value, (list, tuple)):
         if kind == "profile":
             return _coerce(value, ["number"])
-        return list(value) if kind == "list" else None
-    if isinstance(value, str) or kind in ("string", "list"):
-        return value if kind == "string" and isinstance(value, str) else None
+        return list(value) if kind == "list or path" else None
+    if isinstance(value, str) or kind in ("string", "list or path"):
+        return value if kind in ("string", "list or path") and isinstance(value, str) else None
     if isinstance(value, (bool, np.bool_)) or not isinstance(
             value, (int, float, np.integer, np.floating)):
         return None
@@ -271,43 +273,44 @@ def _coerce(value, kind):
         return None
 
 
-def _read_file(desc: dict, key: str, what: str, inline: str = ""):
-    """The tensor in the file desc[key] names, else the list desc[inline]; a
-    missing or malformed file is a ConfigError naming its key."""
-    if desc[key] is None:
-        if desc[inline] is None:
-            raise ConfigError(f"{what} needs {inline!r} or {key!r}")
-        return desc[inline]
+def _read_file(desc: dict, key: str, what: str):
+    """desc[key]: an inline list as it is, or the tensor in the file a string
+    names; a missing or malformed file is a ConfigError naming its key."""
+    if not isinstance(desc[key], str):
+        return desc[key]
     try:
         return read_tensor(desc[key])
     except (OSError, ValueError) as exc:
         raise ConfigError(f"{what} {key!r}: {exc}") from exc
 
 
-def build_operator(desc: dict):
-    """The operator a resolved problem.operator block describes; a
-    constructor's ValueError is a ConfigError."""
+def build_operator(desc: dict, n: int):
+    """The operator a resolved problem.operator block describes, on signals
+    of problem.data's size n where its own geometry does not fix its in_dim;
+    a constructor's ValueError is a ConfigError."""
     kind = desc["kind"]
     what = f"{kind} operator"
     try:
         if kind == "mask":
-            if desc["bitmap_file"] is not None:
-                bitmap = _read_file(desc, "bitmap_file", what)
-                return Mask(np.flatnonzero(bitmap != 0.0), bitmap.size)
-            indices = _read_file(desc, "indices_file", what, "indices")
-            dim = desc["in_dim"] if desc["in_dim"] is not None else desc["dim"]
-            if dim is None:
-                raise ConfigError("mask operator needs 'dim' or 'in_dim'")
-            return Mask(indices, dim)
+            if (desc["indices"] is None) == (desc["bitmap"] is None):
+                raise ConfigError(f"{what} needs exactly one of 'indices' and 'bitmap'")
+            if desc["indices"] is not None:
+                return Mask(_read_file(desc, "indices", what), n)
+            bitmap = np.asarray(_read_file(desc, "bitmap", what), dtype=float)
+            if not np.all(np.isfinite(bitmap)):
+                raise ValueError("bitmap entries must be finite")
+            return Mask(np.flatnonzero(bitmap != 0.0), bitmap.size)
         if kind == "block_average":
             return BlockAverage(desc["factor"], desc["height"], desc["width"])
         if kind == "circulant_blur":
-            kernel = np.asarray(_read_file(desc, "kernel_file", what, "kernel"), dtype=float)
+            kernel = np.asarray(_read_file(desc, "kernel", what), dtype=float)
             shape = (desc["height"], desc["width"])
-            return CirculantBlur(kernel, in_dim=desc["in_dim"], threshold=desc["threshold"],
+            if kernel.ndim == 1 and shape != (None, None):
+                raise ConfigError(f"{what}: 'height' and 'width' are for a 2-d kernel; "
+                                  f"a 1-d kernel acts on problem.data's {n} coordinates")
+            return CirculantBlur(kernel, in_dim=n, threshold=desc["threshold"],
                                  shape=None if None in shape else shape)
-        return DenseOperator(np.asarray(_read_file(desc, "matrix_file", what, "matrix"),
-                                        dtype=float))
+        return DenseOperator(np.asarray(_read_file(desc, "matrix", what), dtype=float))
     except ValueError as exc:
         raise ConfigError(f"{what}: {exc}") from exc
 
@@ -321,49 +324,57 @@ def _coerce_profile(value, size: int, key: str) -> np.ndarray:
     return arr
 
 
-def build_data_model(desc: dict):
-    """Gaussian or mixture data distribution from a resolved data block."""
-    dim = desc["dim"]
+def build_data_model(desc: dict, dim: int):
+    """Gaussian or mixture distribution of size dim from a resolved data
+    block, or from an auto model's block."""
     if desc["source"] == "gaussian":
         return GaussianModel(mean=_coerce_profile(desc["mean"], dim, "mean"),
                              var=_coerce_profile(desc["var"], dim, "var"))
+    sizes = [len(desc[key]) for key in ("weights", "means", "vars")]
+    if len(set(sizes)) > 1:
+        raise ConfigError("mixture 'weights', 'means' and 'vars' must have one entry per "
+                          "component, got {}, {} and {}".format(*sizes))
     comps = tuple(
         GaussianModel(mean=_coerce_profile(m, dim, "means"),
                       var=_coerce_profile(v, dim, "vars"))
         for m, v in zip(desc["means"], desc["vars"])
     )
-    weights = _coerce_profile(desc["weights"], len(comps), "weights")
-    return MixtureModel(weights=weights, components=comps)
+    return MixtureModel(weights=np.asarray(desc["weights"], dtype=float), components=comps)
 
 
-def draw_inputs(problem: dict, op, sigma_y: float, seeds) -> dict:
-    """Each seed's (x0, y = H x0 + noise), drawn once before any job.
+def draw_inputs(problem: dict, seeds):
+    """The operator, and each seed's (x0, y = H x0 + noise), drawn once
+    before any job.
 
     A tensor_file source is read once and is every seed's x0; a Gaussian or
     mixture data model is built once and draws x0 from the seed's stream.
-    An x0 whose size is not the operator's in_dim is a ConfigError.
+    Either fixes the signal size n that the operator acts on; an operator
+    whose own geometry gives another in_dim is a ConfigError.
     """
     data = problem["data"]
     if data["source"] == "tensor_file":
         fixed = _read_file(data, "path", "tensor_file data").reshape(-1)
+        n = fixed.size
     else:
-        fixed, model = None, build_data_model(data)
+        fixed, n = None, data["dim"]
+        model = build_data_model(data, n)
+    op = build_operator(problem["operator"], n)
+    if n != op.in_dim:
+        raise ConfigError(f"problem.data gives x0 of size {n}, "
+                          f"but the operator's in_dim is {op.in_dim}")
     def draw(seed):
         if fixed is not None:
             return fixed
         rng = np.random.default_rng([seed, _X0_SALT])
         if isinstance(model, MixtureModel):
             return model.sample(rng, 1)[0]
-        return model.mean + np.sqrt(model.var) * rng.standard_normal(model.dim)
+        return model.mean + np.sqrt(model.var) * rng.standard_normal(n)
 
     inputs = {}
     for seed in seeds:
         x0 = draw(seed)
-        if x0.size != op.in_dim:
-            raise ConfigError(f"problem.data gives x0 of size {x0.size}, "
-                              f"but the operator's in_dim is {op.in_dim}")
-        inputs[seed] = (x0, degrade(x0, op, sigma_y, seed))
-    return inputs
+        inputs[seed] = (x0, degrade(x0, op, problem["sigma_y"], seed))
+    return op, inputs
 
 
 def degrade(x0, op, sigma_y: float, seed: int) -> np.ndarray:
@@ -386,9 +397,10 @@ def build_schedule(config: dict):
     return DiffusionSchedule(**config["schedule"])
 
 
-def build_oracle(model: dict, sched):
+def build_oracle(model: dict, sched, dim: int):
     """The external oracle, or the analytic one of the schedule's process
-    (diffusion or flow); a Gaussian data model is a one-component mixture."""
+    (diffusion or flow) on signals of size dim; a Gaussian data model is a
+    one-component mixture."""
     if model["kind"] == "external":
         from .external import ExternalOracle
 
@@ -398,10 +410,10 @@ def build_oracle(model: dict, sched):
         except (OSError, ValueError, OracleError) as exc:
             # unspawnable argv, bad jvp_mode or timeout, or a failed handshake
             raise ConfigError(f"external model.argv {model['argv']!r}: {exc}") from exc
-    if model["dim"] is None:
-        raise ConfigError("model.kind 'auto' needs a model.dim of its own with tensor_file data")
+    if model["source"] is None:
+        raise ConfigError("model.kind 'auto' needs a model.source of its own with tensor_file data")
     oracle = MixtureDiffusionOracle if isinstance(sched, DiffusionSchedule) else MixtureFlowOracle
-    return oracle(build_data_model(model), sched)
+    return oracle(build_data_model(model, dim), sched)
 
 
 def guidance_from_sampler(desc: dict, sigma_y: float) -> GuidanceConfig:
@@ -439,15 +451,16 @@ def run(config: dict, *, threads: int = 1, output_dir=None) -> RunReport:
     out_dir = config["output_dir"]
 
     sched = build_schedule(config)
-    op = build_operator(problem["operator"])
     sigma_y = problem["sigma_y"]
     specs = [SamplerSpec(method=desc["method"], guidance=guidance_from_sampler(desc, sigma_y))
              for desc in points]
-    # A grid that sample would refuse, or an input error, aborts the sweep
-    # before any job runs and before an external oracle is spawned.
+    # A grid that sample would refuse, a sampler key that a sweep list
+    # replaces and would refuse, or an input error, aborts the sweep before
+    # any job runs and before an external oracle is spawned.
+    guidance_from_sampler(config["sampler"], sigma_y)
     for spec in specs:
         check_grid(spec.resolved_grid(), spec.kind, spec.guidance)
-    inputs = draw_inputs(problem, op, sigma_y, seeds)
+    op, inputs = draw_inputs(problem, seeds)
     jobs = [(pi, seed) for pi in range(len(points)) for seed in seeds]
     def one(job):
         pi, seed = job
@@ -478,7 +491,7 @@ def run(config: dict, *, threads: int = 1, output_dir=None) -> RunReport:
         )
         return rec, x
 
-    oracle = build_oracle(config["model"], sched)
+    oracle = build_oracle(config["model"], sched, op.in_dim)
     try:
         if oracle.dim != op.in_dim:
             raise ConfigError(f"the model's dim {oracle.dim} does not match "
@@ -507,7 +520,8 @@ def run(config: dict, *, threads: int = 1, output_dir=None) -> RunReport:
                 json.dump(report.aggregates, fh, indent=2, sort_keys=True)
             with open(os.path.join(out_dir, "config.resolved.json"), "w", encoding="utf-8") as fh:
                 json.dump({"config": config, "cji": __version__, "numpy": np.__version__,
-                           "python": platform.python_version()}, fh, indent=2)
+                           "python": platform.python_version()}, fh, indent=2,
+                          allow_nan=False)
     except BaseException:
         # A run that raises leaves no child behind; one that returns leaves
         # its oracle open to the caller.

@@ -7,10 +7,13 @@ language; round-trips exactly.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 MAGIC = "CJI"
 DTYPE = np.dtype("<f8")
+HEADER_BYTES = 4096
 
 
 def write_tensor(path, array) -> None:
@@ -22,24 +25,25 @@ def write_tensor(path, array) -> None:
 
 
 def read_tensor(path) -> np.ndarray:
+    """The tensor in the file at path.  A header that is not one line of at
+    most HEADER_BYTES bytes, a dimension that is not a non-negative integer,
+    and a payload that is not exactly the header's size are each a
+    ValueError naming the path."""
     with open(path, "rb") as fh:
-        header = bytearray()
-        while True:
-            ch = fh.read(1)
-            if not ch:
-                raise ValueError(f"{path}: truncated header")
-            if ch == b"\n":
-                break
-            header.extend(ch)
-        fields = header.decode("ascii").split()
+        line = fh.readline(HEADER_BYTES)
+        if not line.endswith(b"\n"):
+            raise ValueError(f"{path}: no header line in the first {HEADER_BYTES} bytes")
+        fields = line.decode("ascii", "replace").split()
         if len(fields) < 3 or fields[0] != MAGIC or fields[1] != "f64":
             raise ValueError(f"{path}: not a {MAGIC} f64 tensor file")
-        ndim = int(fields[2])
-        if len(fields) != 3 + ndim:
+        bad = next((v for v in fields[2:] if not v.isdigit()), None)
+        if bad is not None:
+            raise ValueError(f"{path}: header dimension {bad!r} is not a non-negative integer")
+        ndim, *shape = map(int, fields[2:])
+        if len(shape) != ndim:
             raise ValueError(f"{path}: header dimension count mismatch")
-        shape = tuple(int(v) for v in fields[3:])
-        count = int(np.prod(shape)) if shape else 1
-        payload = fh.read(count * 8)
-        if len(payload) != count * 8:
-            raise ValueError(f"{path}: truncated payload")
-        return np.frombuffer(payload, dtype=DTYPE).reshape(shape).copy()
+        size = math.prod(shape) * DTYPE.itemsize
+        payload = fh.read()
+    if len(payload) != size:
+        raise ValueError(f"{path}: payload of {len(payload)} bytes, but the header gives {size}")
+    return np.frombuffer(payload, dtype=DTYPE).reshape(shape).copy()

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import platform
+import re
 import sys
 import tempfile
 import time
@@ -38,7 +39,7 @@ def base_config(**sampler_overrides):
     return {
         "schedule": {"beta_min": 0.1, "beta_max": 20.0},
         "problem": {
-            "operator": {"kind": "mask", "indices": [0, 2, 4, 6], "dim": 8},
+            "operator": {"kind": "mask", "indices": [0, 2, 4, 6]},
             "data": {"source": "gaussian", "dim": 8, "mean": 0.0, "var": 1.0},
             "sigma_y": 0.0,
         },
@@ -48,11 +49,12 @@ def base_config(**sampler_overrides):
     }
 
 
-def build_operator(desc):
-    """The operator of base_config with desc as its problem.operator block."""
+def build_operator(desc, n=8):
+    """The operator of base_config with desc as its problem.operator block,
+    on signals of size n."""
     cfg = base_config()
     cfg["problem"]["operator"] = desc
-    return harness.build_operator(harness.validate(cfg)["problem"]["operator"])
+    return harness.build_operator(harness.validate(cfg)["problem"]["operator"], n)
 
 
 def diverging_configs():
@@ -102,6 +104,23 @@ class TestTensorIO:
         with pytest.raises(ValueError):
             read_tensor(path)
 
+    @pytest.mark.parametrize("content,named", [
+        (b"CJI f64 1 -3\n", "dimension '-3'"),
+        (b"CJI f64 1 x\n", "dimension 'x'"),
+        (b"CJI f64 1 1\n" + b"\0" * 9, "payload of 9 bytes, but the header gives 8"),
+    ], ids=["negative-dimension", "non-integer-dimension", "trailing-bytes"])
+    def test_rejects_malformed_naming_the_path(self, tmp_path, content, named):
+        path = tmp_path / "bad.cji"
+        path.write_bytes(content)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: ")) as info:
+            read_tensor(path)
+        assert named in str(info.value)
+        cfg = base_config()
+        cfg["problem"]["data"] = {"source": "tensor_file", "path": str(path)}
+        cfg["model"] = {"kind": "auto", "source": "gaussian"}
+        with pytest.raises(ConfigError, match="tensor_file data 'path'"):
+            harness.run(cfg)
+
 
 class TestConfig:
     def test_overrides(self):
@@ -142,22 +161,27 @@ class TestConfig:
             harness.run(cfg)
 
     def test_operator_builders(self, tmp_path):
-        op = build_operator({"kind": "mask", "indices": [1, 3], "dim": 6})
-        assert isinstance(op, Mask)
+        op = build_operator({"kind": "mask", "indices": [1, 3]}, 6)
+        assert isinstance(op, Mask) and op.in_dim == 6
         bpath = tmp_path / "bitmap.cji"
         write_tensor(bpath, np.array([0.0, 1.0, 0.0, 1.0, 1.0]))
-        op = build_operator({"kind": "mask", "bitmap_file": str(bpath)})
-        np.testing.assert_array_equal(op.indices, [1, 3, 4])
-        assert op.in_dim == 5
+        for bitmap in (str(bpath), [0, 1, 0, 1, 1]):
+            op = build_operator({"kind": "mask", "bitmap": bitmap})
+            np.testing.assert_array_equal(op.indices, [1, 3, 4])
+            assert op.in_dim == 5
         op = build_operator({"kind": "block_average", "factor": 2, "height": 4, "width": 4})
         assert isinstance(op, BlockAverage)
         kpath = tmp_path / "k.cji"
         write_tensor(kpath, np.array([0.25, 0.5, 0.25]))
-        op = build_operator({"kind": "circulant_blur", "kernel_file": str(kpath), "in_dim": 12})
+        op = build_operator({"kind": "circulant_blur", "kernel": str(kpath)}, 12)
+        assert op.in_dim == 12
+        write_tensor(kpath, np.full((2, 2), 0.25))
+        op = build_operator({"kind": "circulant_blur", "kernel": str(kpath), "height": 3,
+                             "width": 4})
         assert op.in_dim == 12
         hpath = tmp_path / "H.cji"
         write_tensor(hpath, RNG.standard_normal((2, 5)))
-        op = build_operator({"kind": "dense", "matrix_file": str(hpath)})
+        op = build_operator({"kind": "dense", "matrix": str(hpath)})
         assert op.out_dim == 2 and op.in_dim == 5
         with pytest.raises(ConfigError):
             build_operator({"kind": "wavelet"})
@@ -167,11 +191,11 @@ class TestConfig:
         # fraction is a configuration error rather than a truncated index.
         ipath = tmp_path / "idx.cji"
         write_tensor(ipath, np.array([1.0, 4.0]))
-        op = build_operator({"kind": "mask", "indices_file": str(ipath), "dim": 6})
+        op = build_operator({"kind": "mask", "indices": str(ipath)}, 6)
         np.testing.assert_array_equal(op.indices, [1, 4])
         write_tensor(ipath, np.array([1.0, 4.5]))
         with pytest.raises(ConfigError, match="indices"):
-            build_operator({"kind": "mask", "indices_file": str(ipath), "dim": 6})
+            build_operator({"kind": "mask", "indices": str(ipath)}, 6)
 
 
 class TestRun:
@@ -268,10 +292,10 @@ def direct_reconstruction(config, point, seed):
     config = harness.validate(config)
     problem = config["problem"]
     sched = harness.build_schedule(config)
-    op = harness.build_operator(problem["operator"])
     sigma_y = problem["sigma_y"]
-    oracle = harness.build_oracle(config["model"], sched)
-    x0, y = harness.draw_inputs(problem, op, sigma_y, [seed])[seed]
+    op, inputs = harness.draw_inputs(problem, [seed])
+    oracle = harness.build_oracle(config["model"], sched, op.in_dim)
+    x0, y = inputs[seed]
     spec = SamplerSpec(method=point["method"],
                        guidance=harness.guidance_from_sampler(point, sigma_y))
     z = np.random.default_rng([seed, harness._CHAIN_SALT]).standard_normal(op.in_dim)
@@ -362,7 +386,7 @@ class TestInputs:
         write_tensor(tmp_path / "x0.cji", RNG.standard_normal(8))
         cfg = base_config()
         cfg["problem"]["data"] = {"source": "tensor_file", "path": str(tmp_path / "x0.cji")}
-        cfg["model"] = {"kind": "auto", "dim": 8}
+        cfg["model"] = {"kind": "auto", "source": "gaussian"}
         cfg["sweep"] = {"nfe": [3, 4, 5]}
         report = harness.run(cfg)
         assert len(report.records) == 9 and len(reads) == 1
@@ -575,11 +599,11 @@ class TestCLI:
         assert "configuration error" in err and "'auto' or 'external'" in err
 
     @pytest.mark.parametrize("override,named", [
-        ('problem.operator={"kind":"mask","indices":[0,2]}', "'dim'"),
+        ('problem.operator={"kind":"dense"}', "'matrix'"),
         ('problem.operator={"kind":"block_average","factor":2}', "'height'"),
         ('problem.data={"source":"gaussian"}', "'dim'"),
         ('sweep={"w":3}', "['w']"),
-    ], ids=["mask-dim", "block-height", "data-dim", "scalar-sweep"])
+    ], ids=["dense-matrix", "block-height", "data-dim", "scalar-sweep"])
     def test_incomplete_config_is_a_config_error(self, tmp_path, capsys, override, named):
         assert cli.main(self.shipped_mask_argv(tmp_path / "out", override)) == 1
         err = capsys.readouterr().err
@@ -597,7 +621,7 @@ class TestCLI:
         ("run", "", [1, 2], "JSON object"),
         ("run", "problem.operator.indices", [0, 99], "indices out of range"),
         ("run", "problem.operator", {"kind": "circulant_blur", "kernel": [0.25, 0.5, 0.25],
-                                     "in_dim": 8, "threshold": 0}, "threshold"),
+                                     "threshold": 0}, "threshold"),
         ("run", "model", {"kind": "external", "argv": ["no-such-oracle-binary"]},
          "no-such-oracle-binary"),
         ("degrade", "seeds", [-1], "'seeds'"),
@@ -608,14 +632,18 @@ class TestCLI:
         ("degrade", "problem.data", {"source": "tensor_file", "path": "missing.cji"},
          "'path'"),
         ("degrade", "problem.data", {"source": "tensor_file", "path": __file__}, "'path'"),
-        ("run", "problem.operator", {"kind": "mask", "bitmap_file": "missing.cji"},
-         "'bitmap_file'"),
-        ("run", "problem.operator", {"kind": "mask", "indices_file": 9999, "dim": 8},
-         "'indices_file'"),
-        ("run", "problem.operator", {"kind": "circulant_blur", "kernel_file": "missing.cji",
-                                     "in_dim": 8}, "'kernel_file'"),
-        ("run", "problem.operator", {"kind": "dense", "matrix_file": __file__},
-         "'matrix_file'"),
+        ("run", "problem.operator", {"kind": "mask", "bitmap": "missing.cji"}, "'bitmap'"),
+        ("run", "problem.operator", {"kind": "mask", "indices": 9999}, "'indices'"),
+        ("run", "problem.operator", {"kind": "circulant_blur", "kernel": "missing.cji"},
+         "'kernel'"),
+        ("run", "problem.operator", {"kind": "dense", "matrix": __file__}, "'matrix'"),
+        ("run", "problem.operator.bitmap", [1, 0, 1, 0, 1, 0, 1, 0],
+         "mask operator needs exactly one of 'indices' and 'bitmap'"),
+        ("run", "problem.operator.indices", None,
+         "mask operator needs exactly one of 'indices' and 'bitmap'"),
+        ("run", "problem.operator", {"kind": "circulant_blur", "kernel": [0.25, 0.5, 0.25],
+                                     "height": 2, "width": 4},
+         "'height' and 'width' are for a 2-d kernel"),
         ("run", "model", {"kind": "external", "argv": ["true"]}, "model.argv"),
         ("run", "model", {"kind": "external", "argv": ["echo", "hi"]}, "model.argv"),
         ("run", "model", {"kind": "external", "argv": ["sleep", "5"], "timeout": 0.2},
@@ -623,12 +651,27 @@ class TestCLI:
         ("run", "model", {"kind": "external", "argv": ["true"], "timeout": 0}, "timeout"),
         ("run", "model", {"kind": "external", "argv": ["true"], "timeout": math.nan},
          "timeout"),
-        ("run", "problem.data.dim", 6, "x0 of size 6, but the operator's in_dim is 8"),
-        ("degrade", "problem.data.dim", 6, "x0 of size 6, but the operator's in_dim is 8"),
-        ("run", "model", {"kind": "auto", "dim": 6},
-         "model's dim 6 does not match the operator's in_dim 8"),
+        ("run", "problem.operator", {"kind": "block_average", "factor": 2, "height": 4,
+                                     "width": 4}, "x0 of size 8, but the operator's in_dim is 16"),
+        ("degrade", "problem.operator", {"kind": "block_average", "factor": 2, "height": 4,
+                                         "width": 4},
+         "x0 of size 8, but the operator's in_dim is 16"),
         ("run", "model", {"kind": "external", "argv": ORACLE_SERVER + ["--dim", "6"]},
          "model's dim 6 does not match the operator's in_dim 8"),
+        ("run", "problem.operator.indices_file", "i.cji",
+         "unknown key 'problem.operator.indices_file'; did you mean 'problem.operator.indices'?"),
+        ("run", "problem.operator.bitmap_file", "b.cji",
+         "unknown key 'problem.operator.bitmap_file'; did you mean 'problem.operator.bitmap'?"),
+        ("run", "problem.operator.dim", 8,
+         "unknown key 'problem.operator.dim'; did you mean 'problem.data.dim'?"),
+        ("run", "problem.operator.in_dim", 8, "unknown key 'problem.operator.in_dim'"),
+        ("run", "problem.operator", {"kind": "circulant_blur", "kernel": [1.0], "in_dim": 8},
+         "unknown key 'problem.operator.in_dim'"),
+        ("run", "problem.operator", {"kind": "circulant_blur", "kernel_file": "k.cji"},
+         "unknown key 'problem.operator.kernel_file'; did you mean 'problem.operator.kernel'?"),
+        ("run", "problem.operator", {"kind": "dense", "matrix_file": "h.cji"},
+         "unknown key 'problem.operator.matrix_file'; did you mean 'problem.operator.matrix'?"),
+        ("run", "model.dim", 8, "unknown key 'model.dim'; did you mean 'problem.data.dim'?"),
     ], ids=["run-no-operator", "degrade-no-operator", "no-data", "tensor-file-no-path",
             "external-no-argv", "coeff-dump-no-sampler", "coeff-dump-no-method",
             "coeff-dump-list-method",
@@ -637,9 +680,12 @@ class TestCLI:
             "degrade-nan-sigma-y",
             "tensor-file-path-number", "tensor-file-missing", "tensor-file-malformed",
             "bitmap-file-missing", "indices-file-number", "kernel-file-missing",
-            "matrix-file-malformed", "argv-exits", "argv-not-protocol", "handshake-timeout",
+            "matrix-file-malformed", "mask-bitmap-and-indices", "mask-neither",
+            "blur-1d-kernel-height", "argv-exits", "argv-not-protocol", "handshake-timeout",
             "timeout-zero", "timeout-nan", "data-dim-mismatch", "degrade-data-dim-mismatch",
-            "model-dim-mismatch", "external-dim-mismatch"])
+            "external-dim-mismatch", "deleted-indices-file", "deleted-bitmap-file",
+            "deleted-mask-dim", "deleted-mask-in-dim", "deleted-blur-in-dim",
+            "deleted-kernel-file", "deleted-matrix-file", "deleted-model-dim"])
     def test_malformed_config_exits_one(self, tmp_path, capsys, command, path, value, named):
         # value None deletes the key; the empty path replaces the whole config
         cfg = base_config()
@@ -688,7 +734,7 @@ class TestCLI:
         ("sampler.w=NaN", "w must be finite"),
         ("sampler.lambda=NaN", "lam must be finite"),
         ("problem.sigma_y=NaN", "sigma_y must be finite"),
-        ("schedule.beta_max=Infinity", "beta_max must be finite"),
+        ("schedule.beta_max=Infinity", "['beta_max'] must be positive and finite"),
         ("problem.data.mean=NaN", "must be finite"),
         ("problem.data.var=1e400", "must be finite"),
         ('problem.data={"source":"mixture","dim":16,"weights":[NaN,0.4],'
@@ -698,6 +744,10 @@ class TestCLI:
         ("problem.data.dim=-1", "'dim'"),
         ('model={"kind":"external","argv":[1]}', "'argv'"),
         ("sampler.w=1" + "0" * 400, "'w'"),
+        ('problem.data={"source":"mixture","dim":16,"weights":[0.6,0.4],'
+         '"means":[1.2,-1.0,5.0],"vars":[0.3,0.5]}', "'weights', 'means' and 'vars'"),
+        ('model={"kind":"auto","source":"mixture","weights":[0.6,0.4],'
+         '"means":[1.2,-1.0],"vars":[0.3,0.5,0.2]}', "'weights', 'means' and 'vars'"),
     ], ids=["problem", "operator", "model", "seeds", "sweep", "data-dim", "sampler-w",
             "sigma-y", "data-mean", "mixture-means", "seed-string", "seed-float",
             "seed-negative", "mixture-weights", "sampler-method", "mask-index-fraction",
@@ -705,7 +755,7 @@ class TestCLI:
             "nfe-boolean", "w-infinite", "w-nan", "lambda-nan", "sigma-y-nan",
             "beta-max-infinite", "data-mean-nan", "data-var-overflow",
             "mixture-weight-nan", "block-factor-zero", "data-dim-negative", "argv-number",
-            "w-huge-integer"])
+            "w-huge-integer", "mixture-three-means", "model-mixture-three-vars"])
     def test_mistyped_config_is_a_config_error(self, tmp_path, capsys, override, named):
         # a block that is not an object, a list that is not a list, a number
         # that does not parse, or a seed that is not a non-negative integer
@@ -777,6 +827,10 @@ class TestCLI:
             "x0_0.cji", "x0_1.cji", "y_0.cji", "y_1.cji"]
 
 
+def strict_json_constant(token):
+    raise ValueError(f"{token} is not JSON")
+
+
 def shipped(name):
     return harness.load_config(os.path.join(CONFIGS, name))
 
@@ -842,12 +896,27 @@ class TestSchema:
         with pytest.raises(ConfigError, match="unknown key 'problem.operator.factor'"):
             harness.validate(cfg)
 
-    def test_auto_model_of_tensor_file_data_needs_its_own_dim(self, tmp_path):
+    def test_auto_model_of_tensor_file_data_needs_its_own_source(self, tmp_path):
         write_tensor(tmp_path / "x0.cji", np.zeros(8))
         cfg = base_config()
         cfg["problem"]["data"] = {"source": "tensor_file", "path": str(tmp_path / "x0.cji")}
-        with pytest.raises(ConfigError, match="model.dim"):
+        with pytest.raises(ConfigError, match="model.source"):
             harness.run(cfg)
+
+    def test_auto_model_with_a_source_has_its_own_prior(self):
+        cfg = base_config()
+        cfg["model"] = {"kind": "auto", "source": "gaussian", "mean": 5.0}
+        assert harness.validate(cfg)["model"] == {"kind": "auto", "source": "gaussian",
+                                                  "mean": 5.0, "var": 1.0}
+        assert harness.validate(base_config())["model"] == {
+            "kind": "auto", "source": "gaussian", "mean": 0.0, "var": 1.0}
+        own = [r.mse for r in harness.run(cfg).records]
+        assert own != [r.mse for r in harness.run(base_config()).records]
+
+    @pytest.mark.parametrize("name", ["gaussian_mask.json", "mixture_blur.json"])
+    def test_validate_is_idempotent(self, name):
+        resolved = harness.validate(shipped(name))
+        assert harness.validate(json.loads(json.dumps(resolved))) == resolved
 
     @settings(max_examples=60, deadline=2000)
     @seed(20261020)
@@ -874,15 +943,14 @@ class TestSchema:
         }
         sampler = {"method": "conjugate_diffusion", "lambda": 0.0, "tau": 0.6,
                    "schedule_kind": "adaptive_paper", "t_floor": 1e-4}
-        gaussian = {"source": "gaussian", "dim": 16, "mean": 0.0, "var": 1.0}
-        mixture = {"source": "mixture", "dim": 32, "weights": [0.6, 0.4],
-                   "means": [1.2, -1.0], "vars": [0.3, 0.5]}
+        gaussian = {"source": "gaussian", "mean": 0.0, "var": 1.0}
+        mixture = {"source": "mixture", "weights": [0.6, 0.4], "means": [1.2, -1.0],
+                   "vars": [0.3, 0.5]}
         assert harness.validate(shipped("gaussian_mask.json")) == {
             **common,
             "problem": {"operator": {"kind": "mask", "indices": [0, 2, 4, 6, 8, 10, 12, 14],
-                                     "indices_file": None, "bitmap_file": None, "dim": 16,
-                                     "in_dim": None},
-                        "data": gaussian, "sigma_y": 0.0},
+                                     "bitmap": None},
+                        "data": {**gaussian, "dim": 16}, "sigma_y": 0.0},
             "model": {"kind": "auto", **gaussian},
             "sampler": {**sampler, "w": 2.0, "nfe": 20},
             "sweep": {"w": None, "lambda": None, "tau": None, "nfe": [5, 10, 20]},
@@ -892,9 +960,8 @@ class TestSchema:
         assert harness.validate(shipped("mixture_blur.json")) == {
             **common,
             "problem": {"operator": {"kind": "circulant_blur", "kernel": [0.2, 0.6, 0.2],
-                                     "kernel_file": None, "in_dim": 32, "height": None,
-                                     "width": None, "threshold": 1e-8},
-                        "data": mixture, "sigma_y": 0.05},
+                                     "height": None, "width": None, "threshold": 1e-8},
+                        "data": {**mixture, "dim": 32}, "sigma_y": 0.05},
             "model": {"kind": "auto", **mixture},
             "sampler": {**sampler, "w": 4.0, "nfe": 10},
             "sweep": {"w": [2.0, 4.0, 8.0], "lambda": None, "tau": None, "nfe": None},
@@ -906,7 +973,8 @@ class TestSchema:
     def test_run_records_the_resolved_config(self, tmp_path, name):
         out = tmp_path / "out"
         assert cli.main(["run", os.path.join(CONFIGS, name), "--output-dir", str(out)]) == 0
-        record = json.loads((out / "config.resolved.json").read_text())
+        record = json.loads((out / "config.resolved.json").read_text(),
+                            parse_constant=strict_json_constant)
         resolved = harness.validate(shipped(name))
         assert record == {"config": {**resolved, "output_dir": str(out)},
                           "cji": cji.__version__, "numpy": np.__version__,
@@ -915,6 +983,35 @@ class TestSchema:
                            ("sampler", "schedule_kind")):
             assert record["config"][block][key] == resolved[block][key]
         assert (out / "report.csv").read_text().splitlines()[0] == ",".join(harness.CSV_HEADER)
+
+    def test_flow_run_refuses_an_infinite_beta_max(self, tmp_path, capsys):
+        # a flow method builds no DiffusionSchedule, so only the schema sees it
+        argv = ["run", os.path.join(CONFIGS, "gaussian_mask.json"),
+                "--output-dir", str(tmp_path / "o"), "--override", "sampler.method=conjugate_flow",
+                "--override", "schedule.beta_max=Infinity", "--override", "sweep.nfe=[5]"]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "['beta_max'] must be positive and finite" in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("overrides,named", [
+        (["sampler.w=NaN", "sweep.w=[2.0]"], "w must be finite"),
+        (['problem.operator={"kind":"mask","bitmap":[NaN,1,1,1,1,1,1,1]}'],
+         "bitmap entries must be finite"),
+    ], ids=["swept-sampler-key", "bitmap"])
+    def test_unbuilt_non_finite_value_is_refused(self, tmp_path, overrides, named):
+        # each would otherwise reach config.resolved.json as a bare NaN
+        cfg = harness.apply_overrides(base_config(), overrides)
+        with pytest.raises(ConfigError, match=named):
+            harness.run(cfg, output_dir=tmp_path / "o")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["degrade", "coeff-dump"])
+    @pytest.mark.parametrize("name", ["gaussian_mask.json", "mixture_blur.json"])
+    def test_shipped_configs_pass_every_command(self, tmp_path, command, name):
+        out = tmp_path / "o"
+        assert cli.main([command, os.path.join(CONFIGS, name), "--output-dir", str(out)]) == 0
+        assert os.listdir(out)
 
     def test_readme_lists_every_config_key(self):
         with open(README, encoding="utf-8") as fh:
