@@ -178,18 +178,15 @@ def _exp_guard(value: float, what: str):
         )
 
 
-def apply_transform(x, op, k1: float, k2: float, k3: float = 0.0, *,
-                    inverse: bool = False):
-    """A_t x, or A_t^{-1} x with ``inverse``, from the exponents at t.
+def transform_scalars(k1: float, k2: float, k3: float = 0.0, *,
+                      inverse: bool = False) -> tuple[float, float, float]:
+    """(a, b, c) with A_t = a (I - P) + b P + c H^+ (H^+)^T from the exponents
+    at t, or, with ``inverse``, the same three scalars of A_t^{-1}.
 
-    A_t x = e^{k1} (I - P) x + e^{k1+k2} P x + k3 H^+ (H^+)^T x; the inverse
-    negates k1 and k2 and, to the same first order in sigma_y^2, subtracts
-    k3 A^{-1} H^+ (H^+)^T A^{-1} x = k3 e^{-2(k1+k2)} H^+ (H^+)^T x.  Either
-    way it is one ``op.split_apply``, a diagonal in the operator's basis
-    that costs one analysis and, on a complete basis, one synthesis.  The
-    orthogonal-split form avoids the cancellation of the equivalent
-    e^{k1} [x + (e^{k2} - 1) P x] when k2 is strongly negative.  Every
-    exponent is checked before exp() is taken.
+    Forward, a = e^{k1}, b = e^{k1+k2} and c = k3.  The inverse negates k1
+    and k2 and, to the same first order in sigma_y^2, subtracts k3 A^{-1}
+    H^+ (H^+)^T A^{-1} = k3 e^{-2(k1+k2)} H^+ (H^+)^T.  Every exponent is
+    checked before exp() is taken.
     """
     k12 = k1 + k2
     if inverse:
@@ -200,8 +197,6 @@ def apply_transform(x, op, k1: float, k2: float, k3: float = 0.0, *,
         _exp_guard(k1, "kappa1")
         _exp_guard(k12, "kappa1 + kappa2")
         e1, e12 = math.exp(k1), math.exp(k12)
-    if k2 == 0.0 and k3 == 0.0:
-        return e1 * x  # A_t and its inverse are scalars: no projector needed
     if inverse and k3 != 0.0:
         # kappa3 carries a factor e^{k1+k2}, so k3 e^{-2(k1+k2)} grows only
         # like e^{-(k1+k2)}: apply the guarded e12 twice.
@@ -211,7 +206,23 @@ def apply_transform(x, op, k1: float, k2: float, k3: float = 0.0, *,
                 f"kappa3 exp(-2 (kappa1 + kappa2)) = {coeff} overflows; "
                 "reduce w or lambda")
         k3 = -coeff
-    return op.split_apply(x, e1, e12, k3)
+    return e1, e12, k3
+
+
+def apply_transform(x, op, k1: float, k2: float, k3: float = 0.0, *,
+                    inverse: bool = False):
+    """A_t x, or A_t^{-1} x with ``inverse``, from the exponents at t.
+
+    One ``op.split_apply`` of the transform_scalars, a diagonal in the
+    operator's basis that costs one analysis and, on a complete basis, one
+    synthesis; with k2 = k3 = 0 the transform is the scalar e^{+-k1}.  The
+    orthogonal-split form avoids the cancellation of the equivalent
+    e^{k1} [x + (e^{k2} - 1) P x] when k2 is strongly negative.
+    """
+    a, b, c = transform_scalars(k1, k2, k3, inverse=inverse)
+    if k2 == 0.0 and k3 == 0.0:
+        return a * x  # A_t and its inverse are scalars: no projector needed
+    return op.split_apply(x, a, b, c)
 
 
 def _exponents(t, cfg: GuidanceConfig, sched):

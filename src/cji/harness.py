@@ -244,6 +244,10 @@ def _walk(config: dict, spec: dict, keys: tuple, errors: list) -> dict:
         full = ".".join((*keys, key))
         paths = set(declared_paths()) - {full}
         same = [p for p in paths if p.endswith("." + key)]  # a moved key names its place
+        if not same:  # else the places of the nearest declared key name
+            names = {p.rpartition(".")[2] for p in paths if "." in p}
+            name = difflib.get_close_matches(key, names, 1)
+            same = [p for p in paths if name and p.endswith("." + name[0])]
         near = (difflib.get_close_matches(full, same, 1, 0)
                 or difflib.get_close_matches(full, paths, 1))
         errors.append(f"unknown key {full!r}" + (f"; did you mean {near[0]!r}?" if near else ""))
@@ -316,27 +320,29 @@ def build_operator(desc: dict, n: int):
 
 
 def _coerce_profile(value, size: int, key: str) -> np.ndarray:
-    """``size`` values (per coordinate or per component) from a profile."""
+    """``size`` values (per coordinate or per component) from a profile;
+    key is its dotted config path."""
     arr = np.asarray(value, dtype=float)
     arr = np.full(size, float(arr)) if arr.ndim == 0 else arr
     if arr.shape != (size,):
-        raise ConfigError(f"data {key!r} must be one number or {size} numbers, got {value!r}")
+        raise ConfigError(f"{key} must be one number or {size} numbers, got {value!r}")
     return arr
 
 
-def build_data_model(desc: dict, dim: int):
+def build_data_model(desc: dict, dim: int, block: str):
     """Gaussian or mixture distribution of size dim from a resolved data
-    block, or from an auto model's block."""
+    block, or from an auto model's block; block ("problem.data" or "model")
+    names it in a ConfigError."""
     if desc["source"] == "gaussian":
-        return GaussianModel(mean=_coerce_profile(desc["mean"], dim, "mean"),
-                             var=_coerce_profile(desc["var"], dim, "var"))
+        return GaussianModel(mean=_coerce_profile(desc["mean"], dim, f"{block}.mean"),
+                             var=_coerce_profile(desc["var"], dim, f"{block}.var"))
     sizes = [len(desc[key]) for key in ("weights", "means", "vars")]
     if len(set(sizes)) > 1:
-        raise ConfigError("mixture 'weights', 'means' and 'vars' must have one entry per "
-                          "component, got {}, {} and {}".format(*sizes))
+        raise ConfigError(f"{block} mixture 'weights', 'means' and 'vars' must have one "
+                          "entry per component, got {}, {} and {}".format(*sizes))
     comps = tuple(
-        GaussianModel(mean=_coerce_profile(m, dim, "means"),
-                      var=_coerce_profile(v, dim, "vars"))
+        GaussianModel(mean=_coerce_profile(m, dim, f"{block}.means"),
+                      var=_coerce_profile(v, dim, f"{block}.vars"))
         for m, v in zip(desc["means"], desc["vars"])
     )
     return MixtureModel(weights=np.asarray(desc["weights"], dtype=float), components=comps)
@@ -357,7 +363,7 @@ def draw_inputs(problem: dict, seeds):
         n = fixed.size
     else:
         fixed, n = None, data["dim"]
-        model = build_data_model(data, n)
+        model = build_data_model(data, n, "problem.data")
     op = build_operator(problem["operator"], n)
     if n != op.in_dim:
         raise ConfigError(f"problem.data gives x0 of size {n}, "
@@ -413,7 +419,7 @@ def build_oracle(model: dict, sched, dim: int):
     if model["source"] is None:
         raise ConfigError("model.kind 'auto' needs a model.source of its own with tensor_file data")
     oracle = MixtureDiffusionOracle if isinstance(sched, DiffusionSchedule) else MixtureFlowOracle
-    return oracle(build_data_model(model, dim), sched)
+    return oracle(build_data_model(model, dim, "model"), sched)
 
 
 def guidance_from_sampler(desc: dict, sigma_y: float) -> GuidanceConfig:

@@ -21,10 +21,16 @@ fused actions serve the sampler's step, each from one analysis:
 - guidance_residual: H^T (H H^T + c I)^{-1} (y - H x), from U^T y
 
 On a complete basis (V square: the mask's coordinates, the blur's half
-spectrum) split_apply is a single diagonal too.  The mask's V is the
-identity, so its split_apply, proj_apply and guidance_residual are
-elementwise multiplies on the signal itself; only U^T (scatter) and U
-(gather) touch the observation.
+spectrum) split_apply is one synthesis of the modes scaled by
+split_factor(a, b, c), a on unkept modes, b on kept ones, plus c iota.
+The sampler's conjugate step on such a basis keeps its state as modes and
+builds the transform and the projected update from the same split_factor,
+and the guidance residual from residual_factors, so it calls neither
+split_apply nor proj_apply.  On a thin basis (BlockAverage, DenseOperator)
+split_apply synthesises P x from one analysis and forms a (x - P x) + b P x,
+bitwise the composed actions.  The mask's V is the identity, so its
+split_apply, proj_apply and guidance_residual are elementwise multiplies on
+the signal itself; only U^T (scatter) and U (gather) touch the observation.
 
 All vector arguments are flat arrays whose *last* axis has the operator
 dimension; leading axes are batch axes (sampling chains).  Image geometry
@@ -134,6 +140,14 @@ class LinearDegradation:
         """H^+ (H^+)^T x = H^T (H H^T)^{-2} H x."""
         return self._act(x, self.in_dim, self.to_basis, self._inv_power, self.from_basis)
 
+    def split_factor(self, a, b, c=0.0):
+        """The mode factor of a (I - P) + b P + c H^+ (H^+)^T on a complete
+        basis: a on unkept modes, b on kept ones, plus c iota."""
+        factor = np.where(self._kept, b, a)
+        if c != 0.0:
+            factor = factor + c * self._inv_power
+        return factor
+
     def split_apply(self, x, a, b, c=0.0):
         """a (I - P) x + b P x + c H^+ (H^+)^T x from one analysis of x.
 
@@ -144,10 +158,7 @@ class LinearDegradation:
         x = self._checked(x, self.in_dim)
         modes = self.to_basis(x)
         if self.complete_basis:
-            factor = np.where(self._kept, b, a)
-            if c != 0.0:
-                factor = factor + c * self._inv_power
-            return self.from_basis(self._scaled(modes, x, factor))
+            return self.from_basis(self._scaled(modes, x, self.split_factor(a, b, c)))
 
         def synthesise(factor):  # never in place: modes is synthesised twice
             return self.from_basis(modes * factor)
@@ -174,6 +185,13 @@ class LinearDegradation:
             resid = np.subtract(y_modes, hx, out=hx)
         resid *= self._reg_pinv(c)
         return self.from_basis(resid)
+
+    def residual_factors(self, y_modes, c):
+        """(r, g) with guidance_residual(y_modes, x, c) = V (r - g V^T x):
+        r = conj(s) / (|s|^2 + c) y_modes and the real gain g = |s|^2 /
+        (|s|^2 + c), which is keep when c = 0."""
+        gain = self._power * self._inv_power if c == 0 else self._power / (self._power + c)
+        return self._reg_pinv(c) * y_modes, gain
 
     # -- dense materializers (test oracles; small dimensions only) ---------
 

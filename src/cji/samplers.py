@@ -1,11 +1,12 @@
 """Guided sampling loops for linear inverse problems.
 
-Four methods, named as (family, process) pairs in METHODS, run one step
-body: pseudoinverse initialization, a precomputed coefficient table, Euler
-stepping in the transformed space, projection back at the end.  The process
-("diffusion" or "flow") picks the oracle field and its JVP once, before the
-loop; the schedule's endpoint map x_hat = (x - q f) / c turns the field into
-the endpoint estimate at each step.  The family decides what the table holds:
+Four methods, named as (family, process) pairs in METHODS, share one
+sampler: pseudoinverse initialization, a precomputed coefficient table,
+Euler stepping in the transformed space xbar = A_t x, and the inverse
+transform back to x after every step.  The process ("diffusion" or "flow")
+picks the oracle field and its JVP once, before the loop; the schedule's
+endpoint map x_hat = (x - q f) / c turns the field into the endpoint
+estimate at each step.  The family decides what the table holds:
 
 - "conjugate": the measurement-consistency drift is absorbed into the
   transform and the Phi coefficient integrals, so each step applies exact
@@ -15,6 +16,21 @@ the endpoint estimate at each step.  The family decides what the table holds:
   adds the Euler drift h e^{kappa1} kappa2'(t) times the guidance gradient,
   kappa2' being the rate of the conjugate P-exponent.  Differences between
   the two families are then attributable solely to the transform.
+
+The step runs on one of two paths, chosen once per call:
+
+- modes: the conjugate family on an operator whose basis is complete
+  (Mask, CirculantBlur), with a transform that is not a scalar (w != 0).
+  xbar is held as its modes V^T xbar, where A_t, P, H^+ (H^+)^T and the
+  guidance residual are one factor per mode.  A step makes two analyses
+  (field, JVP) and two syntheses (oracle input, residual); on the mask's
+  identity basis these are free.
+- signal: every other call (the explicit family, whose transform is the
+  scalar e^{+-kappa1}, and the thin bases BlockAverage and DenseOperator,
+  whose modes do not span the signal).  xbar stays in signal space.  A
+  conjugate step analyses three times, for the transform (split_apply), the
+  guidance residual and the projected update (proj_apply); an explicit
+  step analyses and synthesises once, for the residual.
 
 Every step costs exactly one oracle eps/velocity evaluation plus one
 Jacobian-vector product.  States carry chains on leading axes; a fixed
@@ -28,7 +44,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .conjugate import CoefficientTable, apply_transform, kappa2_integrand, precompute_table
+from .conjugate import (CoefficientTable, apply_transform, kappa2_integrand, precompute_table,
+                        transform_scalars)
 from .errors import ConfigError, DivergenceError
 from .schedules import DEFAULT_T_FLOOR, GuidanceConfig, process_kind, sampling_grid
 
@@ -74,6 +91,12 @@ class SamplerSpec:
 
 @dataclass
 class SampleResult:
+    """The output x (the state after the last step), the oracle and JVP
+    counts, and step_sup[n] = max|x| of the signal-space state after step n,
+    which is the next oracle input and is on the prior's scale; a
+    non-finite one raises DivergenceError(n, ...) instead.  trajectory holds
+    those states when recorded."""
+
     x: np.ndarray
     nfe: int
     jvp_evals: int
@@ -107,20 +130,58 @@ def check_grid(grid: np.ndarray, kind: str, cfg: GuidanceConfig):
             raise ConfigError("flow grid evaluates the oracle at t <= 0")
 
 
-def init_state(pinv_y, op, sched, z, table: CoefficientTable) -> np.ndarray:
-    """Draw the start state from the noised pseudoinverse H^+ y and project it."""
+def _start(pinv_y, op, sched, z, table: CoefficientTable) -> np.ndarray:
+    """The noised pseudoinverse H^+ y at the first grid time, a new array."""
     z = np.asarray(z, dtype=float)
     if z.shape[-1] != op.in_dim:
         raise ValueError(f"z must have last axis {op.in_dim}")
     scale, noise = sched.scale_noise(float(table.times[0]))
-    x = float(scale) * pinv_y + float(noise) * z
-    return _transform(x, op, table, 0, inverse=False)
+    return float(scale) * pinv_y + float(noise) * z
+
+
+def init_state(pinv_y, op, sched, z, table: CoefficientTable) -> np.ndarray:
+    """Draw the start state from the noised pseudoinverse H^+ y and project it."""
+    return _transform(_start(pinv_y, op, sched, z, table), op, table, 0, inverse=False)
 
 
 def _transform(x, op, table: CoefficientTable, i: int, inverse: bool):
     """A_{t_i} (or its inverse) from the exponents in table row i."""
     return apply_transform(x, op, float(table.kappa1[i]), float(table.kappa2[i]),
                            float(table.kappa3[i]), inverse=inverse)
+
+
+def _transform_factor(op, table: CoefficientTable, i: int, inverse: bool):
+    """The mode factor of A_{t_i} (or its inverse) on a complete basis."""
+    return op.split_factor(*transform_scalars(
+        float(table.kappa1[i]), float(table.kappa2[i]), float(table.kappa3[i]),
+        inverse=inverse))
+
+
+@dataclass(frozen=True)
+class _StepInputs:
+    """What both step paths read: the grid and its table, the guidance, the
+    schedule, the operator, the oracle's field and JVP for the process, H^+ y
+    and U^T y."""
+
+    grid: np.ndarray
+    table: CoefficientTable
+    cfg: GuidanceConfig
+    sched: object
+    op: object
+    field: object
+    jvp: object
+    pinv_y: np.ndarray
+    y_modes: np.ndarray
+
+    def scalars(self, n: int):
+        """Step n's t, h, endpoint map (c, q), Gram regulariser and dphi."""
+        t = float(self.grid[n])
+        c_t, q_t = map(float, self.sched.endpoint_map(t))
+        # sigma_y^2 / r_t^2 regularises the Gram solve of noisy guidance.
+        sigma_y = self.cfg.sigma_y
+        reg = sigma_y ** 2 / float(self.sched.r_sq(t)) if sigma_y else 0.0
+        return (t, float(self.grid[n + 1] - self.grid[n]), c_t, q_t, reg,
+                *(float(d) for d in self.table.dphi[:, n]))
 
 
 def sample(spec: SamplerSpec, y, op, oracle, sched, z, *,
@@ -142,21 +203,51 @@ def sample(spec: SamplerSpec, y, op, oracle, sched, z, *,
     # U^T y once per call; read-only, as a synthesis may work in place.
     y_modes = op.from_data(y).view()
     y_modes.flags.writeable = False
-    xbar = init_state(pinv_y, op, sched, z, table)
-    sup, traj = [], ([] if spec.record_trajectory else None)
-
     field, jvp = ((oracle.eps, oracle.eps_jvp) if kind == "diffusion"
                   else (oracle.velocity, oracle.velocity_jvp))
+    step = _StepInputs(grid, table, cfg, sched, op, field, jvp, pinv_y, y_modes)
+    # The mode path needs modes that span the signal and has no explicit drift.
+    if (spec.conjugate and op.complete_basis
+            and (np.any(table.kappa2) or np.any(table.kappa3))):
+        states = _mode_states(step, z)
+    else:
+        drift = None
+        if not spec.conjugate:
+            drift = (np.diff(grid) * np.exp(table.kappa1[:-1])
+                     * kappa2_integrand(grid[:-1], cfg, sched))
+        states = _signal_states(step, z, drift)
+
+    # Each path yields the oracle's first input, then the state after each
+    # step, which is also the next oracle input, the trajectory entry and,
+    # after the last step, the output.
+    next(states)
+    sup, traj = [], ([] if spec.record_trajectory else None)
+    for n, x in enumerate(states):
+        # Two reductions: a NaN or inf entry makes the sup-norm non-finite.
+        step_sup = max(float(x.max()), -float(x.min()))
+        if not math.isfinite(step_sup):
+            raise DivergenceError(n, float(grid[n]), float(table.kappa1[n]),
+                                  float(table.kappa2[n]))
+        sup.append(step_sup)
+        if traj is not None:
+            traj.append(x)
     n_steps = grid.size - 1
-    dphi = table.dphi
-    # Explicit family: the guidance drift the conjugate transform absorbs,
-    # Euler-stepped at the P-exponent rate, h e^{kappa1} kappa2'(t) times the
-    # gradient.  Its table is built with w = 0, so the dphi guidance terms
-    # below are exactly zero; the conjugate family has no explicit drift.
-    drift = np.zeros(n_steps)
-    if not spec.conjugate:
-        drift = (np.diff(grid) * np.exp(table.kappa1[:-1])
-                 * kappa2_integrand(grid[:-1], cfg, sched))
+    return SampleResult(  # the output is not the last trajectory entry itself
+        x=x if traj is None else x.copy(), nfe=n_steps, jvp_evals=n_steps,
+        step_sup=np.asarray(sup), trajectory=traj,
+    )
+
+
+def _signal_states(step: _StepInputs, z, drift):
+    """The step on the signal-space state xbar: every transform is one
+    split_apply (a scalar for the explicit family), and the projected update
+    one proj_apply.  drift is the explicit family's Euler guidance drift,
+    h e^{kappa1} kappa2'(t) per step (its w = 0 table makes the dphi
+    guidance terms exactly zero), or None for the conjugate family."""
+    op, table, lam = step.op, step.table, step.cfg.lam
+    xbar = init_state(step.pinv_y, op, step.sched, z, table)
+    x = _transform(xbar, op, table, 0, inverse=True)
+    yield x
     # The step writes its own arrays into three per-call buffers: the update
     # v, the projected argument and a scratch for x_hat and the update's
     # terms.  Each is built in place from the operands, and in the order, of
@@ -164,36 +255,30 @@ def sample(spec: SamplerSpec, y, op, oracle, sched, z, *,
     # expression's.  An operator or oracle result is only read, since its
     # maker may return an array it keeps.
     v, arg, tmp = (np.empty_like(xbar) for _ in range(3))
-    for n in range(n_steps):
-        t = float(grid[n])
-        h = float(grid[n + 1] - grid[n])
-        x = _transform(xbar, op, table, n, inverse=True)
-        f = field(x, t)
-        c_t, q_t = map(float, sched.endpoint_map(t))
+    for n in range(step.grid.size - 1):
+        t, h, c_t, q_t, reg, d_y, d_main_id, d_main_p, d_j_id, d_j_p = step.scalars(n)
+        f = step.field(x, t)
         # x_end = (x - q_t * f) / c_t
         x_end = np.multiply(f, q_t, out=tmp)
         np.subtract(x, x_end, out=x_end)
         x_end /= c_t
-        # sigma_y^2 / r_t^2 regularises the Gram solve of noisy guidance.
-        reg = cfg.sigma_y ** 2 / float(sched.r_sq(t)) if cfg.sigma_y else 0.0
-        u = op.guidance_residual(y_modes, x_end, reg)
-        jv = jvp(x, t, u)
+        u = op.guidance_residual(step.y_modes, x_end, reg)
+        jv = step.jvp(x, t, u)
 
         # v = h lam xbar + d_main_id f + d_y pinv_y
         #     + P (d_main_p f + d_j_p jv) + d_j_id jv + drift (c_t (u - q_t jv))
-        d_y, d_main_id, d_main_p, d_j_id, d_j_p = (float(d) for d in dphi[:, n])
         np.multiply(f, d_main_id, out=v)
-        if cfg.lam:
-            v += np.multiply(xbar, h * cfg.lam, out=tmp)
+        if lam:
+            v += np.multiply(xbar, h * lam, out=tmp)
         if d_y:
-            v += d_y * pinv_y
+            v += d_y * step.pinv_y
         if d_main_p or d_j_p:
             np.multiply(f, d_main_p, out=arg)
             arg += np.multiply(jv, d_j_p, out=tmp)
             v += op.proj_apply(arg)
         if d_j_id:
             v += np.multiply(jv, d_j_id, out=tmp)
-        if drift[n]:
+        if drift is not None and drift[n]:
             # The guidance gradient through x_hat = (x - q f) / c.
             np.multiply(jv, q_t, out=tmp)
             np.subtract(u, tmp, out=tmp)
@@ -202,15 +287,57 @@ def sample(spec: SamplerSpec, y, op, oracle, sched, z, *,
             v += tmp
 
         xbar += v
-        # One pass over the state: a NaN or inf entry makes the sup-norm non-finite.
-        step_sup = float(np.max(np.abs(xbar, out=v)))
-        if not math.isfinite(step_sup):
-            raise DivergenceError(n, t, float(table.kappa1[n]), float(table.kappa2[n]))
-        sup.append(step_sup)
-        if traj is not None:
-            traj.append(_transform(xbar, op, table, n + 1, inverse=True))
+        x = _transform(xbar, op, table, n + 1, inverse=True)
+        yield x
 
-    return SampleResult(
-        x=_transform(xbar, op, table, n_steps, inverse=True), nfe=n_steps,
-        jvp_evals=n_steps, step_sup=np.asarray(sup), trajectory=traj,
-    )
+
+def _mode_states(step: _StepInputs, z):
+    """The conjugate step on the modes Xbar = V^T xbar of a complete basis,
+    where the transform, P, H^+ (H^+)^T and the guidance residual are each
+    one factor per mode.  A step synthesises the oracle input x and the
+    residual u and analyses the field f and the JVP jv: two analyses and two
+    syntheses, none on the mask's identity basis.
+
+    Three per-call mode buffers hold Xbar, the update and a scratch that
+    carries the modes of x into the next step's residual; f, u and jv are
+    dropped once analysed.  x is always a new array, since the oracle and the
+    trajectory keep it."""
+    op, table, lam = step.op, step.table, step.cfg.lam
+    # Xbar = D_0 V^T x_0, so the first oracle input is A_0^{-1} A_0 x_0: with
+    # sigma_y > 0 the inverse is only first order.
+    xbar = op.to_basis(_start(step.pinv_y, op, step.sched, z, table))
+    xbar *= _transform_factor(op, table, 0, inverse=False)
+    pinv_modes = op.to_basis(step.pinv_y)
+    # A synthesis may overwrite its argument, so x is made from a copy of X.
+    scratch, acc = np.empty_like(xbar), np.empty_like(xbar)
+    d_inv = _transform_factor(op, table, 0, inverse=True)
+    x = op.from_basis(np.multiply(xbar, d_inv, out=scratch).copy())
+    yield x
+    for n in range(step.grid.size - 1):
+        t, h, c_t, q_t, reg, d_y, d_main_id, d_main_p, d_j_id, d_j_p = step.scalars(n)
+        if n == 0 or step.cfg.sigma_y:  # reg changes with t only when sigma_y > 0
+            r_y, gain = op.residual_factors(step.y_modes, reg)
+        f_modes = op.to_basis(step.field(x, t))
+        # scratch holds X = D^- Xbar, the modes of x.  The residual is
+        # U = rho (U^T y - s (X - q_t F) / c_t) = r_y - g (X - q_t F), with
+        # r_y = rho U^T y and g = rho s / c_t, and u = V U.
+        scratch -= np.multiply(f_modes, q_t, out=acc)
+        scratch *= gain / c_t
+        u = op.from_basis(np.subtract(r_y, scratch, out=scratch))
+
+        # Xbar += (d_main_id + d_main_p keep) F + (d_j_id + d_j_p keep) JV
+        #         + d_y V^T H^+ y + h lam Xbar
+        np.multiply(f_modes, op.split_factor(d_main_id, d_main_id + d_main_p), out=acc)
+        del f_modes
+        jv_modes = op.to_basis(step.jvp(x, t, u))
+        del u
+        acc += np.multiply(jv_modes, op.split_factor(d_j_id, d_j_id + d_j_p), out=scratch)
+        del jv_modes
+        if d_y:
+            acc += d_y * pinv_modes
+        if lam:
+            acc += np.multiply(xbar, h * lam, out=scratch)
+        xbar += acc
+        d_inv = _transform_factor(op, table, n + 1, inverse=True)
+        x = op.from_basis(np.multiply(xbar, d_inv, out=scratch).copy())
+        yield x

@@ -664,9 +664,10 @@ class TestCLI:
          "unknown key 'problem.operator.bitmap_file'; did you mean 'problem.operator.bitmap'?"),
         ("run", "problem.operator.dim", 8,
          "unknown key 'problem.operator.dim'; did you mean 'problem.data.dim'?"),
-        ("run", "problem.operator.in_dim", 8, "unknown key 'problem.operator.in_dim'"),
+        ("run", "problem.operator.in_dim", 8,
+         "unknown key 'problem.operator.in_dim'; did you mean 'problem.data.dim'?"),
         ("run", "problem.operator", {"kind": "circulant_blur", "kernel": [1.0], "in_dim": 8},
-         "unknown key 'problem.operator.in_dim'"),
+         "unknown key 'problem.operator.in_dim'; did you mean 'problem.data.dim'?"),
         ("run", "problem.operator", {"kind": "circulant_blur", "kernel_file": "k.cji"},
          "unknown key 'problem.operator.kernel_file'; did you mean 'problem.operator.kernel'?"),
         ("run", "problem.operator", {"kind": "dense", "matrix_file": "h.cji"},
@@ -745,9 +746,17 @@ class TestCLI:
         ('model={"kind":"external","argv":[1]}', "'argv'"),
         ("sampler.w=1" + "0" * 400, "'w'"),
         ('problem.data={"source":"mixture","dim":16,"weights":[0.6,0.4],'
-         '"means":[1.2,-1.0,5.0],"vars":[0.3,0.5]}', "'weights', 'means' and 'vars'"),
+         '"means":[1.2,-1.0,5.0],"vars":[0.3,0.5]}',
+         "problem.data mixture 'weights', 'means' and 'vars'"),
         ('model={"kind":"auto","source":"mixture","weights":[0.6,0.4],'
-         '"means":[1.2,-1.0],"vars":[0.3,0.5,0.2]}', "'weights', 'means' and 'vars'"),
+         '"means":[1.2,-1.0],"vars":[0.3,0.5,0.2]}', "model mixture 'weights', 'means' and 'vars'"),
+        ('model={"kind":"auto","source":"gaussian","mean":[1,2]}',
+         "model.mean must be one number or 16 numbers, got [1.0, 2.0]"),
+        ("problem.data.var=[1,2,3]", "problem.data.var must be one number or 16 numbers"),
+        ('problem.data={"source":"mixture","dim":16,"weights":[0.6,0.4],'
+         '"means":[[1,2],-1.0],"vars":[0.3,0.5]}', "problem.data.means must be one number"),
+        ('model={"kind":"auto","source":"mixture","weights":[0.6,0.4],'
+         '"means":[1.2,-1.0],"vars":[0.3,[1,2]]}', "model.vars must be one number"),
     ], ids=["problem", "operator", "model", "seeds", "sweep", "data-dim", "sampler-w",
             "sigma-y", "data-mean", "mixture-means", "seed-string", "seed-float",
             "seed-negative", "mixture-weights", "sampler-method", "mask-index-fraction",
@@ -755,7 +764,8 @@ class TestCLI:
             "nfe-boolean", "w-infinite", "w-nan", "lambda-nan", "sigma-y-nan",
             "beta-max-infinite", "data-mean-nan", "data-var-overflow",
             "mixture-weight-nan", "block-factor-zero", "data-dim-negative", "argv-number",
-            "w-huge-integer", "mixture-three-means", "model-mixture-three-vars"])
+            "w-huge-integer", "mixture-three-means", "model-mixture-three-vars",
+            "model-mean-length", "data-var-length", "data-means-length", "model-vars-length"])
     def test_mistyped_config_is_a_config_error(self, tmp_path, capsys, override, named):
         # a block that is not an object, a list that is not a list, a number
         # that does not parse, or a seed that is not a non-negative integer

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -254,13 +255,14 @@ class TestAccounting:
         assert np.all(np.isfinite(res.x))
 
     @pytest.mark.parametrize("method,per_step", [
-        ("conjugate_diffusion", 3), ("explicit_diffusion", 1),
-        ("conjugate_flow", 3), ("explicit_flow", 1),
+        ("conjugate_diffusion", 2), ("explicit_diffusion", 1),
+        ("conjugate_flow", 2), ("explicit_flow", 1),
     ])
     def test_spectral_passes_per_step(self, method, per_step):
-        # A noisy blur step analyses x once for the inverse transform, once
-        # for the guidance residual and once for the projected update (the
-        # explicit family only for the residual), and synthesises as often.
+        # A noisy conjugate blur step holds the state as its modes: it
+        # synthesises the oracle input and the guidance residual and analyses
+        # the field and the JVP.  An explicit step analyses and synthesises
+        # once, for the guidance residual.
         taps = np.array([0.25, 0.5, 0.25])
         op = CirculantBlur(np.outer(taps, taps), shape=(8, 8), threshold=0.1)
         passes = {"analyses": 0, "syntheses": 0}
@@ -497,6 +499,114 @@ class TestOwnArrays:
             assert not np.shares_memory(entry, res.x)
             for other in res.trajectory[i + 1:]:
                 assert not np.shares_memory(entry, other)
+
+
+class _ThinMask(Mask):
+    complete_basis = False
+
+
+class _ThinBlur(CirculantBlur):
+    complete_basis = False
+
+
+class NaNFieldOracle:
+    """Wraps an oracle; its field is NaN from step ``start`` on."""
+
+    def __init__(self, inner, start):
+        self.inner, self.start, self.calls = inner, start, 0
+
+    def _field(self, field, x, t):
+        out = field(x, t)
+        self.calls += 1
+        return out * np.nan if self.calls > self.start else out
+
+    def eps(self, x, t):
+        return self._field(self.inner.eps, x, t)
+
+    def velocity(self, x, t):
+        return self._field(self.inner.velocity, x, t)
+
+    def eps_jvp(self, x, t, v):
+        return self.inner.eps_jvp(x, t, v)
+
+    def velocity_jvp(self, x, t, v):
+        return self.inner.velocity_jvp(x, t, v)
+
+
+class TestModePath:
+    """The conjugate step on a complete basis runs on the operator's modes;
+    the same operator flagged as a thin basis runs the signal-space step."""
+
+    TAPS = np.array([0.25, 0.5, 0.25])
+
+    def ops(self, name):
+        d = 64
+        if name == "mask":
+            idx = np.arange(0, d, 3)
+            return Mask(idx, d), _ThinMask(idx, d)
+        kernel = np.outer(self.TAPS, self.TAPS)
+        return (CirculantBlur(kernel, shape=(8, 8), threshold=0.1),
+                _ThinBlur(kernel, shape=(8, 8), threshold=0.1))
+
+    @pytest.mark.parametrize("components", [1, 2])
+    @pytest.mark.parametrize("sigma_y", [0.0, 0.05])
+    @pytest.mark.parametrize("method", ["conjugate_diffusion", "conjugate_flow"])
+    @pytest.mark.parametrize("name", ["mask", "blur"])
+    def test_mode_path_matches_signal_path(self, name, method, sigma_y, components):
+        modes_op, signal_op = self.ops(name)
+        d = modes_op.in_dim
+        flow = method.endswith("flow")
+        sched = FLOW if flow else DIFF
+        prior = mixture(d) if components == 2 else GaussianModel(
+            mean=np.full(d, 0.3), var=np.full(d, 0.7))
+        oracle = (MixtureFlowOracle if flow else MixtureDiffusionOracle)(prior, sched)
+        rng = np.random.default_rng(21)
+        y = (modes_op.apply(rng.standard_normal(d))
+             + sigma_y * rng.standard_normal(modes_op.out_dim))
+        z = rng.standard_normal((3, d))
+        cfg = GuidanceConfig(w=2.0, lam=0.1, tau=0.3 if flow else 0.6, nfe=8,
+                             sigma_y=sigma_y, schedule_kind="adaptive_paper")
+        spec = SamplerSpec(method, cfg, record_trajectory=True)
+        got = sample(spec, y, modes_op, oracle, sched, z)
+        ref = sample(spec, y, signal_op, oracle, sched, z)
+        assert np.linalg.norm(got.x - ref.x) <= 1e-11 * np.linalg.norm(ref.x)
+        np.testing.assert_allclose(got.step_sup, ref.step_sup, rtol=1e-11)
+        for a, b in zip(got.trajectory, ref.trajectory):
+            assert np.linalg.norm(a - b) <= 1e-11 * np.linalg.norm(b)
+
+    @pytest.mark.parametrize("name", ["mask", "blur", "block-average"])
+    def test_nan_field_raises_at_its_step(self, name):
+        # The mask and the blur take the mode path, the block average the
+        # signal path; neither may warn on the way to the error.
+        d = 64
+        op = {"mask": Mask(np.arange(0, d, 3), d),
+              "blur": CirculantBlur(np.outer(self.TAPS, self.TAPS), shape=(8, 8),
+                                    threshold=0.1),
+              "block-average": BlockAverage(2, 8, 8)}[name]
+        prior = GaussianModel(mean=np.zeros(d), var=np.ones(d))
+        oracle = NaNFieldOracle(GaussianDiffusionOracle(prior, DIFF), start=2)
+        rng = np.random.default_rng(22)
+        y = op.apply(rng.standard_normal(d)) + 0.05 * rng.standard_normal(op.out_dim)
+        cfg = GuidanceConfig(w=2.0, tau=0.6, nfe=6, sigma_y=0.05)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError) as err:
+                sample(SamplerSpec("conjugate_diffusion", cfg), y, op, oracle, DIFF,
+                       rng.standard_normal((2, d)))
+        assert err.value.step_index == 2
+
+    def test_step_sup_is_the_signal_state(self):
+        # max|x| of the state after each step, the one the oracle sees next.
+        for op in self.ops("blur") + (BlockAverage(2, 8, 8),):
+            oracle = GaussianDiffusionOracle(mixture(64).components[0], DIFF)
+            rng = np.random.default_rng(23)
+            cfg = GuidanceConfig(w=2.0, tau=0.6, nfe=5, sigma_y=0.05)
+            res = sample(SamplerSpec("conjugate_diffusion", cfg, record_trajectory=True),
+                         op.apply(rng.standard_normal(64)), op, oracle, DIFF,
+                         rng.standard_normal((2, 64)))
+            np.testing.assert_array_equal(
+                res.step_sup, [np.max(np.abs(x)) for x in res.trajectory])
+            np.testing.assert_array_equal(res.trajectory[-1], res.x)
 
 
 class TestErrors:

@@ -20,7 +20,7 @@ import pytest
 
 from cji.conjugate import precompute_table
 from cji.external import ExternalOracle
-from cji.operators import CirculantBlur, Mask
+from cji.operators import BlockAverage, CirculantBlur, Mask
 from cji.oracles import (GaussianDiffusionOracle, GaussianFlowOracle, GaussianModel,
                          MixtureDiffusionOracle, MixtureFlowOracle, MixtureModel)
 from cji.samplers import SamplerSpec, sample
@@ -105,14 +105,18 @@ def test_operator_counters_see_every_action():
     assert metrics["operators.bytes_computed"] > 0
 
 
-def test_operator_counters_in_a_sampler_call():
-    # A noisy conjugate call: H^+ y once, and one projected update per step.
+@pytest.mark.parametrize("name,projections", [("blur", 0), ("block-average", 3)])
+def test_operator_counters_in_a_sampler_call(name, projections):
+    # A noisy conjugate call: H^+ y once.  On the blur's complete basis the
+    # step works on the modes and never projects; on the block average's
+    # thin basis it makes one projected update per step.
     taps = np.array([0.25, 0.5, 0.25])
-    op = CirculantBlur(np.outer(taps, taps), shape=(8, 8), threshold=0.1)
+    op = (CirculantBlur(np.outer(taps, taps), shape=(8, 8), threshold=0.1) if name == "blur"
+          else BlockAverage(2, 8, 8))
     sched = DiffusionSchedule()
     oracle = GaussianDiffusionOracle(GaussianModel(mean=np.zeros(64), var=np.ones(64)), sched)
     rng = np.random.default_rng(5)
-    y = op.apply(rng.standard_normal(64)) + 0.05 * rng.standard_normal(64)
+    y = op.apply(rng.standard_normal(64)) + 0.05 * rng.standard_normal(op.out_dim)
     spec = SamplerSpec(method="conjugate_diffusion",
                        guidance=GuidanceConfig(w=2.0, nfe=3, sigma_y=0.05))
     tracer = tracing.Tracer()
@@ -123,7 +127,7 @@ def test_operator_counters_in_a_sampler_call():
         tracer.uninstall()
     metrics = tracer.layer_metrics()
     assert metrics["operators.pinv_apply.calls"] == 1
-    assert metrics["operators.proj_apply.calls"] == 3
+    assert metrics["operators.proj_apply.calls"] == projections
 
 
 @pytest.mark.parametrize("oracle_cls,method", [
