@@ -214,8 +214,8 @@ def apply_transform(x, op, k1: float, k2: float, k3: float = 0.0, *,
     """A_t x, or A_t^{-1} x with ``inverse``, from the exponents at t.
 
     One ``op.split_apply`` of the transform_scalars, a diagonal in the
-    operator's basis that costs one analysis and, on a complete basis, one
-    synthesis; with k2 = k3 = 0 the transform is the scalar e^{+-k1}.  The
+    operator's basis that costs one analysis and one synthesis; with
+    k2 = k3 = 0 the transform is the scalar e^{+-k1}.  The
     orthogonal-split form avoids the cancellation of the equivalent
     e^{k1} [x + (e^{k2} - 1) P x] when k2 is strongly negative.
     """

@@ -1,6 +1,6 @@
 """Matrix-free linear degradation operators.
 
-Every operator is a thin singular value decomposition H = U diag(s) V^T and
+Every operator is a singular value decomposition H = U diag(s) V^T and
 exposes the actions needed by the guided samplers without ever forming a
 d x d matrix.  With iota = 1 / |s|^2 on kept modes and 0 elsewhere:
 
@@ -20,15 +20,14 @@ fused actions serve the sampler's step, each from one analysis:
 - split_apply:       a (I - P) x + b P x + c H^+ (H^+)^T x
 - guidance_residual: H^T (H H^T + c I)^{-1} (y - H x), from U^T y
 
-On a complete basis (V square: the mask's coordinates, the blur's half
-spectrum) split_apply is one synthesis of the modes scaled by
-split_factor(a, b, c), a on unkept modes, b on kept ones, plus c iota.
-The sampler's conjugate step on such a basis keeps its state as modes and
-builds the transform and the projected update from the same split_factor,
-and the guidance residual from residual_factors, so it calls neither
-split_apply nor proj_apply.  On a thin basis (BlockAverage, DenseOperator)
-split_apply synthesises P x from one analysis and forms a (x - P x) + b P x,
-bitwise the composed actions.  The mask's V is the identity, so its
+Every operator's modes span the signal, as DDRM writes every degradation
+(a complete V with zero singular values): from_basis(to_basis(x)) = x, and
+P and every other action are diagonal in the modes.  split_apply is then one
+synthesis of the modes scaled by split_factor(a, b, c), a on unkept modes, b
+on kept ones, plus c iota.  The sampler's conjugate step keeps its state as
+modes and builds the transform and the projected update from the same
+split_factor, and the guidance residual from residual_factors, so it calls
+neither split_apply nor proj_apply.  The mask's V is the identity, so its
 split_apply, proj_apply and guidance_residual are elementwise multiplies on
 the signal itself; only U^T (scatter) and U (gather) touch the observation.
 
@@ -53,20 +52,17 @@ class LinearDegradation:
     calls ``_set_singular_values(s, keep)`` and overrides the basis maps it
     does not leave as the identity: ``to_basis`` (V^T, signal to modes),
     ``from_basis`` (V), ``from_data`` (U^T, observation to modes) and
-    ``to_data`` (U).  An analysis returns its argument itself or a new
-    array; a synthesis may overwrite its argument only if its analyses
-    never return their argument and ``complete_basis`` is set, because
-    ``split_apply`` synthesises twice from one analysis on a thin basis.
-    ``s`` is one scalar or one array over the mode axes, and ``keep`` marks
-    the modes that the pseudoinverse inverts.
-
-    ``complete_basis`` states that the modes span the whole signal space
-    (V is square), so that a (I - P) + b P is itself diagonal in them.
+    ``to_data`` (U).  The modes must span the signal, so that
+    ``from_basis(to_basis(x))`` is x and a (I - P) + b P is diagonal in
+    them.  An analysis returns its argument itself or a new array; a
+    synthesis may overwrite its argument only if its analyses never return
+    their argument.  ``s`` is one scalar or one array over the mode axes, 0
+    on the modes H does not see, and ``keep`` marks the modes that the
+    pseudoinverse inverts.
     """
 
     out_dim: int
     in_dim: int
-    complete_basis = False
 
     def _set_singular_values(self, s, keep=True):
         """Store s and the actions' diagonal factors."""
@@ -141,35 +137,18 @@ class LinearDegradation:
         return self._act(x, self.in_dim, self.to_basis, self._inv_power, self.from_basis)
 
     def split_factor(self, a, b, c=0.0):
-        """The mode factor of a (I - P) + b P + c H^+ (H^+)^T on a complete
-        basis: a on unkept modes, b on kept ones, plus c iota."""
+        """The mode factor of a (I - P) + b P + c H^+ (H^+)^T: a on unkept
+        modes, b on kept ones, plus c iota."""
         factor = np.where(self._kept, b, a)
         if c != 0.0:
             factor = factor + c * self._inv_power
         return factor
 
     def split_apply(self, x, a, b, c=0.0):
-        """a (I - P) x + b P x + c H^+ (H^+)^T x from one analysis of x.
-
-        On a complete basis this is one synthesis of the modes scaled by a
-        on unkept modes, b on kept ones, plus c iota.  On a thin basis the
-        unkept part is x - P x, as in the composed actions, and the result
-        is bitwise theirs."""
-        x = self._checked(x, self.in_dim)
-        modes = self.to_basis(x)
-        if self.complete_basis:
-            return self.from_basis(self._scaled(modes, x, self.split_factor(a, b, c)))
-
-        def synthesise(factor):  # never in place: modes is synthesised twice
-            return self.from_basis(modes * factor)
-
-        px = synthesise(self._keep)
-        out = x - px
-        out *= a
-        out += b * px
-        if c != 0.0:
-            out += c * synthesise(self._inv_power)
-        return out
+        """a (I - P) x + b P x + c H^+ (H^+)^T x: one analysis of x, one
+        multiply by split_factor(a, b, c) and one synthesis."""
+        return self._act(x, self.in_dim, self.to_basis, self.split_factor(a, b, c),
+                         self.from_basis)
 
     def guidance_residual(self, y_modes, x, c):
         """H^T (H H^T + c I)^{-1} (y - H x) from y_modes = from_data(y) and one
@@ -272,40 +251,55 @@ class Mask(LinearDegradation):
     def to_data(self, modes):
         return modes[..., self.indices]
 
-    complete_basis = True
-
 
 class BlockAverage(LinearDegradation):
     """k x k block averaging on an (height, width) image (super-resolution).
 
-    V^T sums each block and divides by k (the normalised block indicators),
-    U = I and s = 1/k, so H H^T = (1/k^2) I and H^+ = k^2 H^T exactly.
+    V is the Kronecker square of a k x k Householder reflector Q whose column
+    0 is 1/sqrt(k): the modes of a block B are Q^T B Q, held in the block's
+    own slots.  Mode (0, 0), at the block's top-left slot, is the block's
+    sum over k and has s = 1/k; the other k^2 - 1 modes have s = 0, so
+    H H^T = (1/k^2) I and H^+ = k^2 H^T.  U^T scatters an observation into
+    the top-left slots and U gathers them.  Q is symmetric and orthogonal,
+    so V^T and V are the same map.
     """
 
     def __init__(self, factor, height, width):
         if height % factor or width % factor:
             raise ValueError("height and width must be divisible by factor")
-        self.factor = int(factor)
+        self.factor = k = int(factor)
         self.height = int(height)
         self.width = int(width)
         self.in_dim = self.height * self.width
-        self.h_out = self.height // self.factor
-        self.w_out = self.width // self.factor
+        self.h_out = self.height // k
+        self.w_out = self.width // k
         self.out_dim = self.h_out * self.w_out
-        self._set_singular_values(1.0 / self.factor)
+        self._q = np.eye(k)
+        if k > 1:  # Q = I - 2 v v^T / |v|^2, v = e_0 - 1/sqrt(k), maps e_0 to 1/sqrt(k)
+            v = self._q[0] - k ** -0.5
+            self._q -= np.outer(v, v) * (2.0 / (v @ v))
+        top_left = np.zeros((self.h_out, k, self.w_out, k), dtype=bool)
+        top_left[:, 0, :, 0] = True
+        top_left = top_left.reshape(-1)
+        self._slots = np.flatnonzero(top_left)
+        self._set_singular_values(np.where(top_left, 1.0 / k, 0.0), top_left)
 
     def to_basis(self, x):
-        k, lead = self.factor, x.shape[:-1]
-        img = x.reshape(lead + (self.h_out, k, self.w_out, k))
-        modes = img.sum(axis=(-3, -1)).reshape(lead + (self.out_dim,))
-        modes /= k
+        # Q^T = Q over the rows of each block, then over its columns; each
+        # matmul runs on a contiguous array.
+        lead, q = x.shape[:-1], self._q
+        rows = q @ x.reshape(lead + (self.h_out, self.factor, self.width))
+        return (rows.reshape(lead + (-1, self.factor)) @ q).reshape(lead + (self.in_dim,))
+
+    from_basis = to_basis
+
+    def from_data(self, y):
+        modes = np.zeros(y.shape[:-1] + (self.in_dim,))
+        modes[..., self._slots] = y
         return modes
 
-    def from_basis(self, modes):
-        k, lead = self.factor, modes.shape[:-1]
-        img = np.empty(lead + (self.h_out, k, self.w_out, k))
-        img[...] = (modes / k).reshape(lead + (self.h_out, 1, self.w_out, 1))
-        return img.reshape(lead + (self.in_dim,))
+    def to_data(self, modes):
+        return modes[..., self._slots]
 
 
 class CirculantBlur(LinearDegradation):
@@ -381,11 +375,15 @@ class CirculantBlur(LinearDegradation):
 
     from_data = to_basis
     to_data = from_basis
-    complete_basis = True
 
 
 class DenseOperator(LinearDegradation):
-    """Explicit (m, d) matrix of full row rank, through its thin SVD."""
+    """Explicit (m, d) matrix of full row rank, through its thin SVD.
+
+    The modes are the m coefficients V^T x of the thin SVD followed by the
+    remainder x - V V^T x as d modes with s = 0, so they span the signal
+    while the operator holds O(md) numbers; a full SVD would hold d^2.
+    """
 
     def __init__(self, matrix):
         matrix = np.asarray(matrix, dtype=float)
@@ -402,19 +400,26 @@ class DenseOperator(LinearDegradation):
         self.out_dim = m
         self.in_dim = d
         self._u, self._vt = u, vt
-        self._set_singular_values(s)
+        self._set_singular_values(np.concatenate([s, np.zeros(d)]), np.arange(m + d) < m)
 
     def to_basis(self, x):
-        return x @ self._vt.T
+        # Both parts go straight into one new array, with no temporaries.
+        modes = np.empty(x.shape[:-1] + (self.out_dim + self.in_dim,))
+        coeffs = np.matmul(x, self._vt.T, out=modes[..., :self.out_dim])
+        rest = np.matmul(coeffs, self._vt, out=modes[..., self.out_dim:])
+        np.subtract(x, rest, out=rest)
+        return modes
 
     def from_basis(self, modes):
-        return modes @ self._vt
+        out = modes[..., :self.out_dim] @ self._vt
+        out += modes[..., self.out_dim:]
+        return out
 
     def from_data(self, y):
-        return y @ self._u
+        return np.concatenate([y @ self._u, np.zeros(y.shape[:-1] + (self.in_dim,))], axis=-1)
 
     def to_data(self, modes):
-        return modes @ self._u.T
+        return modes[..., :self.out_dim] @ self._u.T
 
 
 def dense_materialize(op: LinearDegradation):

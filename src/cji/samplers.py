@@ -17,20 +17,17 @@ estimate at each step.  The family decides what the table holds:
   kappa2' being the rate of the conjugate P-exponent.  Differences between
   the two families are then attributable solely to the transform.
 
-The step runs on one of two paths, chosen once per call:
+The step runs on one of two paths, chosen once per call from the table:
 
-- modes: the conjugate family on an operator whose basis is complete
-  (Mask, CirculantBlur), with a transform that is not a scalar (w != 0).
+- modes: a transform that is not a scalar (the conjugate family with
+  w != 0), on every operator, since every operator's modes span the signal.
   xbar is held as its modes V^T xbar, where A_t, P, H^+ (H^+)^T and the
   guidance residual are one factor per mode.  A step makes two analyses
   (field, JVP) and two syntheses (oracle input, residual); on the mask's
   identity basis these are free.
-- signal: every other call (the explicit family, whose transform is the
-  scalar e^{+-kappa1}, and the thin bases BlockAverage and DenseOperator,
-  whose modes do not span the signal).  xbar stays in signal space.  A
-  conjugate step analyses three times, for the transform (split_apply), the
-  guidance residual and the projected update (proj_apply); an explicit
-  step analyses and synthesises once, for the residual.
+- signal: a scalar transform e^{+-kappa1} (the explicit family, whose table
+  has w = 0, or w = 0 itself).  xbar stays in signal space, and a step
+  analyses and synthesises once, for the guidance residual.
 
 Every step costs exactly one oracle eps/velocity evaluation plus one
 Jacobian-vector product.  States carry chains on leading axes; a fixed
@@ -151,7 +148,7 @@ def _transform(x, op, table: CoefficientTable, i: int, inverse: bool):
 
 
 def _transform_factor(op, table: CoefficientTable, i: int, inverse: bool):
-    """The mode factor of A_{t_i} (or its inverse) on a complete basis."""
+    """The mode factor of A_{t_i} (or its inverse)."""
     return op.split_factor(*transform_scalars(
         float(table.kappa1[i]), float(table.kappa2[i]), float(table.kappa3[i]),
         inverse=inverse))
@@ -206,9 +203,9 @@ def sample(spec: SamplerSpec, y, op, oracle, sched, z, *,
     field, jvp = ((oracle.eps, oracle.eps_jvp) if kind == "diffusion"
                   else (oracle.velocity, oracle.velocity_jvp))
     step = _StepInputs(grid, table, cfg, sched, op, field, jvp, pinv_y, y_modes)
-    # The mode path needs modes that span the signal and has no explicit drift.
-    if (spec.conjugate and op.complete_basis
-            and (np.any(table.kappa2) or np.any(table.kappa3))):
+    # A transform that is not a scalar needs the modes; only the explicit
+    # family, whose table has w = 0, has a drift.
+    if np.any(table.kappa2) or np.any(table.kappa3):
         states = _mode_states(step, z)
     else:
         drift = None
@@ -239,24 +236,23 @@ def sample(spec: SamplerSpec, y, op, oracle, sched, z, *,
 
 
 def _signal_states(step: _StepInputs, z, drift):
-    """The step on the signal-space state xbar: every transform is one
-    split_apply (a scalar for the explicit family), and the projected update
-    one proj_apply.  drift is the explicit family's Euler guidance drift,
-    h e^{kappa1} kappa2'(t) per step (its w = 0 table makes the dphi
-    guidance terms exactly zero), or None for the conjugate family."""
+    """The step on the signal-space state xbar when every transform is the
+    scalar e^{+-kappa1}, so every dphi guidance term is exactly zero.  drift
+    is the explicit family's Euler guidance drift, h e^{kappa1} kappa2'(t)
+    per step, or None for the conjugate family at w = 0."""
     op, table, lam = step.op, step.table, step.cfg.lam
     xbar = init_state(step.pinv_y, op, step.sched, z, table)
     x = _transform(xbar, op, table, 0, inverse=True)
     yield x
-    # The step writes its own arrays into three per-call buffers: the update
-    # v, the projected argument and a scratch for x_hat and the update's
-    # terms.  Each is built in place from the operands, and in the order, of
-    # the plain expression in the comment above it, so the floats are that
-    # expression's.  An operator or oracle result is only read, since its
-    # maker may return an array it keeps.
-    v, arg, tmp = (np.empty_like(xbar) for _ in range(3))
+    # The step writes its own arrays into two per-call buffers: the update v
+    # and a scratch for x_hat and the update's terms.  Each is built in place
+    # from the operands, and in the order, of the plain expression in the
+    # comment above it, so the floats are that expression's.  An operator or
+    # oracle result is only read, since its maker may return an array it
+    # keeps.
+    v, tmp = np.empty_like(xbar), np.empty_like(xbar)
     for n in range(step.grid.size - 1):
-        t, h, c_t, q_t, reg, d_y, d_main_id, d_main_p, d_j_id, d_j_p = step.scalars(n)
+        t, h, c_t, q_t, reg, _, d_main_id, *_ = step.scalars(n)
         f = step.field(x, t)
         # x_end = (x - q_t * f) / c_t
         x_end = np.multiply(f, q_t, out=tmp)
@@ -265,19 +261,10 @@ def _signal_states(step: _StepInputs, z, drift):
         u = op.guidance_residual(step.y_modes, x_end, reg)
         jv = step.jvp(x, t, u)
 
-        # v = h lam xbar + d_main_id f + d_y pinv_y
-        #     + P (d_main_p f + d_j_p jv) + d_j_id jv + drift (c_t (u - q_t jv))
+        # v = h lam xbar + d_main_id f + drift (c_t (u - q_t jv))
         np.multiply(f, d_main_id, out=v)
         if lam:
             v += np.multiply(xbar, h * lam, out=tmp)
-        if d_y:
-            v += d_y * step.pinv_y
-        if d_main_p or d_j_p:
-            np.multiply(f, d_main_p, out=arg)
-            arg += np.multiply(jv, d_j_p, out=tmp)
-            v += op.proj_apply(arg)
-        if d_j_id:
-            v += np.multiply(jv, d_j_id, out=tmp)
         if drift is not None and drift[n]:
             # The guidance gradient through x_hat = (x - q f) / c.
             np.multiply(jv, q_t, out=tmp)
@@ -292,7 +279,7 @@ def _signal_states(step: _StepInputs, z, drift):
 
 
 def _mode_states(step: _StepInputs, z):
-    """The conjugate step on the modes Xbar = V^T xbar of a complete basis,
+    """The conjugate step on the modes Xbar = V^T xbar of the operator,
     where the transform, P, H^+ (H^+)^T and the guidance residual are each
     one factor per mode.  A step synthesises the oracle input x and the
     residual u and analyses the field f and the JVP jv: two analyses and two

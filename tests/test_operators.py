@@ -30,6 +30,21 @@ def operator_zoo():
     ]
 
 
+@pytest.mark.parametrize("op", operator_zoo() + [BlockAverage(1, 3, 2), BlockAverage(3, 6, 9)],
+                         ids=lambda op: f"{type(op).__name__}-{op.in_dim}")
+def test_modes_span_the_signal(op):
+    # The contract every action rests on: the modes span the signal, the
+    # singular values are one number per mode, and U^T y lives on the modes.
+    rng = np.random.default_rng(43)
+    x = rng.standard_normal((2, op.in_dim))
+    y = rng.standard_normal((2, op.out_dim))
+    modes = op.to_basis(x.copy())
+    assert modes.shape[1:] == np.shape(op.s)
+    assert op.from_data(y.copy()).shape == modes.shape
+    np.testing.assert_allclose(op.from_basis(modes), x, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(op.to_data(op.from_data(y.copy())), y, rtol=0, atol=1e-12)
+
+
 class TestApply:
     def test_mask_selects(self):
         op = Mask([0, 2], 3)
@@ -294,14 +309,16 @@ FUSED_OPERATORS = dict({
 
 class TestFusedActions:
     """split_apply and guidance_residual each analyse x once.  They must
-    equal the composed actions: bitwise on the mask's coordinate basis and
-    the thin block basis, to 1e-12 of the output scale on the blur's
-    complete basis and the dense SVD.  The one exception is split_apply with
-    c != 0 on the mask: a complete basis forms (b + c) x on kept modes where
-    the composed actions form b x + c x, so it takes the blur's tolerance.
-    A batch must equal its rows called one by one, bitwise except on the
-    dense SVD, whose matrix products round a batch and a single row
-    differently in every action."""
+    equal the composed actions: bitwise on the mask's coordinate basis, and
+    for guidance_residual on the block's modes, whose residual lives on the
+    top-left slots alone; to 1e-12 of the output scale on the blur's
+    spectrum, the dense SVD and split_apply on the block, whose composed
+    form a (x - P x) + b P x rounds x - P x in signal space.  split_apply
+    with c != 0 on the mask takes the same tolerance: it forms (b + c) x on
+    kept modes where the composed actions form b x + c x.  A batch must
+    equal its rows called one by one, bitwise except on the dense SVD,
+    whose matrix products round a batch and a single row differently in
+    every action."""
 
     @staticmethod
     def check(op, out, ref, exact):
@@ -330,7 +347,7 @@ class TestFusedActions:
         if c:
             ref = ref + c * op.pinv_outer_apply(x)
         assert out.shape == x.shape
-        self.check(op, out, ref, isinstance(op, BlockAverage) or (isinstance(op, Mask) and not c))
+        self.check(op, out, ref, isinstance(op, Mask) and not c)
         self.check_rows(op, out, np.stack([op.split_apply(row, a, b, c)
                                            for row in x.reshape(-1, op.in_dim)]))
 
@@ -378,7 +395,6 @@ class TestMaskCoordinateBasis:
         return np.isin(np.arange(self.OP.in_dim), self.OP.indices)
 
     def test_indicator_singular_values(self):
-        assert self.OP.complete_basis
         assert self.OP.s.shape == (self.OP.in_dim,)
         np.testing.assert_array_equal(self.OP.s, self.observed.astype(float))
 

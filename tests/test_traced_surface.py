@@ -105,11 +105,10 @@ def test_operator_counters_see_every_action():
     assert metrics["operators.bytes_computed"] > 0
 
 
-@pytest.mark.parametrize("name,projections", [("blur", 0), ("block-average", 3)])
-def test_operator_counters_in_a_sampler_call(name, projections):
-    # A noisy conjugate call: H^+ y once.  On the blur's complete basis the
-    # step works on the modes and never projects; on the block average's
-    # thin basis it makes one projected update per step.
+@pytest.mark.parametrize("name", ["blur", "block-average"])
+def test_operator_counters_in_a_sampler_call(name):
+    # A noisy conjugate call: H^+ y once.  The step works on the operator's
+    # modes and never projects.
     taps = np.array([0.25, 0.5, 0.25])
     op = (CirculantBlur(np.outer(taps, taps), shape=(8, 8), threshold=0.1) if name == "blur"
           else BlockAverage(2, 8, 8))
@@ -127,7 +126,7 @@ def test_operator_counters_in_a_sampler_call(name, projections):
         tracer.uninstall()
     metrics = tracer.layer_metrics()
     assert metrics["operators.pinv_apply.calls"] == 1
-    assert metrics["operators.proj_apply.calls"] == projections
+    assert metrics["operators.proj_apply.calls"] == 0
 
 
 @pytest.mark.parametrize("oracle_cls,method", [
