@@ -213,16 +213,17 @@ def apply_transform(x, op, k1: float, k2: float, k3: float = 0.0, *,
                     inverse: bool = False):
     """A_t x, or A_t^{-1} x with ``inverse``, from the exponents at t.
 
-    One ``op.split_apply`` of the transform_scalars, a diagonal in the
-    operator's basis that costs one analysis and one synthesis; with
-    k2 = k3 = 0 the transform is the scalar e^{+-k1}.  The
-    orthogonal-split form avoids the cancellation of the equivalent
-    e^{k1} [x + (e^{k2} - 1) P x] when k2 is strongly negative.
+    One analysis of x, one multiply by the operator's split_factor of the
+    transform_scalars and one synthesis; with k2 = k3 = 0 the transform is
+    the scalar e^{+-k1}.  The orthogonal-split form avoids the cancellation
+    of the equivalent e^{k1} [x + (e^{k2} - 1) P x] when k2 is strongly
+    negative.
     """
     a, b, c = transform_scalars(k1, k2, k3, inverse=inverse)
     if k2 == 0.0 and k3 == 0.0:
         return a * x  # A_t and its inverse are scalars: no projector needed
-    return op.split_apply(x, a, b, c)
+    modes = op.to_basis(op._checked(x, op.in_dim))
+    return op.from_basis(modes * op.split_factor(a, b, c))
 
 
 def _exponents(t, cfg: GuidanceConfig, sched):

@@ -14,22 +14,18 @@ d x d matrix.  With iota = 1 / |s|^2 on kept modes and 0 elsewhere:
 - pinv_outer_apply: H^+ (H^+)^T x                  = V (iota V^T x)
 
 c = 0 in the regularised actions gives the unregularised ones.  Each action
-is one analysis, one multiply by a diagonal factor and one synthesis.  Two
-fused actions serve the sampler's step, each from one analysis:
-
-- split_apply:       a (I - P) x + b P x + c H^+ (H^+)^T x
-- guidance_residual: H^T (H H^T + c I)^{-1} (y - H x), from U^T y
+is one analysis, one multiply by a diagonal factor and one synthesis.
 
 Every operator's modes span the signal, as DDRM writes every degradation
 (a complete V with zero singular values): from_basis(to_basis(x)) = x, and
-P and every other action are diagonal in the modes.  split_apply is then one
-synthesis of the modes scaled by split_factor(a, b, c), a on unkept modes, b
-on kept ones, plus c iota.  The sampler's conjugate step keeps its state as
-modes and builds the transform and the projected update from the same
-split_factor, and the guidance residual from residual_factors, so it calls
-neither split_apply nor proj_apply.  The mask's V is the identity, so its
-split_apply, proj_apply and guidance_residual are elementwise multiplies on
-the signal itself; only U^T (scatter) and U (gather) touch the observation.
+P and every other action are diagonal in the modes.  The sampler's step
+reads an operator only through its basis maps and two mode factors:
+split_factor(a, b, c), a on unkept modes, b on kept ones, plus c iota, the
+factor of the transform a (I - P) + b P + c H^+ (H^+)^T; and
+residual_factors(U^T y, c), the (r, g) of the guidance residual
+H^T (H H^T + c I)^{-1} (y - H x) = V (r - g V^T x).  The mask's V is the
+identity, so on it both are elementwise multiplies on the signal itself;
+only U^T (scatter) and U (gather) touch the observation.
 
 All vector arguments are flat arrays whose *last* axis has the operator
 dimension; leading axes are batch axes (sampling chains).  Image geometry
@@ -144,31 +140,10 @@ class LinearDegradation:
             factor = factor + c * self._inv_power
         return factor
 
-    def split_apply(self, x, a, b, c=0.0):
-        """a (I - P) x + b P x + c H^+ (H^+)^T x: one analysis of x, one
-        multiply by split_factor(a, b, c) and one synthesis."""
-        return self._act(x, self.in_dim, self.to_basis, self.split_factor(a, b, c),
-                         self.from_basis)
-
-    def guidance_residual(self, y_modes, x, c):
-        """H^T (H H^T + c I)^{-1} (y - H x) from y_modes = from_data(y) and one
-        analysis of x; reg_pinv_apply(y - apply(x), c) in one pass."""
-        x = self._checked(x, self.in_dim)
-        hx = self._scaled(self.to_basis(x), x, self.s)
-        # s V^T x is a new array; the residual reuses it when y_modes's shape
-        # is a suffix of its shape.
-        shape = np.shape(y_modes)
-        if hx.shape[hx.ndim - len(shape):] != shape:
-            resid = y_modes - hx
-        else:
-            resid = np.subtract(y_modes, hx, out=hx)
-        resid *= self._reg_pinv(c)
-        return self.from_basis(resid)
-
     def residual_factors(self, y_modes, c):
-        """(r, g) with guidance_residual(y_modes, x, c) = V (r - g V^T x):
-        r = conj(s) / (|s|^2 + c) y_modes and the real gain g = |s|^2 /
-        (|s|^2 + c), which is keep when c = 0."""
+        """(r, g) with reg_pinv_apply(y - apply(x), c) = V (r - g V^T x) for
+        y_modes = from_data(y): r = conj(s) / (|s|^2 + c) y_modes and the
+        real gain g = |s|^2 / (|s|^2 + c), which is keep when c = 0."""
         gain = self._power * self._inv_power if c == 0 else self._power / (self._power + c)
         return self._reg_pinv(c) * y_modes, gain
 
@@ -220,12 +195,12 @@ class Mask(LinearDegradation):
     V = I over all ``in_dim`` coordinates, s and keep are the 0/1 indicator
     of the observed coordinates, U^T scatters an observation into a
     zero-filled signal and U gathers the observed coordinates.  So
-    ``proj_apply`` multiplies x by that indicator, ``split_apply`` is one
-    elementwise multiply and ``guidance_residual`` neither gathers nor
-    scatters.  An inf or NaN in an *unobserved* coordinate therefore gives
-    NaN (0 * inf) there in ``proj_apply``, ``split_apply`` and
-    ``guidance_residual``, where a select/scatter basis would give 0; the
-    sampler raises DivergenceError on such a state either way.
+    ``proj_apply`` multiplies x by that indicator, and the transform and the
+    guidance residual are elementwise multiplies that neither gather nor
+    scatter.  An inf or NaN in an *unobserved* coordinate therefore gives
+    NaN (0 * inf) there in ``proj_apply``, the transform and the residual,
+    where a select/scatter basis would give 0; the sampler raises
+    DivergenceError on such a state either way.
     """
 
     def __init__(self, indices, in_dim):
@@ -421,7 +396,3 @@ class DenseOperator(LinearDegradation):
     def to_data(self, modes):
         return modes[..., :self.out_dim] @ self._u.T
 
-
-def dense_materialize(op: LinearDegradation):
-    """Return (H, H^+, P) as dense matrices by basis probing (test oracle)."""
-    return op.dense(), op.dense_pinv(), op.dense_proj()

@@ -29,6 +29,11 @@ The step runs on one of two paths, chosen once per call from the table:
   has w = 0, or w = 0 itself).  xbar stays in signal space, and a step
   analyses and synthesises once, for the guidance residual.
 
+Both paths read the operator only through its basis maps and two mode
+factors: split_factor for the transform and residual_factors for the
+guidance residual V (r_y - g V^T x_hat), whose factors are made once per
+call when sigma_y = 0.
+
 Every step costs exactly one oracle eps/velocity evaluation plus one
 Jacobian-vector product.  States carry chains on leading axes; a fixed
 (y, z, config) triple reproduces bit-identical output.
@@ -157,8 +162,8 @@ def _transform_factor(op, table: CoefficientTable, i: int, inverse: bool):
 @dataclass(frozen=True)
 class _StepInputs:
     """What both step paths read: the grid and its table, the guidance, the
-    schedule, the operator, the oracle's field and JVP for the process, H^+ y
-    and U^T y."""
+    schedule, the operator, the oracle's field and JVP for the process, H^+ y,
+    U^T y and, when sigma_y = 0, the guidance residual's factors."""
 
     grid: np.ndarray
     table: CoefficientTable
@@ -169,6 +174,7 @@ class _StepInputs:
     jvp: object
     pinv_y: np.ndarray
     y_modes: np.ndarray
+    noiseless_factors: tuple | None
 
     def scalars(self, n: int):
         """Step n's t, h, endpoint map (c, q), Gram regulariser and dphi."""
@@ -179,6 +185,11 @@ class _StepInputs:
         reg = sigma_y ** 2 / float(self.sched.r_sq(t)) if sigma_y else 0.0
         return (t, float(self.grid[n + 1] - self.grid[n]), c_t, q_t, reg,
                 *(float(d) for d in self.table.dphi[:, n]))
+
+    def residual_factors(self, reg):
+        """(r_y, g) with guidance residual u = V (r_y - g V^T x_hat), at the
+        Gram regulariser reg, which changes with t only when sigma_y > 0."""
+        return self.noiseless_factors or self.op.residual_factors(self.y_modes, reg)
 
 
 def sample(spec: SamplerSpec, y, op, oracle, sched, z, *,
@@ -202,7 +213,8 @@ def sample(spec: SamplerSpec, y, op, oracle, sched, z, *,
     y_modes.flags.writeable = False
     field, jvp = ((oracle.eps, oracle.eps_jvp) if kind == "diffusion"
                   else (oracle.velocity, oracle.velocity_jvp))
-    step = _StepInputs(grid, table, cfg, sched, op, field, jvp, pinv_y, y_modes)
+    noiseless = None if cfg.sigma_y else op.residual_factors(y_modes, 0.0)
+    step = _StepInputs(grid, table, cfg, sched, op, field, jvp, pinv_y, y_modes, noiseless)
     # A transform that is not a scalar needs the modes; only the explicit
     # family, whose table has w = 0, has a drift.
     if np.any(table.kappa2) or np.any(table.kappa3):
@@ -244,33 +256,43 @@ def _signal_states(step: _StepInputs, z, drift):
     xbar = init_state(step.pinv_y, op, step.sched, z, table)
     x = _transform(xbar, op, table, 0, inverse=True)
     yield x
-    # The step writes its own arrays into two per-call buffers: the update v
-    # and a scratch for x_hat and the update's terms.  Each is built in place
-    # from the operands, and in the order, of the plain expression in the
-    # comment above it, so the floats are that expression's.  An operator or
-    # oracle result is only read, since its maker may return an array it
-    # keeps.
+    # The step writes its own arrays into two per-call buffers: the update v,
+    # which first holds x_hat, and a scratch for the update's terms.  Each is
+    # built in place from the operands, and in the order, of the plain
+    # expression in the comment above it, so the floats are that
+    # expression's.  An oracle result is only read, since its maker may
+    # return an array it keeps.
     v, tmp = np.empty_like(xbar), np.empty_like(xbar)
     for n in range(step.grid.size - 1):
         t, h, c_t, q_t, reg, _, d_main_id, *_ = step.scalars(n)
         f = step.field(x, t)
-        # x_end = (x - q_t * f) / c_t
-        x_end = np.multiply(f, q_t, out=tmp)
-        np.subtract(x, x_end, out=x_end)
-        x_end /= c_t
-        u = op.guidance_residual(step.y_modes, x_end, reg)
+        # x_hat = (x - q_t * f) / c_t
+        x_hat = np.multiply(f, q_t, out=v)
+        np.subtract(x, x_hat, out=x_hat)
+        x_hat /= c_t
+        # u = V (r_y - g V^T x_hat); the analysis is x_hat itself or a new
+        # array, so it is scaled in place, and u may be v.
+        modes = op.to_basis(x_hat)
+        r_y, gain = step.residual_factors(reg)
+        modes *= gain
+        u = op.from_basis(np.subtract(r_y, modes, out=modes))
+        del modes, r_y, gain
         jv = step.jvp(x, t, u)
 
-        # v = h lam xbar + d_main_id f + drift (c_t (u - q_t jv))
-        np.multiply(f, d_main_id, out=v)
-        if lam:
-            v += np.multiply(xbar, h * lam, out=tmp)
-        if drift is not None and drift[n]:
-            # The guidance gradient through x_hat = (x - q f) / c.
+        # v = h lam xbar + d_main_id f + drift (c_t (u - q_t jv)).  u may be
+        # v, so the guidance term (the gradient through x_hat) is formed
+        # first, in tmp; a lam term next to it then takes a new array.
+        guided = drift is not None and drift[n]
+        if guided:
             np.multiply(jv, q_t, out=tmp)
             np.subtract(u, tmp, out=tmp)
             tmp *= c_t
             tmp *= drift[n]
+        del u
+        np.multiply(f, d_main_id, out=v)
+        if lam:
+            v += np.multiply(xbar, h * lam, out=None if guided else tmp)
+        if guided:
             v += tmp
 
         xbar += v
@@ -302,15 +324,14 @@ def _mode_states(step: _StepInputs, z):
     yield x
     for n in range(step.grid.size - 1):
         t, h, c_t, q_t, reg, d_y, d_main_id, d_main_p, d_j_id, d_j_p = step.scalars(n)
-        if n == 0 or step.cfg.sigma_y:  # reg changes with t only when sigma_y > 0
-            r_y, gain = op.residual_factors(step.y_modes, reg)
         f_modes = op.to_basis(step.field(x, t))
         # scratch holds X = D^- Xbar, the modes of x.  The residual is
-        # U = rho (U^T y - s (X - q_t F) / c_t) = r_y - g (X - q_t F), with
-        # r_y = rho U^T y and g = rho s / c_t, and u = V U.
+        # U = r_y - g (X - q_t F) / c_t, and u = V U.
         scratch -= np.multiply(f_modes, q_t, out=acc)
+        r_y, gain = step.residual_factors(reg)
         scratch *= gain / c_t
         u = op.from_basis(np.subtract(r_y, scratch, out=scratch))
+        del r_y, gain
 
         # Xbar += (d_main_id + d_main_p keep) F + (d_j_id + d_j_p keep) JV
         #         + d_y V^T H^+ y + h lam Xbar

@@ -177,12 +177,12 @@ class TestTransform:
 
     @pytest.mark.parametrize("sched", [DIFF, FLOW], ids=["diffusion", "flow"])
     def test_zero_weight_makes_no_operator_pass(self, sched, monkeypatch):
-        # The transform's one operator action is split_apply; a scalar
-        # transform must not call it.
-        def refuse(self, x, a, b, c=0.0):
+        # The transform's one operator pass starts with the analysis
+        # to_basis; a scalar transform must not call it.
+        def refuse(self, x):
             raise AssertionError("scalar transform analysed x")
 
-        monkeypatch.setattr(Mask, "split_apply", refuse)
+        monkeypatch.setattr(Mask, "to_basis", refuse)
         op = Mask([1], 4)
         cfg = GuidanceConfig(w=0.0, lam=0.3, sigma_y=0.1)
         x = RNG.standard_normal((2, 4))

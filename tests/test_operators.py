@@ -1,14 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cji.operators import (
-    BlockAverage,
-    CirculantBlur,
-    DenseOperator,
-    Mask,
-    dense_materialize,
-)
+from cji.conjugate import apply_transform, transform_scalars
+from cji.operators import BlockAverage, CirculantBlur, DenseOperator, Mask
 from cji.oracles import GaussianDiffusionOracle, GaussianFlowOracle, GaussianModel
 from cji.samplers import SamplerSpec, sample
 from cji.schedules import DiffusionSchedule, FlowSchedule, GuidanceConfig
@@ -38,9 +35,18 @@ def test_modes_span_the_signal(op):
     rng = np.random.default_rng(43)
     x = rng.standard_normal((2, op.in_dim))
     y = rng.standard_normal((2, op.out_dim))
-    modes = op.to_basis(x.copy())
+    x_copy = x.copy()
+    modes = op.to_basis(x_copy)
+    y_modes = op.from_data(y.copy())
     assert modes.shape[1:] == np.shape(op.s)
-    assert op.from_data(y.copy()).shape == modes.shape
+    assert y_modes.shape == modes.shape
+    # The sampler scales an analysis in place: it is its argument itself or
+    # memory of its own, shared with no observation modes and with none of
+    # the singular values and factors the operator holds.
+    assert modes is x_copy or not np.shares_memory(modes, x_copy)
+    held = [a for a in vars(op).values() if isinstance(a, np.ndarray)]
+    for a in [y_modes] + held:
+        assert not np.shares_memory(modes, a)
     np.testing.assert_allclose(op.from_basis(modes), x, rtol=0, atol=1e-12)
     np.testing.assert_allclose(op.to_data(op.from_data(y.copy())), y, rtol=0, atol=1e-12)
 
@@ -300,25 +306,41 @@ class TestCirculantHalfSpectrum:
         assert np.iscomplexobj(op.spectrum)
 
 
-FUSED_OPERATORS = dict({
+MODE_OPERATORS = dict({
     "mask": Mask([0, 2, 5, 11], 12),
     "block-average": BlockAverage(2, 4, 6),
     "dense": DenseOperator(np.random.default_rng(11).standard_normal((3, 7))),
 }, **{f"blur-{name}": op for name, op in BLURS.items()})
 
 
-class TestFusedActions:
-    """split_apply and guidance_residual each analyse x once.  They must
-    equal the composed actions: bitwise on the mask's coordinate basis, and
-    for guidance_residual on the block's modes, whose residual lives on the
-    top-left slots alone; to 1e-12 of the output scale on the blur's
-    spectrum, the dense SVD and split_apply on the block, whose composed
-    form a (x - P x) + b P x rounds x - P x in signal space.  split_apply
-    with c != 0 on the mask takes the same tolerance: it forms (b + c) x on
-    kept modes where the composed actions form b x + c x.  A batch must
-    equal its rows called one by one, bitwise except on the dense SVD,
-    whose matrix products round a batch and a single row differently in
-    every action."""
+def split_exponents(a, b, c):
+    """Transform exponents (k1, k2, k3) whose forward scalars are about
+    (a, b, c), and those scalars."""
+    k1, k2 = math.log(a), math.log(b / a)
+    return (k1, k2, c), transform_scalars(k1, k2, c)
+
+
+def mode_residual(op, y_modes, x, c):
+    """The guidance residual V (r - g V^T x) from residual_factors."""
+    r, g = op.residual_factors(y_modes, c)
+    return op.from_basis(r - g * op.to_basis(x))
+
+
+class TestModeFactors:
+    """The step's two mode factors, through one analysis and one synthesis.
+    The transform by split_factor (through apply_transform) and the guidance
+    residual from residual_factors must equal the composed actions: bitwise
+    on the mask's coordinate basis, and for the residual at c = 0 on the
+    block's modes, whose residual lives on the top-left slots alone and
+    whose factors there are powers of 2; to 1e-12 of the output scale on
+    the blur's spectrum, the dense SVD, the transform on the block, whose
+    composed form a (x - P x) + b P x rounds x - P x in signal space, and
+    the residual at c != 0, which forms r - g x where the composed actions
+    form rho (y - s x).  The transform with c != 0 on the mask takes the
+    same tolerance: it forms (b + c) x on kept modes where the composed
+    actions form b x + c x.  A batch must equal its rows called one by
+    one, bitwise except on the dense SVD, whose matrix products round a
+    batch and a single row differently in every action."""
 
     @staticmethod
     def check(op, out, ref, exact):
@@ -328,58 +350,57 @@ class TestFusedActions:
             np.testing.assert_allclose(out, ref, rtol=0,
                                        atol=1e-12 * max(1.0, np.max(np.abs(ref))))
 
-    def check_composed(self, op, out, ref):
-        self.check(op, out, ref, isinstance(op, (Mask, BlockAverage)))
-
     def check_rows(self, op, out, rows):
         self.check(op, out, rows.reshape(out.shape), not isinstance(op, DenseOperator))
 
     @pytest.mark.parametrize("a,b,c", [(1.3, 2e-7, 0.0), (2e-7, 1.3, 0.0),
                                        (1.3, 2e-7, 0.37), (2e-7, 1.3, -0.37)],
                              ids=["b<<a", "b>>a", "b<<a-outer", "b>>a-outer"])
-    @pytest.mark.parametrize("name", FUSED_OPERATORS)
-    def test_split_apply_composes(self, name, a, b, c):
-        op = FUSED_OPERATORS[name]
+    @pytest.mark.parametrize("name", MODE_OPERATORS)
+    def test_split_factor_composes(self, name, a, b, c):
+        op = MODE_OPERATORS[name]
         x = np.random.default_rng(7).standard_normal((2, 3, op.in_dim))
-        out = op.split_apply(x, a, b, c)
+        exponents, (a, b, c) = split_exponents(a, b, c)
+        out = apply_transform(x, op, *exponents)
         px = op.proj_apply(x)
         ref = a * (x - px) + b * px
         if c:
             ref = ref + c * op.pinv_outer_apply(x)
         assert out.shape == x.shape
         self.check(op, out, ref, isinstance(op, Mask) and not c)
-        self.check_rows(op, out, np.stack([op.split_apply(row, a, b, c)
+        self.check_rows(op, out, np.stack([apply_transform(row, op, *exponents)
                                            for row in x.reshape(-1, op.in_dim)]))
 
     @pytest.mark.parametrize("c", [0.0, 0.37])
-    @pytest.mark.parametrize("name", FUSED_OPERATORS)
-    def test_guidance_residual_composes(self, name, c):
-        op = FUSED_OPERATORS[name]
+    @pytest.mark.parametrize("name", MODE_OPERATORS)
+    def test_residual_factors_compose(self, name, c):
+        op = MODE_OPERATORS[name]
         rng = np.random.default_rng(8)
         x = rng.standard_normal((2, 3, op.in_dim))
         y = rng.standard_normal((2, 3, op.out_dim))
-        out = op.guidance_residual(op.from_data(y), x, c)
+        out = mode_residual(op, op.from_data(y), x, c)
+        exact = isinstance(op, (Mask, BlockAverage)) and not c
         assert out.shape == x.shape
-        self.check_composed(op, out, op.reg_pinv_apply(y - op.apply(x), c))
+        self.check(op, out, op.reg_pinv_apply(y - op.apply(x), c), exact)
         self.check_rows(op, out, np.stack([
-            op.guidance_residual(op.from_data(yr), xr, c)
+            mode_residual(op, op.from_data(yr), xr, c)
             for yr, xr in zip(y.reshape(-1, op.out_dim), x.reshape(-1, op.in_dim))]))
         # One observation against a batch, and a batch of observations
         # against one state, broadcast like the composed actions.
         for yb, xb in ((y[0, 0], x), (y, x[0, 0])):
-            self.check_composed(op, op.guidance_residual(op.from_data(yb), xb, c),
-                                op.reg_pinv_apply(yb - op.apply(xb), c))
+            self.check(op, mode_residual(op, op.from_data(yb), xb, c),
+                       op.reg_pinv_apply(yb - op.apply(xb), c), exact)
 
     def test_inputs_left_unchanged(self):
-        # Identity analyses return their argument; a fused action must not
-        # scale or overwrite the caller's arrays.
-        for op in FUSED_OPERATORS.values():
+        # Identity analyses return their argument; the transform and the
+        # factors must not scale or overwrite the caller's arrays.
+        for op in MODE_OPERATORS.values():
             rng = np.random.default_rng(9)
             x = rng.standard_normal((2, op.in_dim))
             y_modes = op.from_data(rng.standard_normal((2, op.out_dim)))
             x0, y0 = x.copy(), y_modes.copy()
-            op.split_apply(x, 1.3, 0.2, 0.37)
-            op.guidance_residual(y_modes, x, 0.37)
+            apply_transform(x, op, *split_exponents(1.3, 0.2, 0.37)[0])
+            mode_residual(op, y_modes, x, 0.37)
             np.testing.assert_array_equal(x, x0)
             np.testing.assert_array_equal(y_modes, y0)
 
@@ -401,7 +422,8 @@ class TestMaskCoordinateBasis:
     @pytest.mark.parametrize("a,b", [(1.3, 2e-7), (2e-7, 1.3), (0.4, 0.4)])
     def test_diagonal_actions_are_one_multiply(self, a, b):
         x = np.random.default_rng(12).standard_normal((2, 3, self.OP.in_dim))
-        np.testing.assert_array_equal(self.OP.split_apply(x, a, b),
+        exponents, (a, b, _) = split_exponents(a, b, 0.0)
+        np.testing.assert_array_equal(apply_transform(x, self.OP, *exponents),
                                       x * np.where(self.observed, b, a))
         np.testing.assert_array_equal(self.OP.proj_apply(x), x * self.observed)
 
@@ -472,7 +494,7 @@ class TestDenseMaterialize:
 
     def test_materialize_triple(self):
         op = Mask([0, 3], 5)
-        h, pinv, proj = dense_materialize(op)
+        h, pinv, proj = op.dense(), op.dense_pinv(), op.dense_proj()
         assert h.shape == (2, 5) and pinv.shape == (5, 2) and proj.shape == (5, 5)
         np.testing.assert_allclose(pinv @ h, proj, atol=1e-14)
 
@@ -555,10 +577,10 @@ class TestNoAliasing:
             for c in (0.0, 0.5):
                 actions[f"gram_reg_solve c={c}"] = (lambda v, c=c: op.gram_reg_solve(v, c), y)
                 actions[f"reg_pinv_apply c={c}"] = (lambda v, c=c: op.reg_pinv_apply(v, c), y)
-                actions[f"split_apply c={c}"] = (
-                    lambda v, c=c: op.split_apply(v, 1.0, 1.0, c), x)
-                actions[f"guidance_residual c={c}"] = (
-                    lambda v, c=c: op.guidance_residual(y_modes, v, c), x)
+                actions[f"apply_transform k3={c}"] = (
+                    lambda v, c=c: apply_transform(v, op, 0.0, 0.0, c), x)
+                actions[f"residual_factors c={c}"] = (
+                    lambda v, c=c: mode_residual(op, y_modes, v, c), x)
             for name, (action, arg) in actions.items():
                 before = arg.copy()
                 out = action(arg)

@@ -84,8 +84,9 @@ def test_jvp_counter_reads_external_jvp_mode():
 
 def test_operator_counters_see_every_action():
     # All actions live on the operator base class; the tracer must still
-    # wrap and count each one.  The sampler's step calls the fused actions,
-    # which the tracer does not list, so each action is called directly.
+    # wrap and count each one.  The sampler's step reads the operator only
+    # through its basis maps and mode factors, which the tracer does not
+    # list, so each action is called directly.
     taps = np.array([0.25, 0.5, 0.25])
     op = CirculantBlur(np.outer(taps, taps), shape=(8, 8), threshold=0.1)
     x = np.random.default_rng(5).standard_normal((2, 64))
